@@ -22,7 +22,7 @@ from .automata import Apt, Color, color_key, format_color
 from .itypes import (IType, SizeGuardExceeded, StateType, format_cset,
                      format_itype, DEFAULT_ENUM_LIMIT)
 from .syntax import Hors, require_wellformed
-from .typecheck import AssumptionMap, Derivation, rule_typings
+from .typecheck import AssumptionMap, rule_typings
 
 EVE = "eve"
 ADAM = "adam"
@@ -142,13 +142,6 @@ def build_game(h: Hors, m: Apt, states=None,
 
     initial = seeds[0] if seeds else None
     return ParityGame(tuple(nodes), owner, priority, edges, initial)
-
-
-def game_typings(h: Hors, m: Apt, v: EveNode,
-                 limit: int = DEFAULT_ENUM_LIMIT
-                 ) -> list[tuple[AssumptionMap, Derivation]]:
-    """The Eve moves at a node, with their witnessing derivations."""
-    return rule_typings(h, m, v.nonterminal, v.ty, limit)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from .itypes import (ArrowType, ColoredSet, IType, SizeGuardExceeded,
                      enumerate_types, is_terminal_type, split_chain,
                      subtype, type_key, DEFAULT_ENUM_LIMIT)
 from .syntax import (App, Fix, Hors, Lam, NonTerminal, SimpleType,
-                     Term, Terminal, Var, free_vars, ground_sort, infer_sort,
-                     nonterminals_of)
+                     Term, Terminal, Var, format_sort, format_term, free_vars,
+                     ground_sort, infer_sort, nonterminals_of)
 
 TypeEnv = dict[str, ColoredSet]
 
@@ -370,12 +370,74 @@ def assumptions_from(reqs: frozenset[Requirement]) -> AssumptionMap:
     return tuple((name, colored_set(grouped[name])) for name in sorted(grouped))
 
 
+class _SubsetIndex:
+    """Requirement sets stored so far, answering whether a query set
+    contains one of them.
+
+    The query hashes its subsets of the stored sizes against the stored
+    sets, unless it has more subsets (2**len) than there are stored sets;
+    then it scans the stored sets.
+    """
+
+    def __init__(self):
+        self.sets: set[frozenset[Requirement]] = set()
+        self.sizes: set[int] = set()
+
+    def add(self, reqs: frozenset[Requirement]) -> None:
+        self.sets.add(reqs)
+        self.sizes.add(len(reqs))
+
+    def has_subset_of(self, reqs: frozenset[Requirement]) -> bool:
+        """Whether some stored set is a subset of (or equals) `reqs`."""
+        if 2 ** len(reqs) > len(self.sets):
+            return any(k <= reqs for k in self.sets)
+        items = tuple(reqs)
+        return any(frozenset(sub) in self.sets
+                   for r in self.sizes if r <= len(items)
+                   for sub in itertools.combinations(items, r))
+
+
+def _unions(base: frozenset[Requirement], option_lists, emitted: _SubsetIndex):
+    """(union, skeletons) for each pick of one (requirements, skeleton) pair
+    per list, added to `base`, in `itertools.product` order.
+
+    A branch stops as soon as its partial union contains a set in `emitted`:
+    each of its picks would repeat that set or strictly contain it, and
+    neither is ever kept.  The caller adds what it takes to `emitted`, so
+    the first occurrence of every minimal union is still produced.
+    """
+    if emitted.has_subset_of(base):
+        return ()
+    # The common case: every argument has one option, so there is one pick.
+    if all(len(options) == 1 for options in option_lists):
+        acc = base.union(*(options[0][0] for options in option_lists))
+        if emitted.has_subset_of(acc):
+            return ()
+        return ((acc, tuple(options[0][1] for options in option_lists)),)
+
+    def extend(i: int, acc: frozenset[Requirement], skels: tuple):
+        if emitted.has_subset_of(acc):
+            return
+        if i == len(live):
+            yield acc, skels
+            return
+        for req, skel in live[i]:
+            yield from extend(i + 1, acc | req, skels + (skel,))
+
+    # `emitted` only grows, so an option dead next to `base` now stays dead.
+    live = [[(req, skel) for req, skel in options
+             if not emitted.has_subset_of(base | req)]
+            for options in option_lists]
+    return extend(0, base, ())
+
+
 class _FootprintSearch:
     """Enumerates minimal nonterminal-assumption sets for one sequent."""
 
-    def __init__(self, m: Apt, sort_env: dict[str, SimpleType],
+    def __init__(self, m: Apt, rule: str, sort_env: dict[str, SimpleType],
                  var_env: TypeEnv, limit: int, pair_cap: int = 12):
         self.m = m
+        self.rule = rule
         self.sort_env = sort_env
         self.var_env = var_env
         self.limit = limit
@@ -447,9 +509,12 @@ class _FootprintSearch:
         options = self._argument_options(t.argument, c)
         if len(options) > self.pair_cap:
             raise SizeGuardExceeded(
-                "candidate argument typings at an application",
+                f"candidate argument typings at `{format_term(t)}` in the "
+                f"rule of {self.rule}, argument sort "
+                f"{format_sort(self.sort_of(t.argument))}",
                 2 ** len(options), 2 ** self.pair_cap)
         results = []
+        emitted = _SubsetIndex()
         for k in range(len(options) + 1):
             for subset in itertools.combinations(options, k):
                 chosen = colored_set((c2, beta) for c2, beta, _ in subset)
@@ -459,29 +524,31 @@ class _FootprintSearch:
                 by_pair = {(c2, beta): sub for c2, beta, sub in subset}
                 arg_option_lists = [by_pair[p] for p in chosen.pairs]
                 for fn_req, fn_skel in fn_opts:
-                    for picks in itertools.product(*arg_option_lists):
-                        req = fn_req.union(*(r for r, _ in picks)) if picks else fn_req
-                        skel = _SkelApp(t, target, chosen, fn_skel,
-                                        tuple(s for _, s in picks))
-                        results.append((req, skel))
+                    for req, arg_skels in _unions(fn_req, arg_option_lists,
+                                                  emitted):
+                        emitted.add(req)
+                        results.append((req, _SkelApp(t, target, chosen,
+                                                      fn_skel, arg_skels)))
         return _minimal(results)
 
 
 def _minimal(results):
-    """Keep one representative per inclusion-minimal requirement set."""
+    """Keep one representative per inclusion-minimal requirement set, its
+    first occurrence; ordered by size, then by requirement keys."""
     first: dict = {}
     for req, skel in results:
-        if req not in first:
-            first[req] = skel
-    decorated = sorted(
-        ((len(req), tuple(sorted(map(requirement_key, req))), req)
-         for req in first),
-        key=lambda d: d[:2])
-    kept = []
-    for _, _, req in decorated:
-        if not any(k <= req for k, _ in kept):
-            kept.append((req, first[req]))
-    return kept
+        first.setdefault(req, skel)
+    # A set can only contain a strictly smaller one, so testing the distinct
+    # sets in order of size against the survivors so far decides each one.
+    kept = _SubsetIndex()
+    minimal = []
+    for req in sorted(first, key=len):
+        if not kept.has_subset_of(req):
+            kept.add(req)
+            minimal.append(req)
+    minimal.sort(key=lambda req: (len(req),
+                                  tuple(sorted(map(requirement_key, req)))))
+    return [(req, first[req]) for req in minimal]
 
 
 @dataclass(frozen=True)
@@ -506,16 +573,27 @@ class _SkelApp:
     arguments: tuple
 
 
-def _attach_envs(skel, env: TypeEnv, c: Color, cols) -> Derivation:
-    here = env_key(residual_env(env, c, cols))
-    if isinstance(skel, _SkelAx):
-        return DAx(here, skel.term, skel.target, skel.used)
-    if isinstance(skel, _SkelDelta):
-        return DDelta(here, skel.term, skel.target)
-    args = tuple(_attach_envs(a, env, cmax(c, ci), cols)
-                 for (ci, _), a in zip(skel.chosen.pairs, skel.arguments))
-    fn = _attach_envs(skel.function, env, c, cols)
-    return DApp(here, skel.term, skel.target, skel.chosen, fn, args)
+def _attach_envs(skel, env: TypeEnv, residual) -> Derivation:
+    """The derivation of `skel` in `env`: a node under a box of color c
+    gets the c-residual of `env`, computed once per color.  `residual(u, c)`
+    is `residual_set` for the automaton's colors."""
+    residuals: dict = {}
+
+    def attach(skel, c: Color) -> Derivation:
+        here = residuals.get(c)
+        if here is None:
+            here = residuals[c] = env_key(
+                {x: residual(u, c) for x, u in env.items()})
+        if isinstance(skel, _SkelAx):
+            return DAx(here, skel.term, skel.target, skel.used)
+        if isinstance(skel, _SkelDelta):
+            return DDelta(here, skel.term, skel.target)
+        args = tuple(attach(a, cmax(c, ci))
+                     for (ci, _), a in zip(skel.chosen.pairs, skel.arguments))
+        fn = attach(skel.function, c)
+        return DApp(here, skel.term, skel.target, skel.chosen, fn, args)
+
+    return attach(skel, EPSILON)
 
 
 def rule_typings(h: Hors, m: Apt, name: str, theta: IType,
@@ -550,8 +628,18 @@ def _rule_typings_uncached(h: Hors, m: Apt, name: str, theta: IType,
     var_env: TypeEnv = {b: u for (b, _), u in zip(rule.binders, arg_sets)}
     sort_env: dict[str, SimpleType] = dict(h.nonterminals)
     sort_env.update({b: s for b, s in rule.binders})
-    search = _FootprintSearch(m, sort_env, var_env, limit)
+    search = _FootprintSearch(m, name, sort_env, var_env, limit)
     found = search.search(rule.body, result, EPSILON)
+    cols = color_set(m)
+    # Derivations share most environment entries; colored sets are interned.
+    residuals: dict = {}
+
+    def residual(u: ColoredSet, c: Color) -> ColoredSet:
+        r = residuals.get((u, c))
+        if r is None:
+            r = residuals[(u, c)] = residual_set(u, c, cols)
+        return r
+
     out = []
     for req, skel in found:
         delta = assumptions_from(req)
@@ -559,7 +647,7 @@ def _rule_typings_uncached(h: Hors, m: Apt, name: str, theta: IType,
         full_env.update({n: u for n, u in delta})
         for nt in h.nonterminals:
             full_env.setdefault(nt, colored_set(()))
-        deriv = _attach_envs(skel, full_env, EPSILON, color_set(m))
+        deriv = _attach_envs(skel, full_env, residual)
         out.append((delta, deriv))
     out.sort(key=lambda du: tuple((n, cset_key(u)) for n, u in du[0]))
     return out

@@ -181,6 +181,8 @@ class TestSizeGuard:
         apt.write_text(EX1_APT)
         code, _, err = run(["check", str(scheme), str(apt)], capsys)
         assert code == 3 and "size guard" in err
+        # the message names the rule, the application and the argument sort
+        assert "rule of S" in err and "`A I`" in err and "sort o -> o" in err
 
 
 def run_subprocess(argv, seed):

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,7 +9,7 @@ from horsmc import (ADAM, AdamNode, Apt, ColorNode, EVE, EveNode,
                     build_game, check_eve_strategy, run_search, solve_brute,
                     to_dot, unfold, zielonka)
 from conftest import const_scheme, loop_apt, loop_scheme, order2_scheme, \
-    random_game
+    order2_unary, random_game, solve_cached
 
 
 class TestBuildGame:
@@ -62,6 +64,15 @@ class TestBuildGame:
     def test_node_limit_guard(self, ex1, ex1_apt):
         with pytest.raises(SizeGuardExceeded):
             build_game(ex1, ex1_apt, node_limit=5)
+
+    def test_order2_unary_game_is_pinned(self):
+        # Golden game: a faster footprint search must build this very game.
+        g, _ = solve_cached(*order2_unary(), "q")
+        kinds = Counter(type(v).__name__ for v in g.nodes)
+        assert kinds == {"EveNode": 261, "AdamNode": 10242, "ColorNode": 520}
+        assert sum(len(ws) for ws in g.edges.values()) == 22026
+        assert hashlib.sha256(to_dot(g).encode()).hexdigest() == (
+            "d72673881232cbb3e1b4eca2b9e22818262eb86e6e112fa4898b348a9b6bba24")
 
 
 class TestZielonka:
@@ -131,7 +142,6 @@ class TestAcceptedStates:
         assert accepted_states(h, m_false) == set()
 
     def test_order2_scheme_single_state(self):
-        from conftest import order2_unary
         h, m = order2_unary()
         assert accepted_states(h, m) == {"q"}
         for d in range(1, 7):

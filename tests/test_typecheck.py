@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from horsmc import (App, Arrow, ArrowType, EPSILON, GROUND, NonTerminal,
                     StateType, Terminal, Var, box_color, check_derivation,
@@ -11,7 +12,8 @@ from horsmc import (App, Arrow, ArrowType, EPSILON, GROUND, NonTerminal,
                     subtype_set)
 from horsmc.itypes import EMPTY_SET
 from horsmc.syntax import ground_sort
-from horsmc.typecheck import Deriver
+from horsmc.typecheck import (Deriver, _minimal, _SubsetIndex, _unions,
+                              requirement_key)
 from conftest import fixture_terms
 
 Q0, Q1 = StateType("q0"), StateType("q1")
@@ -282,3 +284,69 @@ def test_residual_env_composition(ex1_apt):
             from horsmc import cmax
             once = residual_env(env, cmax(c1, c2), cols)
             assert twice == once
+
+
+# ---------------------------------------------------------------------------
+# The minimality filter and the pruned union search, against the quadratic
+# filter they replaced.
+
+def reference_minimal(results):
+    """Keep one representative per inclusion-minimal requirement set."""
+    first: dict = {}
+    for req, skel in results:
+        if req not in first:
+            first[req] = skel
+    decorated = sorted(
+        ((len(req), tuple(sorted(map(requirement_key, req))), req)
+         for req in first),
+        key=lambda d: d[:2])
+    kept = []
+    for _, _, req in decorated:
+        if not any(k <= req for k, _ in kept):
+            kept.append((req, first[req]))
+    return kept
+
+
+REQUIREMENTS = [(name, c, ty) for name in ("F", "G") for c in (EPSILON, 0, 1)
+                for ty in (Q0, Q1)]
+requirement_sets = st.frozensets(st.sampled_from(REQUIREMENTS), max_size=6)
+R = [frozenset({r}) for r in REQUIREMENTS]
+PAIRS = [R[0] | R[1], R[2] | R[3], R[4] | R[5], R[6] | R[7]]
+
+
+@given(st.lists(requirement_sets, max_size=40))
+# Enough small kept sets that a query hashes its subsets: a hit (three
+# singletons inside) and a miss (two halves of different kept pairs).
+@example(R + [R[0] | R[1] | R[2], R[0] | R[1] | R[2]])
+@example(PAIRS + [R[0] | R[2], R[1] | R[3] | R[5]])
+@example([R[0], frozenset(), R[0], frozenset()])
+def test_minimal_matches_quadratic_reference(sets):
+    # The tag is the position, so the representative kept for a set shows
+    # which of its occurrences won.
+    results = [(req, i) for i, req in enumerate(sets)]
+    assert _minimal(results) == reference_minimal(results)
+
+
+products = st.lists(st.tuples(
+    requirement_sets,
+    st.lists(st.lists(requirement_sets, min_size=1, max_size=4),
+             max_size=3)), min_size=1, max_size=4)
+
+
+@given(products)
+def test_pruned_unions_keep_every_minimal_union(prods):
+    # Several products share one `emitted` index, as the fn options and
+    # argument subsets of one application do.
+    full, pruned = [], []
+    emitted = _SubsetIndex()
+    for p, (base, lists) in enumerate(prods):
+        tagged = [[(req, (p, i, j)) for j, req in enumerate(options)]
+                  for i, options in enumerate(lists)]
+        for picks in itertools.product(*tagged):
+            req = base.union(*(r for r, _ in picks))
+            full.append((req, (p, tuple(s for _, s in picks))))
+        for req, skels in _unions(base, tagged, emitted):
+            emitted.add(req)
+            pruned.append((req, (p, skels)))
+    assert len(set(r for r, _ in pruned)) == len(pruned)
+    assert _minimal(pruned) == reference_minimal(full)
