@@ -24,5 +24,3 @@ from .syntax import (App, Arrow, BOTTOM, Fix, GROUND, Ground, Hors,
                      order, to_lambda_y, unfold)
 from .typecheck import (Derivation, TypeEnv, check_derivation, denotation,
                         derive, residual_env, rule_typings)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,8 +1,9 @@
 """Command-line frontend.
 
 Exit codes: 0 for a positive verdict (or plain success), 1 for a negative
-verdict, 2 for usage or parse errors, 3 when a size guard aborts the
-computation.  Verdict text goes to standard output, diagnostics to standard
+verdict, 2 for usage or parse errors, 3 when a limit stops the
+computation: a size guard, the rewriting budget or Python's recursion
+limit.  Verdict text goes to standard output, diagnostics to standard
 error; `--quiet` suppresses standard output so scripts can rely on the exit
 code alone.
 """
@@ -221,6 +222,9 @@ def main(argv=None) -> int:
         return 3
     except UnresolvedWithinBudget as e:
         sys.stderr.write(f"rewriting budget: {e}\n")
+        return 3
+    except RecursionError as e:
+        sys.stderr.write(f"recursion limit: {e}\n")
         return 3
     except IllFormedScheme as e:
         sys.stderr.write(f"ill-formed scheme: {e}\n")

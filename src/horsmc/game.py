@@ -106,7 +106,6 @@ def build_game(h: Hors, m: Apt, states=None,
     edges: dict = {}
     seen: set = set()
     queue: deque[GameNode] = deque()
-    typings_cache: dict[tuple[str, IType], list] = {}
 
     def push(v: GameNode) -> None:
         if v in seen:
@@ -124,12 +123,9 @@ def build_game(h: Hors, m: Apt, states=None,
     while queue:
         v = queue.popleft()
         if isinstance(v, EveNode):
-            key = (v.nonterminal, v.ty)
-            if key not in typings_cache:
-                typings_cache[key] = rule_typings(h, m, v.nonterminal, v.ty,
-                                                  limit)
             succs = [AdamNode(v.nonterminal, v.ty, delta)
-                     for delta, _ in typings_cache[key]]
+                     for delta, _ in rule_typings(h, m, v.nonterminal, v.ty,
+                                                  limit)]
         elif isinstance(v, AdamNode):
             succs = [ColorNode(c, name, ty)
                      for name, u in v.assumption

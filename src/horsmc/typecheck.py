@@ -8,13 +8,20 @@ fixed environment; weakening admissibility (denotations are downward
 closed) makes this equivalent, and the equivalence is tested against a
 literal context-splitting implementation kept in the test suite.
 
+A derivation node records its subject, its type and the rule's choices,
+not its environment: the environment of every node follows from the root
+sequent's, since an argument under a box of color c sits in the c-residual
+and a lambda body in the extension by its binder.  `check_derivation` is
+given the root environment and replays that rule.
+
 `denotation` computes the full finite typing relation bottom-up, serving as
 the brute-force counterpart that the backward search is checked against.
 
 `rule_typings` enumerates, for a nonterminal typed against a rule body, the
 minimal assumption maps on nonterminals under which the body is derivable,
-together with witnessing derivations.  The parity-game construction takes
-its moves from it.
+together with witnessing derivations, which the footprint search builds
+as it goes.  The parity-game construction takes its moves from it, and
+witness extraction reads the derivations behind Eve's strategy.
 """
 
 from __future__ import annotations
@@ -32,15 +39,6 @@ from .syntax import (App, Fix, Hors, Lam, NonTerminal, SimpleType,
                      ground_sort, infer_sort, nonterminals_of)
 
 TypeEnv = dict[str, ColoredSet]
-
-# Canonical, hashable view of an environment.
-EnvKey = tuple[tuple[str, ColoredSet], ...]
-
-
-def env_key(env: TypeEnv, names=None) -> EnvKey:
-    if names is None:
-        names = env.keys()
-    return tuple((x, env[x]) for x in sorted(names))
 
 
 def residual_set(u: ColoredSet, c: Color, cols) -> ColoredSet:
@@ -65,7 +63,6 @@ def residual_env(env: TypeEnv, c: Color, cols) -> TypeEnv:
 
 @dataclass(frozen=True)
 class DAx:
-    env: EnvKey
     term: Term
     target: IType
     used: IType  # the neutral-colored entry the axiom consumed
@@ -73,14 +70,12 @@ class DAx:
 
 @dataclass(frozen=True)
 class DDelta:
-    env: EnvKey
     term: Term
     target: IType
 
 
 @dataclass(frozen=True)
 class DApp:
-    env: EnvKey
     term: Term
     target: IType
     chosen: ColoredSet
@@ -90,7 +85,6 @@ class DApp:
 
 @dataclass(frozen=True)
 class DLam:
-    env: EnvKey
     term: Term
     target: IType
     body: "Derivation"
@@ -99,12 +93,14 @@ class DLam:
 Derivation = DAx | DDelta | DApp | DLam
 
 
-def check_derivation(d: Derivation, m: Apt) -> bool:
-    """Independent local-correctness check of every rule instance."""
+def check_derivation(d: Derivation, m: Apt, env: TypeEnv) -> bool:
+    """Independent local-correctness check of every rule instance, with the
+    root sequent in `env`.  An argument under a box of color c sits in the
+    c-residual of its application's environment; a lambda body sits in its
+    abstraction's environment extended with the binder."""
     cols = color_set(m)
 
-    def check(node: Derivation) -> bool:
-        env = dict(node.env)
+    def check(node: Derivation, env: TypeEnv) -> bool:
         if isinstance(node, DAx):
             name = (node.term.name if isinstance(node.term, (Var, NonTerminal))
                     else None)
@@ -120,7 +116,7 @@ def check_derivation(d: Derivation, m: Apt) -> bool:
             if not isinstance(node.term, App):
                 return False
             fn = node.function
-            if fn.term != node.term.function or fn.env != node.env:
+            if fn.term != node.term.function:
                 return False
             if fn.target != ArrowType(node.chosen, node.target):
                 return False
@@ -129,27 +125,21 @@ def check_derivation(d: Derivation, m: Apt) -> bool:
             for (c, beta), arg in zip(node.chosen.pairs, node.arguments):
                 if arg.term != node.term.argument or arg.target != beta:
                     return False
-                if dict(arg.env) != residual_env(env, c, cols):
+                if not check(arg, residual_env(env, c, cols)):
                     return False
-                if not check(arg):
-                    return False
-            return check(fn)
+            return check(fn, env)
         if isinstance(node, DLam):
             if not isinstance(node.term, Lam):
                 return False
             if not isinstance(node.target, ArrowType):
                 return False
-            body_env = dict(node.body.env)
-            expected = dict(env)
-            expected[node.term.binder] = node.target.argument
-            if body_env != expected:
-                return False
             if node.body.target != node.target.result:
                 return False
-            return check(node.body)
+            return check(node.body,
+                         {**env, node.term.binder: node.target.argument})
         return False
 
-    return check(d)
+    return check(d, env)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +175,7 @@ class Deriver:
             body = sub.derive(inner_env, t.body, target.result)
             if body is None:
                 return None
-            return DLam(env_key(env), t, target, body)
+            return DLam(t, target, body)
         if isinstance(t, Fix):
             raise ValueError("fixpoints are handled by the game, not derive")
         return self._derive(env, t, target)
@@ -195,7 +185,7 @@ class Deriver:
         for x in needed:
             if x not in env:
                 raise KeyError(f"free name '{x}' not covered by the environment")
-        key = (t, env_key(env, needed), target)
+        key = (t, tuple((x, env[x]) for x in needed), target)
         if key in self._memo:
             return self._memo[key]
         result = self._derive_uncached(env, t, target)
@@ -208,11 +198,11 @@ class Deriver:
             u = env[t.name]
             for c, alpha in u.pairs:
                 if isinstance(c, type(EPSILON)) and subtype(target, alpha):
-                    return DAx(env_key(env), t, target, alpha)
+                    return DAx(t, target, alpha)
             return None
         if isinstance(t, Terminal):
             if is_terminal_type(t.symbol, target, self.m):
-                return DDelta(env_key(env), t, target)
+                return DDelta(t, target)
             return None
         assert isinstance(t, App)
         sigma = self.sort_of(t.argument)
@@ -229,7 +219,7 @@ class Deriver:
         if fn is None:
             return None
         args = tuple(by_pair[p] for p in chosen.pairs)
-        return DApp(env_key(env), t, target, chosen, fn, args)
+        return DApp(t, target, chosen, fn, args)
 
 
 def derive(env: TypeEnv, t: Term, target: IType, m: Apt,
@@ -398,8 +388,8 @@ class _SubsetIndex:
 
 
 def _unions(base: frozenset[Requirement], option_lists, emitted: _SubsetIndex):
-    """(union, skeletons) for each pick of one (requirements, skeleton) pair
-    per list, added to `base`, in `itertools.product` order.
+    """(union, derivations) for each pick of one (requirements, derivation)
+    pair per list, added to `base`, in `itertools.product` order.
 
     A branch stops as soon as its partial union contains a set in `emitted`:
     each of its picks would repeat that set or strictly contain it, and
@@ -415,17 +405,17 @@ def _unions(base: frozenset[Requirement], option_lists, emitted: _SubsetIndex):
             return ()
         return ((acc, tuple(options[0][1] for options in option_lists)),)
 
-    def extend(i: int, acc: frozenset[Requirement], skels: tuple):
+    def extend(i: int, acc: frozenset[Requirement], derivs: tuple):
         if emitted.has_subset_of(acc):
             return
         if i == len(live):
-            yield acc, skels
+            yield acc, derivs
             return
-        for req, skel in live[i]:
-            yield from extend(i + 1, acc | req, skels + (skel,))
+        for req, d in live[i]:
+            yield from extend(i + 1, acc | req, derivs + (d,))
 
     # `emitted` only grows, so an option dead next to `base` now stays dead.
-    live = [[(req, skel) for req, skel in options
+    live = [[(req, d) for req, d in options
              if not emitted.has_subset_of(base | req)]
             for options in option_lists]
     return extend(0, base, ())
@@ -454,8 +444,11 @@ class _FootprintSearch:
         return s
 
     def search(self, t: Term, target: IType, c: Color):
-        """List of (requirements frozenset, derivation skeleton), minimal
-        under requirement-set inclusion, deterministically ordered."""
+        """List of (requirements frozenset, derivation), minimal under
+        requirement-set inclusion, deterministically ordered.  Each
+        derivation types `t` in the `c`-residual of the rule environment:
+        the binders' sets, the requirements, and empty sets for the other
+        nonterminals."""
         key = (t, target, c)
         if key in self._memo:
             return self._memo[key]
@@ -480,7 +473,7 @@ class _FootprintSearch:
                     if centry == want:
                         options.append(
                             (c2, alpha, [(frozenset(),
-                                          _SkelAx(arg, alpha, alpha))]))
+                                          DAx(arg, alpha, alpha))]))
             return options
         sigma = self.sort_of(arg)
         options = []
@@ -496,14 +489,14 @@ class _FootprintSearch:
             u = self.var_env[t.name]
             for c2, alpha in u.pairs:
                 if c2 == c and subtype(target, alpha):
-                    return [(frozenset(), _SkelAx(t, target, alpha))]
+                    return [(frozenset(), DAx(t, target, alpha))]
             return []
         if isinstance(t, NonTerminal):
             req = (t.name, c, target)
-            return [(frozenset({req}), _SkelAx(t, target, target))]
+            return [(frozenset({req}), DAx(t, target, target))]
         if isinstance(t, Terminal):
             if is_terminal_type(t.symbol, target, self.m):
-                return [(frozenset(), _SkelDelta(t, target))]
+                return [(frozenset(), DDelta(t, target))]
             return []
         assert isinstance(t, App), f"unexpected term in rule body: {t!r}"
         options = self._argument_options(t.argument, c)
@@ -523,12 +516,12 @@ class _FootprintSearch:
                     continue
                 by_pair = {(c2, beta): sub for c2, beta, sub in subset}
                 arg_option_lists = [by_pair[p] for p in chosen.pairs]
-                for fn_req, fn_skel in fn_opts:
-                    for req, arg_skels in _unions(fn_req, arg_option_lists,
-                                                  emitted):
+                for fn_req, fn_d in fn_opts:
+                    for req, arg_ds in _unions(fn_req, arg_option_lists,
+                                               emitted):
                         emitted.add(req)
-                        results.append((req, _SkelApp(t, target, chosen,
-                                                      fn_skel, arg_skels)))
+                        results.append((req, DApp(t, target, chosen, fn_d,
+                                                  arg_ds)))
         return _minimal(results)
 
 
@@ -536,8 +529,8 @@ def _minimal(results):
     """Keep one representative per inclusion-minimal requirement set, its
     first occurrence; ordered by size, then by requirement keys."""
     first: dict = {}
-    for req, skel in results:
-        first.setdefault(req, skel)
+    for req, d in results:
+        first.setdefault(req, d)
     # A set can only contain a strictly smaller one, so testing the distinct
     # sets in order of size against the survivors so far decides each one.
     kept = _SubsetIndex()
@@ -549,51 +542,6 @@ def _minimal(results):
     minimal.sort(key=lambda req: (len(req),
                                   tuple(sorted(map(requirement_key, req)))))
     return [(req, first[req]) for req in minimal]
-
-
-@dataclass(frozen=True)
-class _SkelAx:
-    term: Term
-    target: IType
-    used: IType
-
-
-@dataclass(frozen=True)
-class _SkelDelta:
-    term: Term
-    target: IType
-
-
-@dataclass(frozen=True)
-class _SkelApp:
-    term: Term
-    target: IType
-    chosen: ColoredSet
-    function: object
-    arguments: tuple
-
-
-def _attach_envs(skel, env: TypeEnv, residual) -> Derivation:
-    """The derivation of `skel` in `env`: a node under a box of color c
-    gets the c-residual of `env`, computed once per color.  `residual(u, c)`
-    is `residual_set` for the automaton's colors."""
-    residuals: dict = {}
-
-    def attach(skel, c: Color) -> Derivation:
-        here = residuals.get(c)
-        if here is None:
-            here = residuals[c] = env_key(
-                {x: residual(u, c) for x, u in env.items()})
-        if isinstance(skel, _SkelAx):
-            return DAx(here, skel.term, skel.target, skel.used)
-        if isinstance(skel, _SkelDelta):
-            return DDelta(here, skel.term, skel.target)
-        args = tuple(attach(a, cmax(c, ci))
-                     for (ci, _), a in zip(skel.chosen.pairs, skel.arguments))
-        fn = attach(skel.function, c)
-        return DApp(here, skel.term, skel.target, skel.chosen, fn, args)
-
-    return attach(skel, EPSILON)
 
 
 def rule_typings(h: Hors, m: Apt, name: str, theta: IType,
@@ -630,24 +578,6 @@ def _rule_typings_uncached(h: Hors, m: Apt, name: str, theta: IType,
     sort_env.update({b: s for b, s in rule.binders})
     search = _FootprintSearch(m, name, sort_env, var_env, limit)
     found = search.search(rule.body, result, EPSILON)
-    cols = color_set(m)
-    # Derivations share most environment entries; colored sets are interned.
-    residuals: dict = {}
-
-    def residual(u: ColoredSet, c: Color) -> ColoredSet:
-        r = residuals.get((u, c))
-        if r is None:
-            r = residuals[(u, c)] = residual_set(u, c, cols)
-        return r
-
-    out = []
-    for req, skel in found:
-        delta = assumptions_from(req)
-        full_env: TypeEnv = dict(var_env)
-        full_env.update({n: u for n, u in delta})
-        for nt in h.nonterminals:
-            full_env.setdefault(nt, colored_set(()))
-        deriv = _attach_envs(skel, full_env, residual)
-        out.append((delta, deriv))
+    out = [(assumptions_from(req), d) for req, d in found]
     out.sort(key=lambda du: tuple((n, cset_key(u)) for n, u in du[0]))
     return out

@@ -139,6 +139,14 @@ def mutual_scheme():
     )
 
 
+@functools.cache
+def mutual_apt() -> Apt:
+    """p reads a and moves to r, r reads b and moves to p; colors 2 and 1."""
+    return Apt(states=("p", "r"), terminals={"a": 1, "b": 1},
+               delta={("p", "a"): Atom(1, "r"), ("r", "b"): Atom(1, "p")},
+               omega={"p": 2, "r": 1}, initial="p")
+
+
 def fixture_terms(max_size: int):
     """All applicative terms over {if, data, Nil, x} with at most `max_size`
     nodes, grouped by sort.  Applications take ground arguments only, which

@@ -109,6 +109,14 @@ class TestUnfold:
         code, _, err = run(["unfold", str(scheme), "-d", "1"], capsys)
         assert code == 3 and "budget" in err
 
+    def test_recursion_limit_exit_three(self, tmp_path, capsys):
+        # a limit stopped the computation: not a negative verdict (exit 1)
+        scheme = tmp_path / "l.hors"
+        scheme.write_text(LOOP_HORS)
+        code, out, err = run(["unfold", str(scheme), "-d", "3000"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("recursion limit:") and err.count("\n") == 1
+
 
 class TestSelectVerify:
     def test_select_writes_parseable_witness(self, files, capsys):

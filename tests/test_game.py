@@ -6,8 +6,9 @@ import pytest
 
 from horsmc import (ADAM, AdamNode, Apt, ColorNode, EVE, EveNode,
                     ParityGame, SizeGuardExceeded, StateType, accepted_states,
-                    build_game, check_eve_strategy, run_search, solve_brute,
-                    to_dot, unfold, zielonka)
+                    build_game, check_eve_strategy, extract_scheme,
+                    run_search, solve_brute, to_dot, unfold, zielonka)
+from horsmc.formats import print_annotated
 from conftest import const_scheme, loop_apt, loop_scheme, order2_scheme, \
     order2_unary, random_game, solve_cached
 
@@ -73,6 +74,22 @@ class TestBuildGame:
         assert sum(len(ws) for ws in g.edges.values()) == 22026
         assert hashlib.sha256(to_dot(g).encode()).hexdigest() == (
             "d72673881232cbb3e1b4eca2b9e22818262eb86e6e112fa4898b348a9b6bba24")
+
+    def test_select_output_is_pinned(self, ex1, ex1_apt):
+        # Golden witnesses: the derivations behind Eve's strategy, however
+        # they are built, must print these very schemes.
+        cases = [
+            (ex1, ex1_apt, "q0", "a3ad78816cc3ba6ee66ff23911b93514"
+                                 "811976face9dc17780a53fdedf5f862d"),
+            (ex1, ex1_apt, "q1", "de9376a20e66245c169d478e307c8ad5"
+                                 "1fc952472dccdfad2c33ef482da034e7"),
+            (*order2_unary(), "q", "5b7c88c3f48ec57d4c6b894cbadf87aa"
+                                   "2c42207df16731cd182a67dd286e9497"),
+        ]
+        for h, m, q, digest in cases:
+            _, sol = solve_cached(h, m, q)
+            text = print_annotated(extract_scheme(h, m, sol, q))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, q
 
 
 class TestZielonka:

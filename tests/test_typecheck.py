@@ -4,17 +4,18 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from horsmc import (App, Arrow, ArrowType, EPSILON, GROUND, NonTerminal,
-                    StateType, Terminal, Var, box_color, check_derivation,
-                    color_set, colored_set, denotation, derive,
-                    enumerate_colored_sets, enumerate_types, format_itype,
-                    is_terminal_type, residual_env, rule_typings, subtype,
-                    subtype_set)
-from horsmc.itypes import EMPTY_SET
+from horsmc import (App, Arrow, ArrowType, EPSILON, EveNode, GROUND,
+                    NonTerminal, StateType, Terminal, Var, box_color,
+                    check_derivation, color_set, colored_set, denotation,
+                    derive, enumerate_colored_sets, enumerate_types,
+                    format_itype, is_terminal_type, residual_env,
+                    rule_typings, subtype, subtype_set)
+from horsmc.itypes import EMPTY_SET, split_chain
 from horsmc.syntax import ground_sort
 from horsmc.typecheck import (Deriver, _minimal, _SubsetIndex, _unions,
                               requirement_key)
-from conftest import fixture_terms
+from conftest import (fixture_terms, loop_apt, loop_scheme, mutual_apt,
+                      mutual_scheme, order2_unary, solve_cached)
 
 Q0, Q1 = StateType("q0"), StateType("q1")
 OO = Arrow(GROUND, GROUND)
@@ -95,7 +96,7 @@ class TestDerive:
     def test_axiom_consumes_neutral_entry(self, ex1_apt):
         env = {"x": colored_set([(EPSILON, Q0)])}
         d = derive(env, Var("x"), Q0, ex1_apt, {"x": GROUND})
-        assert d is not None and check_derivation(d, ex1_apt)
+        assert d is not None and check_derivation(d, ex1_apt, env)
 
     def test_colored_entry_is_not_an_axiom(self, ex1_apt):
         env = {"x": colored_set([(0, Q0)])}
@@ -139,15 +140,28 @@ class TestDerive:
         for target in (Q0, Q1):
             d = dv.derive(env, body, target)
             assert d is not None
-            assert check_derivation(d, ex1_apt)
+            assert check_derivation(d, ex1_apt, env)
 
     def test_checker_rejects_tampering(self, ex1_apt):
         env = {"x": colored_set([(EPSILON, Q0)])}
         d = derive(env, Var("x"), Q0, ex1_apt, {"x": GROUND})
         from dataclasses import replace
-        assert not check_derivation(replace(d, used=Q1), ex1_apt)
-        bad_env = (("x", colored_set([(0, Q0)])),)
-        assert not check_derivation(replace(d, env=bad_env), ex1_apt)
+        assert check_derivation(d, ex1_apt, env)
+        assert not check_derivation(replace(d, used=Q1), ex1_apt, env)
+        # the consumed entry is not in this environment
+        bad_env = {"x": colored_set([(0, Q0)])}
+        assert not check_derivation(d, ex1_apt, bad_env)
+
+    def test_lambda_body_sits_in_the_extended_environment(self, ex1_apt):
+        from dataclasses import replace
+        from horsmc import Lam
+        lam = Lam("x", GROUND, Var("x"))
+        d = derive({}, lam, ArrowType(colored_set([(EPSILON, Q0)]), Q0),
+                   ex1_apt, {})
+        assert d is not None and check_derivation(d, ex1_apt, {})
+        # the binder's set no longer holds the entry the body's axiom used
+        bad = replace(d, target=ArrowType(colored_set([(0, Q0)]), Q0))
+        assert not check_derivation(bad, ex1_apt, {})
 
 
 class TestDenotation:
@@ -240,11 +254,11 @@ class TestRuleTypings:
         u_q1 = colored_set([(0, Q1)])
         theta = ArrowType(u_q1, Q0)
         for delta, deriv in rule_typings(ex1, ex1_apt, "L", theta):
-            assert check_derivation(deriv, ex1_apt)
             env = {"x": u_q1}
             env.update({n: u for n, u in delta})
             for nt in ex1.nonterminals:
                 env.setdefault(nt, EMPTY_SET)
+            assert check_derivation(deriv, ex1_apt, env)
             d = derive(env, ex1.rules["L"].body, Q0, ex1_apt,
                        {"x": GROUND, "S": GROUND, "L": OO})
             assert d is not None
@@ -272,6 +286,33 @@ class TestRuleTypings:
     def test_arity_mismatch_rejected(self, ex1, ex1_apt):
         with pytest.raises(ValueError):
             rule_typings(ex1, ex1_apt, "L", Q0)
+
+    def test_every_game_derivation_checks(self, ex1, ex1_apt):
+        # The root environment is rebuilt here, not taken from the search:
+        # the binders' sets from the node's type, the map itself, and empty
+        # sets for every other nonterminal.
+        games = [(ex1, ex1_apt, "q0"), (ex1, ex1_apt, "q1"),
+                 (loop_scheme(), loop_apt(1), "q"),
+                 (loop_scheme(), loop_apt(2), "q"),
+                 (mutual_scheme(), mutual_apt(), "p"),
+                 (mutual_scheme(), mutual_apt(), "r"),
+                 (*order2_unary(), "q")]
+        for h, m, q in games:
+            g, _ = solve_cached(h, m, q)
+            checked = 0
+            for node in g.nodes:
+                if not isinstance(node, EveNode):
+                    continue
+                arg_sets, _ = split_chain(node.ty)
+                binders = h.rules[node.nonterminal].binders
+                for delta, deriv in rule_typings(h, m, node.nonterminal,
+                                                 node.ty):
+                    env = {nt: EMPTY_SET for nt in h.nonterminals}
+                    env.update(delta)
+                    env.update({x: u for (x, _), u in zip(binders, arg_sets)})
+                    assert check_derivation(deriv, m, env), (node, delta)
+                    checked += 1
+            assert checked > 0
 
 
 def test_residual_env_composition(ex1_apt):
