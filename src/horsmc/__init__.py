@@ -9,7 +9,8 @@ from .automata import (Apt, Atom, Clause, ColoredProfile, EPSILON, FALSE,
                        sorted_dnf)
 from .game import (ADAM, AdamNode, ColorNode, EVE, EveNode, GameNode,
                    ParityGame, Solution, accepted_states, build_game,
-                   check_eve_strategy, solve_brute, to_dot, zielonka)
+                   check_adam_strategy, check_eve_strategy, solve_brute,
+                   to_dot, zielonka)
 from .itypes import (ArrowType, ColoredSet, IType, SizeGuardExceeded,
                      StateType, box_color, colored_set, count_types,
                      enumerate_colored_sets, enumerate_types, format_itype,

@@ -199,10 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
                    state=True, depth=10)
     p_verify.add_argument("--witness", default=None,
                           help="annotated scheme file (default: extract one)")
-    p_dump = add("dump-game", cmd_dump_game, "emit the parity game",
-                 state=True, output=True)
-    p_dump.add_argument("--dot", action="store_true", default=True,
-                        help="DOT output (the only format; default)")
+    add("dump-game", cmd_dump_game, "emit the parity game as a DOT graph",
+        state=True, output=True)
     return parser
 
 

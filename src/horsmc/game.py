@@ -9,13 +9,17 @@ derivation tree with fixpoint unfoldings, and the parity condition encodes
 the winning condition on colors.
 
 `zielonka` is the production solver (attractor recursion, memoryless
-strategies for both players); `solve_brute` enumerates strategy pairs and
-is kept as a testing oracle for small games.
+strategies for both players).  It works on integer node indices and keeps
+its recursion on an explicit stack, so Python's recursion limit bounds no
+game.  `solve_brute` enumerates strategy pairs and is kept as a testing
+oracle for small games.  `check_eve_strategy` and `check_adam_strategy`
+check either player's strategy by graph traversal alone.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress
 from dataclasses import dataclass
 
 from .automata import Apt, Color, color_key, format_color
@@ -144,109 +148,111 @@ def build_game(h: Hors, m: Apt, states=None,
 # Zielonka's algorithm with strategy extraction
 
 def zielonka(g: ParityGame) -> Solution:
-    index = {v: i for i, v in enumerate(g.nodes)}
-    succ = {v: tuple(dict.fromkeys(g.successors(v))) for v in g.nodes}
-    pred: dict = {v: [] for v in g.nodes}
-    for v in g.nodes:
-        for w in succ[v]:
+    """Winning regions and memoryless winning strategies of both players.
+
+    Nodes are numbered by their position in `g.nodes`, a subgame is a
+    `bytearray` mask over those numbers, and each tie is broken by the least
+    number: attractors start from their seeds in that order and search
+    predecessors in that order, and a top-priority node of the player with
+    no move yet takes its least successor in the subgame.  The second
+    recursive call of the algorithm is a loop and the first one runs on an
+    explicit stack, so no game is too deep for Python's recursion limit.
+    """
+    nodes = g.nodes
+    n = len(nodes)
+    index = {v: i for i, v in enumerate(nodes)}
+    succ = [tuple(dict.fromkeys(index[w] for w in g.successors(v)))
+            for v in nodes]
+    pred: list[list[int]] = [[] for _ in nodes]
+    for v, ws in enumerate(succ):
+        for w in ws:
             pred[w].append(v)
-    for v in g.nodes:
-        pred[v].sort(key=index.get)
+    # Players are 0 (Eve) and 1 (Adam), so priority p favours player p & 1.
+    owner = [0 if g.owner[v] == EVE else 1 for v in nodes]
+    prio = [g.priority[v] for v in nodes]
+    by_prio: dict[int, list[int]] = {}
+    for v, p in enumerate(prio):
+        by_prio.setdefault(p, []).append(v)
+    win = bytearray(n)  # the player whose region holds the node
+    strategy = [-1] * n
 
-    def attract(active: set, player: str, seeds) -> tuple[set, dict]:
-        attracted = set(seeds)
-        strat: dict = {}
-        cnt = {}
-        queue = deque(sorted(seeds, key=index.get))
-        for v in sorted(active, key=index.get):
-            if g.owner[v] != player and v not in attracted:
-                cnt[v] = sum(1 for w in succ[v] if w in active)
-                if cnt[v] == 0:  # opponent dead end: vacuously attracted
-                    attracted.add(v)
-                    queue.append(v)
-        while queue:
-            u = queue.popleft()
+    def attract(active: bytearray, player: int, seeds: list[int]):
+        """The player's attractor to `seeds` inside `active`, in the order
+        nodes join it, and `active` without it; writes the player's moves.
+        Callers pass every opponent dead end of `active` as a seed, so the
+        search from the seeds reaches the whole attractor, and it counts a
+        node's successors when it first reaches the node."""
+        rest = bytearray(active)
+        for v in seeds:
+            rest[v] = 0
+        region = list(seeds)
+        count: dict[int, int] = {}
+        for u in region:
             for v in pred[u]:
-                if v not in active or v in attracted:
+                if not rest[v]:
                     continue
-                if g.owner[v] == player:
-                    attracted.add(v)
-                    strat[v] = u
-                    queue.append(v)
+                if owner[v] == player:
+                    strategy[v] = u
                 else:
-                    cnt[v] -= 1
-                    if cnt[v] == 0:
-                        attracted.add(v)
-                        queue.append(v)
-        return attracted, strat
+                    c = count.get(v)
+                    if c is None:
+                        c = sum(map(active.__getitem__, succ[v]))
+                    c -= 1
+                    if c:
+                        count[v] = c
+                        continue
+                rest[v] = 0
+                region.append(v)
+        return region, rest
 
-    def least_successor(v, active: set):
-        for w in sorted(succ[v], key=index.get):
-            if w in active:
-                return w
-        return None
+    def solve(active: bytearray):
+        """Decide the total subgame `active`: a generator that yields each
+        subgame to be decided before it resumes."""
+        while 1 in active:
+            p = max(compress(prio, active))
+            player = p & 1
+            seeds = [v for v in by_prio[p] if active[v]]
+            region, rest = attract(active, player, seeds)
+            yield rest
+            lost = [v for v in compress(range(n), rest) if win[v] != player]
+            if not lost:
+                for v in region:
+                    win[v] = player
+                for v in seeds:
+                    if owner[v] == player:
+                        strategy[v] = min(w for w in succ[v] if active[w])
+                return
+            escape, active = attract(active, 1 - player, lost)
+            for v in escape:
+                win[v] = 1 - player
 
-    def solve(active: set):
-        win = {EVE: set(), ADAM: set()}
-        strat = {EVE: {}, ADAM: {}}
-        if not active:
-            return win, strat
-        p = max(g.priority[v] for v in active)
-        player = EVE if p % 2 == 0 else ADAM
-        opponent = ADAM if player == EVE else EVE
-        seeds = [v for v in sorted(active, key=index.get) if g.priority[v] == p]
-        region, region_strat = attract(active, player, seeds)
-        sub_win, sub_strat = solve(active - region)
-        if not sub_win[opponent]:
-            win[player] = set(active)
-            strat[player] = dict(sub_strat[player])
-            strat[player].update(region_strat)
-            for v in seeds:
-                if g.owner[v] == player and v not in strat[player]:
-                    w = least_successor(v, active)
-                    if w is not None:
-                        strat[player][v] = w
-            return win, strat
-        escape, escape_strat = attract(active, opponent, sub_win[opponent])
-        final_win, final_strat = solve(active - escape)
-        win[player] = final_win[player]
-        strat[player] = final_strat[player]
-        win[opponent] = final_win[opponent] | escape
-        strat[opponent] = dict(final_strat[opponent])
-        strat[opponent].update(escape_strat)
-        strat[opponent].update({v: w for v, w in sub_strat[opponent].items()
-                                if v in sub_win[opponent]})
-        return win, strat
+    # Dead ends lose for their owner.  Outside a player's attractor, the
+    # player's nodes keep every successor and the opponent's keep one, so
+    # after Eve's attractor to Adam's dead ends and Adam's attractor to
+    # Eve's no dead end is left, and every subgame `solve` sees is total.
+    active = bytearray(b"\x01") * n
+    for player in (0, 1):
+        dead = [v for v in range(n) if owner[v] != player and active[v]
+                and not any(map(active.__getitem__, succ[v]))]
+        if dead:
+            region, active = attract(active, player, dead)
+            for v in region:
+                win[v] = player
+    stack = [solve(active)]
+    while stack:
+        sub = next(stack[-1], None)
+        if sub is None:
+            stack.pop()
+        else:
+            stack.append(solve(sub))
 
-    # Dead ends lose for their owner: resolve them before the recursion so
-    # the remaining game is total.
-    active = set(g.nodes)
-    win = {EVE: set(), ADAM: set()}
-    strat = {EVE: {}, ADAM: {}}
-    changed = True
-    while changed:
-        changed = False
-        for player, opponent in ((EVE, ADAM), (ADAM, EVE)):
-            dead = [v for v in sorted(active, key=index.get)
-                    if g.owner[v] == opponent
-                    and not any(w in active for w in succ[v])]
-            if dead:
-                region, region_strat = attract(active, player, dead)
-                win[player] |= region
-                strat[player].update(region_strat)
-                active -= region
-                changed = True
-    main_win, main_strat = solve(active)
-    win[EVE] |= main_win[EVE]
-    win[ADAM] |= main_win[ADAM]
-    strat[EVE].update(main_strat[EVE])
-    strat[ADAM].update(main_strat[ADAM])
-    strategy_eve = {v: w for v, w in strat[EVE].items()
-                    if g.owner[v] == EVE and v in win[EVE]}
-    strategy_adam = {v: w for v, w in strat[ADAM].items()
-                     if g.owner[v] == ADAM and v in win[ADAM]}
-    return Solution(frozenset(win[EVE]), frozenset(win[ADAM]),
-                    strategy_eve, strategy_adam)
+    regions = ([], [])
+    moves: tuple[dict, dict] = ({}, {})
+    for v, x in enumerate(win):
+        regions[x].append(nodes[v])
+        if owner[v] == x and strategy[v] >= 0:
+            moves[x][nodes[v]] = nodes[strategy[v]]
+    return Solution(frozenset(regions[0]), frozenset(regions[1]), *moves)
 
 
 # ---------------------------------------------------------------------------
@@ -376,34 +382,57 @@ def _sccs(vertices: list, succs) -> list[list]:
     return out
 
 
-def check_eve_strategy(g: ParityGame, sol: Solution) -> bool:
-    """Every cycle reachable under Eve's strategy inside her region has an
-    even maximal priority.  Pure graph traversal, no game semantics."""
-    region = sol.win_eve
-
-    def restricted(v):
-        if g.owner[v] == EVE:
-            w = sol.strategy_eve.get(v)
-            return (w,) if w is not None else ()
-        return tuple(w for w in g.successors(v) if w in region)
-
+def _strategy_wins(g: ParityGame, region, strategy: dict,
+                   player: str) -> bool:
+    """`strategy` wins every play from `region` for `player`: each of the
+    player's nodes there moves along one of its edges and stays inside, the
+    opponent cannot leave, and every cycle the strategy allows has a maximal
+    priority of the player's parity.  Pure graph traversal, no game
+    semantics."""
+    losing = 1 if player == EVE else 0
+    moves: dict = {}
     for v in region:
-        if g.owner[v] == ADAM and any(w not in region for w in g.successors(v)):
-            return False  # Adam could escape the region
-    odd = sorted({g.priority[v] for v in region if g.priority[v] % 2 == 1})
-    for p in odd:
-        allowed = {v for v in region if g.priority[v] <= p}
-
-        def sub_succ(v):
-            return tuple(w for w in restricted(v) if w in allowed)
-
-        for comp in _sccs(sorted(allowed, key=repr), sub_succ):
-            comp_set = set(comp)
-            cyclic = len(comp) > 1 or any(w in comp_set for v in comp
-                                          for w in sub_succ(v))
-            if cyclic and any(g.priority[v] == p for v in comp):
+        if g.owner[v] == player:
+            w = strategy.get(v)
+            if w not in region or w not in g.successors(v):
                 return False
+            moves[v] = (w,)
+        else:
+            moves[v] = g.successors(v)
+            if any(w not in region for w in moves[v]):
+                return False
+    # Every cycle lies in one strongly connected component.  When the
+    # component's top priority favours the player, a losing cycle avoids
+    # the top nodes, so the rest of the component is searched again;
+    # otherwise a cycle through a top node loses.
+    parts = [[v for v in g.nodes if v in region]]
+    while parts:
+        part = parts.pop()
+        inside = set(part)
+
+        def succs(v, inside=inside):
+            return [w for w in moves[v] if w in inside]
+
+        for comp in _sccs(part, succs):
+            if len(comp) == 1 and comp[0] not in succs(comp[0]):
+                continue
+            top = max(g.priority[v] for v in comp)
+            if top % 2 == losing:
+                return False
+            rest = [v for v in comp if g.priority[v] != top]
+            if rest:
+                parts.append(rest)
     return True
+
+
+def check_eve_strategy(g: ParityGame, sol: Solution) -> bool:
+    """Eve's strategy wins every play from her region."""
+    return _strategy_wins(g, sol.win_eve, sol.strategy_eve, EVE)
+
+
+def check_adam_strategy(g: ParityGame, sol: Solution) -> bool:
+    """Adam's strategy wins every play from his region."""
+    return _strategy_wins(g, sol.win_adam, sol.strategy_adam, ADAM)
 
 
 def accepted_states(h: Hors, m: Apt, limit: int = DEFAULT_ENUM_LIMIT,

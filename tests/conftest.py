@@ -193,8 +193,8 @@ def solve_cached(h, m, q):
 
 
 def random_game(rng: random.Random, max_nodes: int = 8,
-                max_priority: int = 5) -> ParityGame:
-    n = rng.randint(1, max_nodes)
+                max_priority: int = 5, min_nodes: int = 1) -> ParityGame:
+    n = rng.randint(min_nodes, max_nodes)
     nodes = tuple(range(n))
     owner = {v: (EVE if rng.random() < 0.5 else ADAM) for v in nodes}
     priority = {v: rng.randint(0, max_priority) for v in nodes}

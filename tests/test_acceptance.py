@@ -9,10 +9,10 @@ import sys
 import time
 
 from horsmc import (Arrow, GROUND, StateType, accepted_states, build_game,
-                    check_eve_strategy, colored_set, denotation,
-                    enumerate_colored_sets, enumerate_types, extract_scheme,
-                    run_search, solve_brute, subtype, subtype_set, unfold,
-                    verify_runtree, zielonka, EveNode)
+                    check_adam_strategy, check_eve_strategy, colored_set,
+                    denotation, enumerate_colored_sets, enumerate_types,
+                    extract_scheme, run_search, solve_brute, subtype,
+                    subtype_set, unfold, verify_runtree, zielonka, EveNode)
 from horsmc.cli import main as cli_main
 from horsmc.typecheck import Deriver
 from conftest import (cli_env, const_scheme, fixture_terms, loop_apt,
@@ -75,12 +75,14 @@ def test_criterion_3_solver_cross_validation(capsys):
         assert sz.win_adam == sb.win_adam, g
         assert check_eve_strategy(g, sz), g
         assert check_eve_strategy(g, sb), g
+        assert check_adam_strategy(g, sz), g
+        assert check_adam_strategy(g, sb), g
         games += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     with capsys.disabled():
-        verdict(3, f"{games} random games: identical regions, all Eve "
-                   f"strategies pass the even-cycle check ({elapsed:.1f}s)")
+        verdict(3, f"{games} random games: identical regions, all Eve and "
+                   f"Adam strategies pass their cycle checks ({elapsed:.1f}s)")
 
 
 def test_criterion_4_prop2_equivalence(capsys, ex1_apt):

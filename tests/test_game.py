@@ -5,9 +5,10 @@ from collections import Counter
 import pytest
 
 from horsmc import (ADAM, AdamNode, Apt, ColorNode, EVE, EveNode,
-                    ParityGame, SizeGuardExceeded, StateType, accepted_states,
-                    build_game, check_eve_strategy, extract_scheme,
-                    run_search, solve_brute, to_dot, unfold, zielonka)
+                    ParityGame, Solution, SizeGuardExceeded, StateType,
+                    accepted_states, build_game, check_adam_strategy,
+                    check_eve_strategy, extract_scheme, run_search,
+                    solve_brute, to_dot, unfold, zielonka)
 from horsmc.formats import print_annotated
 from conftest import const_scheme, loop_apt, loop_scheme, order2_scheme, \
     order2_unary, random_game, solve_cached
@@ -49,6 +50,7 @@ class TestBuildGame:
         sol = zielonka(g)
         assert EveNode("S", StateType("q0")) in sol.win_eve
         assert check_eve_strategy(g, sol)
+        assert check_adam_strategy(g, sol)
         # finite-prefix oracle agrees at every depth (all colors even)
         for d in range(1, 9):
             assert run_search(ex1_apt, unfold(ex1, d), "q0")
@@ -91,6 +93,34 @@ class TestBuildGame:
             text = print_annotated(extract_scheme(h, m, sol, q))
             assert hashlib.sha256(text.encode()).hexdigest() == digest, q
 
+    def test_solutions_are_pinned(self):
+        # Golden solutions: regions and both strategies, nodes written as
+        # their index in `g.nodes`, so a faster solver must break every tie
+        # as this one does, in moves extraction never reads too.
+        g, sol = solve_cached(*order2_unary(), "q")
+        assert solution_digest([(g, sol)]) == (
+            "b8b83d554f1e385fd2eaace1a56e13a73895f7d103467eb8cbde84d5cb41188d")
+        rng = random.Random(2026)
+        games = [random_game(rng, min_nodes=50, max_nodes=400, max_priority=8)
+                 for _ in range(50)]
+        assert solution_digest([(g, zielonka(g)) for g in games]) == (
+            "2a12988bb295965117d521b788dfa0da4fc791530102fb8ea84e67057b7bfb95")
+
+
+def solution_digest(solved) -> str:
+    digest = hashlib.sha256()
+    for g, sol in solved:
+        ix = {v: i for i, v in enumerate(g.nodes)}
+
+        def moves(strategy):
+            return sorted((ix[v], ix[w]) for v, w in strategy.items())
+
+        digest.update((repr((sorted(map(ix.get, sol.win_eve)),
+                             sorted(map(ix.get, sol.win_adam)),
+                             moves(sol.strategy_eve),
+                             moves(sol.strategy_adam))) + "\n").encode())
+    return digest.hexdigest()
+
 
 class TestZielonka:
     def test_even_self_loop_eve_wins(self):
@@ -122,9 +152,66 @@ class TestZielonka:
             sz, sb = zielonka(g), solve_brute(g)
             assert sz.win_eve == sb.win_eve, g
             assert check_eve_strategy(g, sz), g
+            assert check_adam_strategy(g, sz), g
             for v in sz.win_eve:
                 if g.owner[v] == EVE and g.successors(v):
                     assert v in sz.strategy_eve
+
+
+    def test_ladder_needs_no_recursion(self):
+        # Node i has priority i, a self-loop and an edge to i - 1, and
+        # belongs to the player priority i hurts: the recursive algorithm
+        # goes one level deeper per node.
+        n = 3000
+        nodes = tuple(range(n))
+        g = ParityGame(nodes, {i: EVE if i % 2 else ADAM for i in nodes},
+                       {i: i for i in nodes},
+                       {i: (i, i - 1) if i else (i,) for i in nodes})
+        sol = zielonka(g)
+        assert sol.win_eve == set(nodes)
+        assert check_eve_strategy(g, sol) and check_adam_strategy(g, sol)
+
+
+class TestStrategyChecks:
+    @pytest.mark.parametrize("player", [EVE, ADAM])
+    def test_move_leaving_the_region_is_rejected(self, player):
+        # v loses for its owner on its own; the claimed move is no edge and
+        # leaves the region, so it proves nothing
+        other = ADAM if player == EVE else EVE
+        odd = 1 if player == EVE else 2
+        g = ParityGame(("v", "w"), {"v": player, "w": other},
+                       {"v": odd, "w": odd}, {"v": ("v",), "w": ("w",)})
+        if player == EVE:
+            sol = Solution(frozenset({"v"}), frozenset({"w"}), {"v": "w"}, {})
+            assert not check_eve_strategy(g, sol)
+        else:
+            sol = Solution(frozenset({"w"}), frozenset({"v"}), {}, {"v": "w"})
+            assert not check_adam_strategy(g, sol)
+
+    @pytest.mark.parametrize("player", [EVE, ADAM])
+    def test_node_without_a_move_is_rejected(self, player):
+        good = 2 if player == EVE else 1
+        g = ParityGame(("v",), {"v": player}, {"v": good}, {"v": ("v",)})
+        if player == EVE:
+            sol = Solution(frozenset({"v"}), frozenset(), {}, {})
+            assert not check_eve_strategy(g, sol)
+            assert check_eve_strategy(g, zielonka(g))
+        else:
+            sol = Solution(frozenset(), frozenset({"v"}), {}, {})
+            assert not check_adam_strategy(g, sol)
+            assert check_adam_strategy(g, zielonka(g))
+
+    def test_losing_cycle_inside_a_winning_component(self):
+        # u (4) -> v (3) -> w (2) -> v and w -> u: the component's top is
+        # even, but Eve's choice at w allows the odd cycle v w
+        g = ParityGame(("u", "v", "w"), {"u": ADAM, "v": ADAM, "w": EVE},
+                       {"u": 4, "v": 3, "w": 2},
+                       {"u": ("v",), "v": ("w",), "w": ("u", "v")})
+        nodes = frozenset(g.nodes)
+        assert not check_eve_strategy(g, Solution(nodes, frozenset(),
+                                                  {"w": "v"}, {}))
+        assert check_eve_strategy(g, Solution(nodes, frozenset(),
+                                              {"w": "u"}, {}))
 
 
 class TestSolveBrute:
@@ -141,6 +228,7 @@ class TestSolveBrute:
             g = random_game(rng, max_nodes=6)
             sol = solve_brute(g)
             assert check_eve_strategy(g, sol)
+            assert check_adam_strategy(g, sol)
 
 
 class TestAcceptedStates:
