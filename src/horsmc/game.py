@@ -173,7 +173,6 @@ def zielonka(g: ParityGame) -> Solution:
     by_prio: dict[int, list[int]] = {}
     for v, p in enumerate(prio):
         by_prio.setdefault(p, []).append(v)
-    win = bytearray(n)  # the player whose region holds the node
     strategy = [-1] * n
 
     def attract(active: bytearray, player: int, seeds: list[int]):
@@ -206,53 +205,60 @@ def zielonka(g: ParityGame) -> Solution:
         return region, rest
 
     def solve(active: bytearray):
-        """Decide the total subgame `active`: a generator that yields each
-        subgame to be decided before it resumes."""
+        """The regions of both players in the total subgame `active`.  A
+        generator: it yields each subgame it needs decided and is sent back
+        that subgame's regions."""
+        won: tuple[list[int], list[int]] = ([], [])
         while 1 in active:
             p = max(compress(prio, active))
             player = p & 1
-            seeds = [v for v in by_prio[p] if active[v]]
+            level = by_prio[p]
+            seeds = list(compress(level, map(active.__getitem__, level)))
             region, rest = attract(active, player, seeds)
-            yield rest
-            lost = [v for v in compress(range(n), rest) if win[v] != player]
+            sub = yield rest
+            lost = sub[1 - player]
             if not lost:
-                for v in region:
-                    win[v] = player
+                won[player].extend(region)
+                won[player].extend(sub[player])
                 for v in seeds:
                     if owner[v] == player:
                         strategy[v] = min(w for w in succ[v] if active[w])
-                return
-            escape, active = attract(active, 1 - player, lost)
-            for v in escape:
-                win[v] = 1 - player
+                return won
+            escape, active = attract(active, 1 - player, sorted(lost))
+            won[1 - player].extend(escape)
+        return won
 
     # Dead ends lose for their owner.  Outside a player's attractor, the
     # player's nodes keep every successor and the opponent's keep one, so
     # after Eve's attractor to Adam's dead ends and Adam's attractor to
     # Eve's no dead end is left, and every subgame `solve` sees is total.
     active = bytearray(b"\x01") * n
+    dead_won = []
     for player in (0, 1):
         dead = [v for v in range(n) if owner[v] != player and active[v]
                 and not any(map(active.__getitem__, succ[v]))]
-        if dead:
-            region, active = attract(active, player, dead)
-            for v in region:
-                win[v] = player
+        region, active = attract(active, player, dead)
+        dead_won.append(region)
     stack = [solve(active)]
+    won = None
     while stack:
-        sub = next(stack[-1], None)
-        if sub is None:
+        try:
+            sub = stack[-1].send(won)
+        except StopIteration as finished:
             stack.pop()
+            won = finished.value
         else:
             stack.append(solve(sub))
+            won = None
 
-    regions = ([], [])
-    moves: tuple[dict, dict] = ({}, {})
-    for v, x in enumerate(win):
-        regions[x].append(nodes[v])
-        if owner[v] == x and strategy[v] >= 0:
-            moves[x][nodes[v]] = nodes[strategy[v]]
-    return Solution(frozenset(regions[0]), frozenset(regions[1]), *moves)
+    regions = []
+    moves = []
+    for x in (0, 1):
+        region = dead_won[x] + won[x]
+        regions.append(frozenset(nodes[v] for v in region))
+        moves.append({nodes[v]: nodes[strategy[v]] for v in region
+                      if owner[v] == x})
+    return Solution(*regions, *moves)
 
 
 # ---------------------------------------------------------------------------

@@ -101,10 +101,10 @@ class TestBuildGame:
         assert solution_digest([(g, sol)]) == (
             "b8b83d554f1e385fd2eaace1a56e13a73895f7d103467eb8cbde84d5cb41188d")
         rng = random.Random(2026)
-        games = [random_game(rng, min_nodes=50, max_nodes=400, max_priority=8)
+        games = [random_game(rng, min_nodes=50, max_nodes=400, max_priority=3)
                  for _ in range(50)]
         assert solution_digest([(g, zielonka(g)) for g in games]) == (
-            "2a12988bb295965117d521b788dfa0da4fc791530102fb8ea84e67057b7bfb95")
+            "3c2ac2a3dfb46cfbefc52b2b384654a95cef25daeb52af6f913b5bb5513fd347")
 
 
 def solution_digest(solved) -> str:
@@ -172,46 +172,48 @@ class TestZielonka:
         assert check_eve_strategy(g, sol) and check_adam_strategy(g, sol)
 
 
+def check_claim(player, edges, good, region, moves) -> bool:
+    """Check `player`'s claim to win `region` with `moves` in a game of the
+    player's nodes, where priorities favour the player at `good` nodes."""
+    nodes = tuple(edges)
+    even = 2 if player == EVE else 1
+    g = ParityGame(nodes, {v: player for v in nodes},
+                   {v: even if v in good else even + 1 for v in nodes}, edges)
+    region = frozenset(region)
+    rest = frozenset(nodes) - region
+    if player == EVE:
+        return check_eve_strategy(g, Solution(region, rest, moves, {}))
+    return check_adam_strategy(g, Solution(rest, region, {}, moves))
+
+
 class TestStrategyChecks:
     @pytest.mark.parametrize("player", [EVE, ADAM])
-    def test_move_leaving_the_region_is_rejected(self, player):
-        # v loses for its owner on its own; the claimed move is no edge and
-        # leaves the region, so it proves nothing
-        other = ADAM if player == EVE else EVE
-        odd = 1 if player == EVE else 2
-        g = ParityGame(("v", "w"), {"v": player, "w": other},
-                       {"v": odd, "w": odd}, {"v": ("v",), "w": ("w",)})
-        if player == EVE:
-            sol = Solution(frozenset({"v"}), frozenset({"w"}), {"v": "w"}, {})
-            assert not check_eve_strategy(g, sol)
-        else:
-            sol = Solution(frozenset({"w"}), frozenset({"v"}), {}, {"v": "w"})
-            assert not check_adam_strategy(g, sol)
-
-    @pytest.mark.parametrize("player", [EVE, ADAM])
-    def test_node_without_a_move_is_rejected(self, player):
-        good = 2 if player == EVE else 1
-        g = ParityGame(("v",), {"v": player}, {"v": good}, {"v": ("v",)})
-        if player == EVE:
-            sol = Solution(frozenset({"v"}), frozenset(), {}, {})
-            assert not check_eve_strategy(g, sol)
-            assert check_eve_strategy(g, zielonka(g))
-        else:
-            sol = Solution(frozenset(), frozenset({"v"}), {}, {})
-            assert not check_adam_strategy(g, sol)
-            assert check_adam_strategy(g, zielonka(g))
+    @pytest.mark.parametrize("edges, good, region, moves, valid", [
+        # the move is no edge and leaves the region
+        ({"v": ("v",), "w": ("w",)}, (), {"v"}, {"v": "w"}, False),
+        # the move is an edge and leaves the region
+        ({"v": ("v", "w"), "w": ("w",)}, (), {"v"}, {"v": "w"}, False),
+        # the move stays in the region but is no edge
+        ({"v": ("v",), "w": ("w",)}, {"w"}, {"v", "w"},
+         {"v": "w", "w": "w"}, False),
+        # a node of the region has no move
+        ({"v": ("v",)}, {"v"}, {"v"}, {}, False),
+        ({"v": ("v",)}, {"v"}, {"v"}, {"v": "v"}, True),
+    ])
+    def test_false_certificates_are_rejected(self, player, edges, good,
+                                             region, moves, valid):
+        assert check_claim(player, edges, good, region, moves) == valid
 
     def test_losing_cycle_inside_a_winning_component(self):
-        # u (4) -> v (3) -> w (2) -> v and w -> u: the component's top is
-        # even, but Eve's choice at w allows the odd cycle v w
-        g = ParityGame(("u", "v", "w"), {"u": ADAM, "v": ADAM, "w": EVE},
+        # Adam's u (4) -> v (3) -> w (2) -> u or v: the component's top
+        # priority is even, but Adam can keep to the odd cycle v w
+        g = ParityGame(("u", "v", "w"), {v: ADAM for v in "uvw"},
                        {"u": 4, "v": 3, "w": 2},
                        {"u": ("v",), "v": ("w",), "w": ("u", "v")})
         nodes = frozenset(g.nodes)
-        assert not check_eve_strategy(g, Solution(nodes, frozenset(),
-                                                  {"w": "v"}, {}))
-        assert check_eve_strategy(g, Solution(nodes, frozenset(),
-                                              {"w": "u"}, {}))
+        assert not check_eve_strategy(g, Solution(nodes, frozenset(), {}, {}))
+        sol = zielonka(g)
+        assert sol.win_adam == nodes and check_adam_strategy(g, sol)
 
 
 class TestSolveBrute:
