@@ -19,8 +19,8 @@ check either player's strategy by graph traversal alone.
 from __future__ import annotations
 
 from collections import deque
-from itertools import compress
 from dataclasses import dataclass
+from itertools import compress
 
 from .automata import Apt, Color, color_key, format_color
 from .itypes import (IType, SizeGuardExceeded, StateType, format_cset,
