@@ -96,7 +96,7 @@ class TestBuildGame:
     def test_solutions_are_pinned(self):
         # Golden solutions: regions and both strategies, nodes written as
         # their index in `g.nodes`, so a faster solver must break every tie
-        # as this one does, in moves extraction never reads too.
+        # as this one does, also in moves that extraction never reads.
         g, sol = solve_cached(*order2_unary(), "q")
         assert solution_digest([(g, sol)]) == (
             "b8b83d554f1e385fd2eaace1a56e13a73895f7d103467eb8cbde84d5cb41188d")
@@ -157,7 +157,6 @@ class TestZielonka:
                 if g.owner[v] == EVE and g.successors(v):
                     assert v in sz.strategy_eve
 
-
     def test_ladder_needs_no_recursion(self):
         # Node i has priority i, a self-loop and an edge to i - 1, and
         # belongs to the player priority i hurts: the recursive algorithm
@@ -200,8 +199,8 @@ class TestStrategyChecks:
         ({"v": ("v",)}, {"v"}, {"v"}, {}, False),
         ({"v": ("v",)}, {"v"}, {"v"}, {"v": "v"}, True),
     ])
-    def test_false_certificates_are_rejected(self, player, edges, good,
-                                             region, moves, valid):
+    def test_claims_are_checked(self, player, edges, good, region, moves,
+                                valid):
         assert check_claim(player, edges, good, region, moves) == valid
 
     def test_losing_cycle_inside_a_winning_component(self):
