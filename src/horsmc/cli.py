@@ -3,9 +3,10 @@
 Exit codes: 0 for a positive verdict (or plain success), 1 for a negative
 verdict, 2 for usage or parse errors, 3 when a limit stops the
 computation: a size guard, the rewriting budget or Python's recursion
-limit.  Verdict text goes to standard output, diagnostics to standard
-error; `--quiet` suppresses standard output so scripts can rely on the exit
-code alone.
+limit, 4 for an internal error, an unexpected exception, reported on one
+`internal error:` line.  Verdict text goes to standard output, diagnostics
+to standard error; `--quiet` suppresses standard output so scripts can rely
+on the exit code alone.
 """
 
 from __future__ import annotations
@@ -227,6 +228,10 @@ def main(argv=None) -> int:
     except IllFormedScheme as e:
         sys.stderr.write(f"ill-formed scheme: {e}\n")
         return 2
+    except Exception as e:
+        # A fault of the program, not a verdict: exit 1 would read as REJECT.
+        sys.stderr.write(f"internal error: {type(e).__name__}: {e}\n")
+        return 4
 
 
 if __name__ == "__main__":

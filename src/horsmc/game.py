@@ -115,7 +115,10 @@ def build_game(h: Hors, m: Apt, states=None,
         if v in seen:
             return
         if len(seen) >= node_limit:
-            raise SizeGuardExceeded("game nodes", len(seen) + 1, node_limit)
+            raise SizeGuardExceeded(
+                f"game nodes (refused {type(v).__name__} {v.nonterminal} : "
+                f"{format_itype(v.ty)})",
+                len(seen) + 1, node_limit)
         seen.add(v)
         nodes.append(v)
         owner[v] = ADAM if isinstance(v, AdamNode) else EVE

@@ -11,7 +11,7 @@ import functools
 
 from .automata import (Apt, Color, cmax, color_key, color_set,
                        format_color, satisfies)
-from .syntax import Ground, SimpleType
+from .syntax import Ground, SimpleType, format_sort
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +153,7 @@ def format_cset(u: ColoredSet) -> str:
 class SizeGuardExceeded(Exception):
     def __init__(self, what: str, count: int, limit: int):
         super().__init__(f"{what}: {count} candidates exceed the limit {limit}")
+        self.what = what
         self.count = count
         self.limit = limit
 
@@ -181,7 +182,8 @@ def enumerate_types(sigma: SimpleType, m: Apt,
         return cached
     n = count_types(sigma, m)
     if n > limit:
-        raise SizeGuardExceeded(f"type space at sort {sigma!r}", n, limit)
+        raise SizeGuardExceeded(f"type space at sort {format_sort(sigma)}",
+                                n, limit)
     if isinstance(sigma, Ground):
         result = [StateType(q) for q in sorted(m.states)]
     else:
@@ -203,7 +205,7 @@ def enumerate_colored_sets(sigma: SimpleType, m: Apt,
     cols = color_set(m)
     pairs = sorted(((c, t) for c in cols for t in base), key=pair_key)
     if 2 ** len(pairs) > limit:
-        raise SizeGuardExceeded(f"colored sets at sort {sigma!r}",
+        raise SizeGuardExceeded(f"colored sets at sort {format_sort(sigma)}",
                                 2 ** len(pairs), limit)
     out = []
     for mask in range(2 ** len(pairs)):

@@ -21,7 +21,11 @@ the brute-force counterpart that the backward search is checked against.
 minimal assumption maps on nonterminals under which the body is derivable,
 together with witnessing derivations, which the footprint search builds
 as it goes.  The parity-game construction takes its moves from it, and
-witness extraction reads the derivations behind Eve's strategy.
+witness extraction reads the derivations behind Eve's strategy.  Under a
+terminal head the search takes each argument's sets from the clauses of
+the transition formula, one per clause, as a terminal's denotation is the
+profiles covering a clause; under a variable or nonterminal head it tries
+every subset of the argument's options, and `pair_cap` guards only there.
 """
 
 from __future__ import annotations
@@ -29,14 +33,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .automata import Apt, Color, EPSILON, cmax, color_key, color_set
+from .automata import Apt, Color, EPSILON, cmax, color_key, color_set, dnf
 from .itypes import (ArrowType, ColoredSet, IType, SizeGuardExceeded,
-                     colored_set, cset_key, enumerate_colored_sets,
+                     StateType, colored_set, cset_key, enumerate_colored_sets,
                      enumerate_types, is_terminal_type, split_chain,
                      subtype, type_key, DEFAULT_ENUM_LIMIT)
 from .syntax import (App, Fix, Hors, Lam, NonTerminal, SimpleType,
                      Term, Terminal, Var, format_sort, format_term, free_vars,
-                     ground_sort, infer_sort, nonterminals_of)
+                     ground_sort, infer_sort, nonterminals_of, spine)
 
 TypeEnv = dict[str, ColoredSet]
 
@@ -422,7 +426,14 @@ def _unions(base: frozenset[Requirement], option_lists, emitted: _SubsetIndex):
 
 
 class _FootprintSearch:
-    """Enumerates minimal nonterminal-assumption sets for one sequent."""
+    """Enumerates minimal nonterminal-assumption sets for one sequent.
+
+    At an application the argument's candidate sets depend on the head of
+    its spine.  Under a terminal they come from the clauses of the
+    transition formula (`_clause_subsets`).  Under a variable or a
+    nonterminal every subset of the argument's options is tried, and
+    `pair_cap` bounds the number of options.
+    """
 
     def __init__(self, m: Apt, rule: str, sort_env: dict[str, SimpleType],
                  var_env: TypeEnv, limit: int, pair_cap: int = 12):
@@ -455,34 +466,76 @@ class _FootprintSearch:
         self._memo[key] = out = self._search(t, target, c)
         return out
 
-    def _argument_options(self, arg: Term, c: Color):
-        """Candidate (color, type, derivations) triples for an application
-        argument.
+    def _argument_options(self, t: App, c: Color, named=None):
+        """Candidate (color, type, derivations) triples for the argument of
+        the application `t`, in color order, then type order; with `named`,
+        only at the (color, type) pairs it holds.
 
         A bare variable is looked up directly: only the environment entries
         themselves are offered.  A pair below an entry never helps, since
         every axiom the smaller type serves is served by the entry too, and
         the entry only enlarges the sequent the refuter may challenge.
         """
+        arg = t.argument
         if isinstance(arg, Var):
             u = self.var_env[arg.name]
             options = []
             for c2 in self.cols:
                 want = cmax(c, c2)
                 for centry, alpha in u.pairs:
-                    if centry == want:
+                    if centry == want and (named is None
+                                           or (c2, alpha) in named):
                         options.append(
                             (c2, alpha, [(frozenset(),
                                           DAx(arg, alpha, alpha))]))
             return options
         sigma = self.sort_of(arg)
+        try:
+            types = enumerate_types(sigma, self.m, self.limit)
+        except SizeGuardExceeded as e:
+            raise SizeGuardExceeded(
+                f"{e.what} (argument of `{format_term(t)}` in the rule of "
+                f"{self.rule})", e.count, e.limit) from None
         options = []
         for c2 in self.cols:
-            for beta in enumerate_types(sigma, self.m, self.limit):
+            for beta in types:
+                if named is not None and (c2, beta) not in named:
+                    continue
                 sub = self.search(arg, beta, cmax(c, c2))
                 if sub:
                     options.append((c2, beta, sub))
         return options
+
+    def _clause_subsets(self, t: App, a: str, k: int, target: IType,
+                        c: Color):
+        """Argument subsets for `t`, the k-th argument of terminal `a`: the
+        position-k projections {(omega(q'), q') : (k, q') in D} of the
+        clauses D of delta(q, a), q the result state of `target`, whose
+        later positions `target`'s argument sets already cover.  A
+        projection naming a pair the argument cannot take is dropped.
+
+        A terminal's profile is typed exactly when it covers a clause.  Any
+        other subset of the options either covers no projection, and then
+        the head is untypable, or strictly contains one that comes earlier,
+        and then each union it yields contains one already emitted.  The
+        subsets come in the order `itertools.combinations` reaches them,
+        size first, then option indices, so the first occurrence of every
+        minimal set, and its derivation, is unchanged.
+        """
+        later, result = split_chain(target)
+        projections = set()
+        for clause in dnf(self.m.delta_of(result.state, a)):
+            if all((self.m.omega[q2], StateType(q2)) in later[j - k - 1]
+                   for j, q2 in clause if j > k):
+                projections.add(frozenset(
+                    (self.m.omega[q2], StateType(q2))
+                    for j, q2 in clause if j == k))
+        options = self._argument_options(t, c, set().union(*projections))
+        index = {(c2, beta): i for i, (c2, beta, _) in enumerate(options)}
+        picks = sorted((tuple(sorted(index[p] for p in proj))
+                        for proj in projections if proj <= index.keys()),
+                       key=lambda pick: (len(pick), pick))
+        return [tuple(options[i] for i in pick) for pick in picks]
 
     def _search(self, t: Term, target: IType, c: Color):
         if isinstance(t, Var):
@@ -499,29 +552,34 @@ class _FootprintSearch:
                 return [(frozenset(), DDelta(t, target))]
             return []
         assert isinstance(t, App), f"unexpected term in rule body: {t!r}"
-        options = self._argument_options(t.argument, c)
-        if len(options) > self.pair_cap:
-            raise SizeGuardExceeded(
-                f"candidate argument typings at `{format_term(t)}` in the "
-                f"rule of {self.rule}, argument sort "
-                f"{format_sort(self.sort_of(t.argument))}",
-                2 ** len(options), 2 ** self.pair_cap)
+        head, args = spine(t)
+        if isinstance(head, Terminal):
+            subsets = self._clause_subsets(t, head.symbol, len(args), target,
+                                           c)
+        else:
+            options = self._argument_options(t, c)
+            if len(options) > self.pair_cap:
+                raise SizeGuardExceeded(
+                    f"candidate argument typings at `{format_term(t)}` in "
+                    f"the rule of {self.rule}, argument sort "
+                    f"{format_sort(self.sort_of(t.argument))}",
+                    2 ** len(options), 2 ** self.pair_cap)
+            subsets = (subset for n in range(len(options) + 1)
+                       for subset in itertools.combinations(options, n))
         results = []
         emitted = _SubsetIndex()
-        for k in range(len(options) + 1):
-            for subset in itertools.combinations(options, k):
-                chosen = colored_set((c2, beta) for c2, beta, _ in subset)
-                fn_opts = self.search(t.function, ArrowType(chosen, target), c)
-                if not fn_opts:
-                    continue
-                by_pair = {(c2, beta): sub for c2, beta, sub in subset}
-                arg_option_lists = [by_pair[p] for p in chosen.pairs]
-                for fn_req, fn_d in fn_opts:
-                    for req, arg_ds in _unions(fn_req, arg_option_lists,
-                                               emitted):
-                        emitted.add(req)
-                        results.append((req, DApp(t, target, chosen, fn_d,
-                                                  arg_ds)))
+        for subset in subsets:
+            chosen = colored_set((c2, beta) for c2, beta, _ in subset)
+            fn_opts = self.search(t.function, ArrowType(chosen, target), c)
+            if not fn_opts:
+                continue
+            by_pair = {(c2, beta): sub for c2, beta, sub in subset}
+            arg_option_lists = [by_pair[p] for p in chosen.pairs]
+            for fn_req, fn_d in fn_opts:
+                for req, arg_ds in _unions(fn_req, arg_option_lists, emitted):
+                    emitted.add(req)
+                    results.append((req, DApp(t, target, chosen, fn_d,
+                                              arg_ds)))
         return _minimal(results)
 
 

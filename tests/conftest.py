@@ -3,10 +3,11 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import horsmc
 from horsmc import (ADAM, Apt, Arrow, Atom, EVE, GROUND, Hors, NonTerminal,
-                    ParityGame, Rule, TRUE, Terminal, Var, apply, conj)
+                    ParityGame, Rule, TRUE, Terminal, Var, apply, conj, disj)
 
 
 def cli_env(seed) -> dict:
@@ -103,6 +104,11 @@ def order2_scheme():
 def order2_unary():
     """S = A I; A f = b (f c) (A f); I x = d x, with a one-state automaton
     accepting everything: a feasible order-2 end-to-end fixture."""
+    return order2_unary_scheme(), order2_unary_apt(0)
+
+
+@functools.cache
+def order2_unary_scheme():
     oo = Arrow(GROUND, GROUND)
     h = Hors(
         terminals={"b": 2, "c": 0, "d": 1},
@@ -118,12 +124,41 @@ def order2_unary():
         },
         start="S",
     )
-    m = Apt(states=("q",), terminals={"b": 2, "c": 0, "d": 1},
-            delta={("q", "b"): conj(Atom(1, "q"), Atom(2, "q")),
-                   ("q", "c"): TRUE,
-                   ("q", "d"): Atom(1, "q")},
-            omega={"q": 0}, initial="q")
-    return h, m
+    return h
+
+
+@functools.cache
+def order2_unary_apt(color: int) -> Apt:
+    """Color 0 accepts the scheme's tree; color 1 is its REJECT twin."""
+    return Apt(states=("q",), terminals={"b": 2, "c": 0, "d": 1},
+               delta={("q", "b"): conj(Atom(1, "q"), Atom(2, "q")),
+                      ("q", "c"): TRUE,
+                      ("q", "d"): Atom(1, "q")},
+               omega={"q": color}, initial="q")
+
+
+@functools.cache
+def grow_scheme():
+    """S = G c; G x = a x (G (b x)): a spine of a's whose k-th left child
+    is the chain b^k c."""
+    return Hors(
+        terminals={"a": 2, "b": 1, "c": 0},
+        nonterminals={"S": GROUND, "G": Arrow(GROUND, GROUND)},
+        rules={"S": Rule((), apply(NonTerminal("G"), Terminal("c"))),
+               "G": Rule((("x", GROUND),),
+                         apply(Terminal("a"), Var("x"),
+                               apply(NonTerminal("G"),
+                                     apply(Terminal("b"), Var("x")))))},
+        start="S",
+    )
+
+
+@functools.cache
+def grow_apt() -> Apt:
+    """Follow the spine's right children only, at color 2."""
+    return Apt(states=("q",), terminals={"a": 2, "b": 1, "c": 0},
+               delta={("q", "a"): Atom(2, "q")},
+               omega={"q": 2}, initial="q")
 
 
 @functools.cache
@@ -201,3 +236,66 @@ def random_game(rng: random.Random, max_nodes: int = 8,
     edges = {v: tuple(sorted(rng.sample(nodes, rng.randint(0, min(3, n)))))
              for v in nodes}
     return ParityGame(nodes, owner, priority, edges)
+
+
+# ---------------------------------------------------------------------------
+# Random order-0 schemes and two-state automata, drawn as plain data so that
+# a test-side oracle can read them without the program's own types.
+
+ORDER0_ALPHABET = (("c", 0), ("b", 1), ("a", 2), ("d", 3))
+ORDER0_STATES = ("q0", "q1")
+
+
+@st.composite
+def order0_instances(draw, max_arity: int = 3):
+    """(rules, omega, delta): each rule body is ("t", symbol, args) with
+    arguments that are bodies or ("n", name); delta maps (state, symbol) to
+    a list of clauses, each a tuple of (direction, state) atoms, where []
+    is false and [()] is true.  The start symbol is S.  Only terminals of
+    arity up to `max_arity` occur."""
+    names = ["S"] + [f"F{i}" for i in range(1, draw(st.integers(1, 4)))]
+    alphabet = [(a, n) for a, n in ORDER0_ALPHABET if n <= max_arity]
+
+    def term(depth):
+        sym, arity = draw(st.sampled_from(alphabet if depth > 1
+                                          else alphabet[:1]))
+        args = []
+        for _ in range(arity):
+            kind = draw(st.sampled_from(("n", "n", "c", "t")))
+            if kind == "n":
+                args.append(("n", draw(st.sampled_from(names))))
+            else:
+                args.append(term(depth - 1 if kind == "t" else 1))
+        return ("t", sym, tuple(args))
+
+    rules = {x: term(3) for x in names}
+    omega = {q: draw(st.integers(0, 2)) for q in ORDER0_STATES}
+    delta = {}
+    for q in ORDER0_STATES:
+        for sym, arity in alphabet:
+            atoms = st.tuples(st.integers(1, arity),
+                              st.sampled_from(ORDER0_STATES))
+            clause = (st.lists(atoms, max_size=2, unique=True).map(
+                lambda c: tuple(sorted(c))) if arity else st.just(()))
+            delta[q, sym] = draw(st.lists(clause, max_size=2, unique=True))
+    return rules, omega, delta
+
+
+def order0_scheme(rules) -> Hors:
+    def build(t):
+        if t[0] == "n":
+            return NonTerminal(t[1])
+        return apply(Terminal(t[1]), *map(build, t[2]))
+
+    return Hors(terminals=dict(ORDER0_ALPHABET),
+                nonterminals={x: GROUND for x in rules},
+                rules={x: Rule((), build(body)) for x, body in rules.items()},
+                start="S")
+
+
+def order0_apt(omega, delta) -> Apt:
+    return Apt(states=ORDER0_STATES, terminals=dict(ORDER0_ALPHABET),
+               delta={key: disj(*(conj(*(Atom(d, q) for d, q in clause))
+                                  for clause in clauses))
+                      for key, clauses in delta.items()},
+               omega=dict(omega), initial="q0")

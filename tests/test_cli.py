@@ -1,9 +1,11 @@
+import functools
 import subprocess
 import sys
 
 import pytest
 
 from conftest import cli_env
+from horsmc import cli, game
 from horsmc.cli import main
 from horsmc.formats import parse_annotated
 from test_formats import EX1_APT, EX1_HORS
@@ -191,6 +193,49 @@ class TestSizeGuard:
         assert code == 3 and "size guard" in err
         # the message names the rule, the application and the argument sort
         assert "rule of S" in err and "`A I`" in err and "sort o -> o" in err
+
+    def test_type_space_guard_names_rule_and_subterm(self, tmp_path, capsys):
+        # an order-3 head takes an argument of sort (o -> o) -> o, whose
+        # type space over two states has 2**65 members
+        scheme = tmp_path / "o3.hors"
+        scheme.write_text(
+            "terminals:\n  if : 2\n  data : 1\n  Nil : 0\n"
+            "nonterminals:\n  S : o\n  B : ((o -> o) -> o) -> o\n"
+            "  A : (o -> o) -> o\n  I : o -> o\n"
+            "start: S\nrules:\n"
+            "  S = B A\n"
+            "  B g = g I\n"
+            "  A f = f Nil\n"
+            "  I x = data x\n")
+        apt = tmp_path / "two.apt"
+        apt.write_text(EX1_APT)
+        code, _, err = run(["check", str(scheme), str(apt)], capsys)
+        assert code == 3
+        assert err.startswith("size guard: type space at sort (o -> o) -> o "
+                              "(argument of `B A` in the rule of S): ")
+
+    def test_node_guard_names_the_refused_node(self, files, capsys,
+                                               monkeypatch):
+        _, scheme, apt = files
+        monkeypatch.setattr(cli, "build_game",
+                            functools.partial(game.build_game, node_limit=3))
+        code, _, err = run(["check", scheme, apt, "-q", "q0"], capsys)
+        assert code == 3
+        assert err == ("size guard: game nodes (refused AdamNode S : q0): "
+                       "4 candidates exceed the limit 3\n")
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_four(self, files, capsys,
+                                             monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        _, scheme, apt = files
+        monkeypatch.setattr(cli, "build_game", fail)
+        code, out, err = run(["check", scheme, apt], capsys)
+        assert code == 4 and out == ""
+        assert err == "internal error: RuntimeError: boom\n"
 
 
 def run_subprocess(argv, seed):

@@ -2,20 +2,25 @@ import itertools
 import random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from horsmc import (App, Arrow, ArrowType, EPSILON, EveNode, GROUND,
-                    NonTerminal, StateType, Terminal, Var, box_color,
-                    check_derivation, color_set, colored_set, denotation,
-                    derive, enumerate_colored_sets, enumerate_types,
-                    format_itype, is_terminal_type, residual_env,
-                    rule_typings, subtype, subtype_set)
-from horsmc.itypes import EMPTY_SET, split_chain
+from horsmc import (App, Apt, Arrow, ArrowType, Atom, EPSILON, EveNode,
+                    GROUND, Hors, NonTerminal, Rule, SizeGuardExceeded,
+                    StateType, TRUE, Terminal, Var, apply, box_color,
+                    build_game, check_derivation, color_set, colored_set,
+                    conj, denotation, derive, enumerate_colored_sets,
+                    enumerate_types, format_itype, format_sort, format_term,
+                    is_terminal_type, residual_env, rule_typings, subtype,
+                    subtype_set)
+from horsmc.itypes import DEFAULT_ENUM_LIMIT, EMPTY_SET, cset_key, split_chain
 from horsmc.syntax import ground_sort
-from horsmc.typecheck import (Deriver, _minimal, _SubsetIndex, _unions,
+from horsmc.typecheck import (DApp, Deriver, _FootprintSearch, _minimal,
+                              _SubsetIndex, _unions, assumptions_from,
                               requirement_key)
-from conftest import (fixture_terms, loop_apt, loop_scheme, mutual_apt,
-                      mutual_scheme, order2_unary, solve_cached)
+from conftest import (fixture_terms, grow_apt, grow_scheme, loop_apt,
+                      loop_scheme, mutual_apt, mutual_scheme, order0_apt,
+                      order0_instances, order0_scheme, order2_unary,
+                      order2_unary_apt, order2_unary_scheme, solve_cached)
 
 Q0, Q1 = StateType("q0"), StateType("q1")
 OO = Arrow(GROUND, GROUND)
@@ -391,3 +396,115 @@ def test_pruned_unions_keep_every_minimal_union(prods):
             pruned.append((req, (p, skels)))
     assert len(set(r for r, _ in pruned)) == len(pruned)
     assert _minimal(pruned) == reference_minimal(full)
+
+
+# ---------------------------------------------------------------------------
+# Head-directed argument sets, against the powerset search they replaced.
+
+class PowersetSearch(_FootprintSearch):
+    """The footprint search that tries every subset of an argument's
+    options under every head, terminals included."""
+
+    def _search(self, t, target, c):
+        if not isinstance(t, App):
+            return super()._search(t, target, c)
+        options = self._argument_options(t, c)
+        if len(options) > self.pair_cap:
+            raise SizeGuardExceeded(
+                f"candidate argument typings at `{format_term(t)}` in the "
+                f"rule of {self.rule}, argument sort "
+                f"{format_sort(self.sort_of(t.argument))}",
+                2 ** len(options), 2 ** self.pair_cap)
+        results = []
+        emitted = _SubsetIndex()
+        for k in range(len(options) + 1):
+            for subset in itertools.combinations(options, k):
+                chosen = colored_set((c2, beta) for c2, beta, _ in subset)
+                fn_opts = self.search(t.function, ArrowType(chosen, target), c)
+                if not fn_opts:
+                    continue
+                by_pair = {(c2, beta): sub for c2, beta, sub in subset}
+                arg_option_lists = [by_pair[p] for p in chosen.pairs]
+                for fn_req, fn_d in fn_opts:
+                    for req, arg_ds in _unions(fn_req, arg_option_lists,
+                                               emitted):
+                        emitted.add(req)
+                        results.append((req, DApp(t, target, chosen, fn_d,
+                                                  arg_ds)))
+        return _minimal(results)
+
+
+def reference_rule_typings(h, m, name, theta):
+    """`rule_typings` through the powerset search, uncached."""
+    rule = h.rules[name]
+    arg_sets, result = split_chain(theta)
+    sort_env = {**h.nonterminals, **dict(rule.binders)}
+    var_env = {b: u for (b, _), u in zip(rule.binders, arg_sets)}
+    search = PowersetSearch(m, name, sort_env, var_env, DEFAULT_ENUM_LIMIT)
+    out = [(assumptions_from(req), d)
+           for req, d in search.search(rule.body, result, EPSILON)]
+    out.sort(key=lambda du: tuple((n, cset_key(u)) for n, u in du[0]))
+    return out
+
+
+def assert_matches_powerset(h, m, g) -> int:
+    """Same maps, order and derivations at every Eve node of `g`."""
+    checked = 0
+    for node in g.nodes:
+        if isinstance(node, EveNode):
+            assert (rule_typings(h, m, node.nonterminal, node.ty)
+                    == reference_rule_typings(h, m, node.nonterminal,
+                                              node.ty)), node
+            checked += 1
+    return checked
+
+
+def test_head_directed_sets_match_powerset_on_fixture_games(ex1, ex1_apt):
+    games = [(ex1, ex1_apt, "q0"), (ex1, ex1_apt, "q1"),
+             (loop_scheme(), loop_apt(1), "q"),
+             (loop_scheme(), loop_apt(2), "q"),
+             (mutual_scheme(), mutual_apt(), "p"),
+             (mutual_scheme(), mutual_apt(), "r"),
+             (grow_scheme(), grow_apt(), "q"),
+             (order2_unary_scheme(), order2_unary_apt(0), "q"),
+             (order2_unary_scheme(), order2_unary_apt(1), "q")]
+    for h, m, q in games:
+        g, _ = solve_cached(h, m, q)
+        assert assert_matches_powerset(h, m, g) > 0
+
+
+# Ternary terminals are left out: the powerset is too slow under them.
+@settings(max_examples=60, deadline=None)
+@given(order0_instances(max_arity=2))
+# S = a c S where either clause of delta(q0, a) types `c` with no
+# requirement: the representative is the clause the powerset reaches first.
+@example(({"S": ("t", "a", (("t", "c", ()), ("n", "S")))}, {"q0": 0, "q1": 1},
+          {("q0", "a"): [((1, "q1"),), ((1, "q0"),)],
+           ("q0", "c"): [()], ("q1", "c"): [()]}))
+def test_head_directed_sets_match_powerset_on_order0_schemes(instance):
+    rules, omega, delta = instance
+    h, m = order0_scheme(rules), order0_apt(omega, delta)
+    assert assert_matches_powerset(h, m, build_game(h, m)) > 0
+
+
+@pytest.mark.parametrize("color", [0, 1])
+def test_head_directed_sets_match_powerset_under_partial_application(color):
+    # S = F (a c); F g = g (F g): the argument `a c` is typed at o -> o,
+    # so its outer argument set comes from the type, not from the spine.
+    h = Hors(terminals={"a": 2, "c": 0},
+             nonterminals={"S": GROUND, "F": Arrow(OO, GROUND)},
+             rules={"S": Rule((), apply(NonTerminal("F"),
+                                        apply(Terminal("a"), Terminal("c")))),
+                    "F": Rule((("g", OO),),
+                              apply(Var("g"),
+                                    apply(NonTerminal("F"), Var("g"))))},
+             start="S")
+    m = Apt(states=("q",), terminals={"a": 2, "c": 0},
+            delta={("q", "a"): conj(Atom(1, "q"), Atom(2, "q")),
+                   ("q", "c"): TRUE},
+            omega={"q": color}, initial="q")
+    g = build_game(h, m)
+    assert any(isinstance(v, EveNode) and v.nonterminal == "F"
+               and any(isinstance(ty, ArrowType) for _, ty in v.ty.argument)
+               for v in g.nodes)
+    assert assert_matches_powerset(h, m, g) > 1
