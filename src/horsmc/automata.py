@@ -179,13 +179,9 @@ def dnf(f: Formula) -> frozenset[Clause]:
     return _reduce_antichain({a | b for a in left for b in right})
 
 
-def sorted_clause(c: Clause) -> list[tuple[int, str]]:
-    return sorted(c)
-
-
 def sorted_dnf(f: Formula) -> list[list[tuple[int, str]]]:
     """Deterministically ordered clause list (for output and iteration)."""
-    return sorted((sorted_clause(c) for c in dnf(f)), key=lambda c: (len(c), c))
+    return sorted((sorted(c) for c in dnf(f)), key=lambda c: (len(c), c))
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +205,14 @@ class Apt:
     def delta_of(self, q: str, a: str) -> Formula:
         return self.delta.get((q, a), FALSE)
 
-    def priority(self, q: str) -> int:
-        return self.omega[q]
-
     def validate(self) -> None:
         if not self.states:
             raise ValueError("automaton has no states")
         if self.initial not in self.states:
             raise ValueError(f"initial state '{self.initial}' not among states")
-        for q in self.states:
+        for i, q in enumerate(self.states):
+            if q in self.states[:i]:
+                raise ValueError(f"state '{q}' is listed twice")
             if q not in self.omega:
                 raise ValueError(f"state '{q}' has no color")
         for (q, a), f in self.delta.items():

@@ -17,7 +17,8 @@ import sys
 from .automata import Apt
 from .formats import (ParseError, parse_annotated, parse_apt, parse_hors,
                       print_annotated, print_tree, tree_to_dot)
-from .game import EveNode, build_game, to_dot, zielonka
+from .game import (EveNode, Solution, accepted_states, build_game, to_dot,
+                   zielonka)
 from .itypes import SizeGuardExceeded, StateType
 from .selection import extract_scheme, format_report, verify_runtree
 from .syntax import (Hors, IllFormedScheme, UnresolvedWithinBudget,
@@ -82,13 +83,16 @@ def _write_out(args, text: str) -> None:
         _emit(args, text)
 
 
+def _decide(h: Hors, m: Apt, q: str) -> tuple[Solution, bool]:
+    """The solved game seeded at state `q`, and whether `q` is accepted."""
+    sol = zielonka(build_game(h, m, states=[q]))
+    return sol, EveNode(h.start, StateType(q)) in sol.win_eve
+
+
 def cmd_check(args) -> int:
     h = _load_hors(args.scheme)
     m = _load_apt(args.automaton, h)
-    q = _pick_state(args, m)
-    g = build_game(h, m, states=[q])
-    sol = zielonka(g)
-    accepted = EveNode(h.start, StateType(q)) in sol.win_eve
+    _, accepted = _decide(h, m, _pick_state(args, m))
     _emit(args, ("ACCEPT" if accepted else "REJECT") + "\n")
     return 0 if accepted else 1
 
@@ -96,10 +100,9 @@ def cmd_check(args) -> int:
 def cmd_states(args) -> int:
     h = _load_hors(args.scheme)
     m = _load_apt(args.automaton, h)
-    g = build_game(h, m)
-    sol = zielonka(g)
+    accepted = accepted_states(h, m)
     for q in m.states:
-        if EveNode(h.start, StateType(q)) in sol.win_eve:
+        if q in accepted:
             _emit(args, q + "\n")
     return 0
 
@@ -108,9 +111,8 @@ def cmd_select(args) -> int:
     h = _load_hors(args.scheme)
     m = _load_apt(args.automaton, h)
     q = _pick_state(args, m)
-    g = build_game(h, m, states=[q])
-    sol = zielonka(g)
-    if EveNode(h.start, StateType(q)) not in sol.win_eve:
+    sol, accepted = _decide(h, m, q)
+    if not accepted:
         sys.stderr.write(f"state '{q}' rejected; no witness exists\n")
         return 1
     witness = extract_scheme(h, m, sol, q)
@@ -138,9 +140,8 @@ def cmd_verify(args) -> int:
         except ParseError as e:
             raise CliError(f"{args.witness}:{e.line}:{e.col}: {e.msg}", 2)
     else:
-        g = build_game(h, m, states=[q])
-        sol = zielonka(g)
-        if EveNode(h.start, StateType(q)) not in sol.win_eve:
+        sol, accepted = _decide(h, m, q)
+        if not accepted:
             sys.stderr.write(f"state '{q}' rejected; nothing to verify\n")
             return 1
         witness = extract_scheme(h, m, sol, q)

@@ -325,7 +325,7 @@ def parse_apt(text: str, terminals: dict[str, int] | None = None) -> Apt:
             rest = m.group(2).strip()
             if rest:
                 if section == "states":
-                    states.extend(rest.split())
+                    _apt_states(line, line.index(":") + 1, no, states)
                 elif section == "initial":
                     initial = rest
                 else:
@@ -334,7 +334,7 @@ def parse_apt(text: str, terminals: dict[str, int] | None = None) -> Apt:
                 section = None
             continue
         if section == "states":
-            states.extend(stripped.split())
+            _apt_states(line, 0, no, states)
         elif section == "initial":
             initial = stripped
             section = None
@@ -358,6 +358,16 @@ def parse_apt(text: str, terminals: dict[str, int] | None = None) -> Apt:
     return m_
 
 
+def _apt_states(line: str, start: int, no: int, states: list[str]) -> None:
+    """Append the state names on `line` from `start`; a repeat is an error."""
+    for tok in re.finditer(r"\S+", line[start:]):
+        q = tok.group()
+        if q in states:
+            raise ParseError(f"state '{q}' listed twice", no,
+                             start + tok.start() + 1)
+        states.append(q)
+
+
 def _apt_entry(section: str, text: str, no: int, line: str,
                omega: dict, delta: dict, symbols: dict) -> None:
     col0 = line.index(text) + 1 if text in line else 1
@@ -375,6 +385,9 @@ def _apt_entry(section: str, text: str, no: int, line: str,
         if not m:
             raise ParseError("expected 'state symbol -> formula'", no, col0)
         q, a, rest = m.group(1), m.group(2), m.group(3)
+        if (q, a) in delta:
+            raise ParseError(f"second transition for state '{q}' and "
+                             f"symbol '{a}'", no, col0)
         delta[(q, a)] = _parse_formula(rest, no, line.index(rest) if rest else 0)
         symbols.setdefault(a, 0)
 

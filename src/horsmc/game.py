@@ -19,14 +19,14 @@ check either player's strategy by graph traversal alone.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 
 from .automata import Apt, Color, color_key, format_color
 from .itypes import (IType, SizeGuardExceeded, StateType, format_cset,
-                     format_itype, DEFAULT_ENUM_LIMIT)
+                     format_itype)
 from .syntax import Hors, require_wellformed
-from .typecheck import AssumptionMap, rule_typings
+from .typecheck import AssumptionMap, Derivation, rule_typings
 
 EVE = "eve"
 ADAM = "adam"
@@ -40,9 +40,15 @@ class EveNode:
 
 @dataclass(frozen=True)
 class AdamNode:
+    """Eve's move at `nonterminal : ty`: the assumption map, and the rule
+    body's derivation under it, which witness extraction reads.  The
+    derivation takes no part in equality, hashing or printing."""
+
     nonterminal: str
     ty: IType
     assumption: AssumptionMap
+    derivation: Derivation | None = field(default=None, compare=False,
+                                          repr=False)
 
 
 @dataclass(frozen=True)
@@ -94,7 +100,6 @@ def node_priority(v: GameNode) -> int:
 
 
 def build_game(h: Hors, m: Apt, states=None,
-               limit: int = DEFAULT_ENUM_LIMIT,
                node_limit: int = DEFAULT_NODE_LIMIT) -> ParityGame:
     """Reachable sequent game seeded at the start symbol in the given states
     (all automaton states by default)."""
@@ -130,9 +135,8 @@ def build_game(h: Hors, m: Apt, states=None,
     while queue:
         v = queue.popleft()
         if isinstance(v, EveNode):
-            succs = [AdamNode(v.nonterminal, v.ty, delta)
-                     for delta, _ in rule_typings(h, m, v.nonterminal, v.ty,
-                                                  limit)]
+            succs = [AdamNode(v.nonterminal, v.ty, delta, d)
+                     for delta, d in rule_typings(h, m, v.nonterminal, v.ty)]
         elif isinstance(v, AdamNode):
             succs = [ColorNode(c, name, ty)
                      for name, u in v.assumption
@@ -444,11 +448,9 @@ def check_adam_strategy(g: ParityGame, sol: Solution) -> bool:
     return _strategy_wins(g, sol.win_adam, sol.strategy_adam, ADAM)
 
 
-def accepted_states(h: Hors, m: Apt, limit: int = DEFAULT_ENUM_LIMIT,
-                    node_limit: int = DEFAULT_NODE_LIMIT) -> set[str]:
+def accepted_states(h: Hors, m: Apt) -> set[str]:
     """States from which the automaton accepts the scheme's value tree."""
-    g = build_game(h, m, limit=limit, node_limit=node_limit)
-    sol = zielonka(g)
+    sol = zielonka(build_game(h, m))
     return {q for q in m.states
             if EveNode(h.start, StateType(q)) in sol.win_eve}
 

@@ -119,13 +119,6 @@ def colored_set(pairs) -> ColoredSet:
 EMPTY_SET = ColoredSet(())
 
 
-def arrow_chain(arg_sets: list[ColoredSet], result: IType) -> IType:
-    t = result
-    for u in reversed(arg_sets):
-        t = ArrowType(u, t)
-    return t
-
-
 def split_chain(t: IType) -> tuple[list[ColoredSet], StateType]:
     """Unroll an arrow chain down to its ground result."""
     sets = []
@@ -151,11 +144,11 @@ def format_cset(u: ColoredSet) -> str:
 # Enumeration with a size guard
 
 class SizeGuardExceeded(Exception):
-    def __init__(self, what: str, count: int, limit: int):
-        super().__init__(f"{what}: {count} candidates exceed the limit {limit}")
+    def __init__(self, what: str, count: int, bound: int):
+        super().__init__(f"{what}: {count} candidates exceed the limit {bound}")
         self.what = what
         self.count = count
-        self.limit = limit
+        self.bound = bound
 
 
 DEFAULT_ENUM_LIMIT = 2 ** 20
@@ -169,44 +162,42 @@ def count_types(sigma: SimpleType, m: Apt) -> int:
     return 2 ** (ncol * count_types(sigma.domain, m)) * count_types(sigma.codomain, m)
 
 
-def enumerate_types(sigma: SimpleType, m: Apt,
-                    limit: int = DEFAULT_ENUM_LIMIT) -> list[IType]:
+def enumerate_types(sigma: SimpleType, m: Apt) -> list[IType]:
     """All canonical types of a sort, in a deterministic order.
 
     Refuses (with the computed cardinality) when the space is larger than
-    `limit`.
+    `DEFAULT_ENUM_LIMIT`.
     """
-    key = ("types", sigma, limit)
+    key = ("types", sigma)
     cached = m._enum_cache.get(key)
     if cached is not None:
         return cached
     n = count_types(sigma, m)
-    if n > limit:
+    if n > DEFAULT_ENUM_LIMIT:
         raise SizeGuardExceeded(f"type space at sort {format_sort(sigma)}",
-                                n, limit)
+                                n, DEFAULT_ENUM_LIMIT)
     if isinstance(sigma, Ground):
         result = [StateType(q) for q in sorted(m.states)]
     else:
-        args = enumerate_colored_sets(sigma.domain, m, limit)
-        results = enumerate_types(sigma.codomain, m, limit)
+        args = enumerate_colored_sets(sigma.domain, m)
+        results = enumerate_types(sigma.codomain, m)
         result = [ArrowType(u, r) for u in args for r in results]
     m._enum_cache[key] = result
     return result
 
 
-def enumerate_colored_sets(sigma: SimpleType, m: Apt,
-                           limit: int = DEFAULT_ENUM_LIMIT) -> list[ColoredSet]:
+def enumerate_colored_sets(sigma: SimpleType, m: Apt) -> list[ColoredSet]:
     """All colored sets over the type space at a sort, deterministically."""
-    key = ("csets", sigma, limit)
+    key = ("csets", sigma)
     cached = m._enum_cache.get(key)
     if cached is not None:
         return cached
-    base = enumerate_types(sigma, m, limit)
+    base = enumerate_types(sigma, m)
     cols = color_set(m)
     pairs = sorted(((c, t) for c in cols for t in base), key=pair_key)
-    if 2 ** len(pairs) > limit:
+    if 2 ** len(pairs) > DEFAULT_ENUM_LIMIT:
         raise SizeGuardExceeded(f"colored sets at sort {format_sort(sigma)}",
-                                2 ** len(pairs), limit)
+                                2 ** len(pairs), DEFAULT_ENUM_LIMIT)
     out = []
     for mask in range(2 ** len(pairs)):
         chosen = [p for i, p in enumerate(pairs) if mask >> i & 1]

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 from .automata import Apt, Color, EPSILON, cmax, format_color, satisfies
 from .game import AdamNode, EveNode, Solution
 from .itypes import (ColoredSet, IType, StateType, format_itype,
-                     split_chain, subtype, DEFAULT_ENUM_LIMIT)
+                     split_chain, subtype)
 from .syntax import (App, GROUND, Hors, NonTerminal, Rule, SimpleType, Term,
                      Terminal, TreePrefix, Var, apply, arrow,
                      check_wellformed, fresh_name, require_wellformed, unfold)
-from .typecheck import (DAx, DApp, DDelta, Derivation, rule_typings)
+from .typecheck import DAx, DApp, DDelta, Derivation
 
 # Per-direction colored profile over ground states.
 Profile = tuple[tuple[tuple[Color, str], ...], ...]
@@ -138,12 +138,12 @@ class CoercionBuilder:
         return App(NonTerminal(self._memo[key]), term)
 
 
-def extract_scheme(h: Hors, m: Apt, s: Solution, q: str,
-                   limit: int = DEFAULT_ENUM_LIMIT) -> AnnotatedHors:
+def extract_scheme(h: Hors, m: Apt, s: Solution, q: str) -> AnnotatedHors:
     """The witness scheme for an accepted state, following Eve's strategy.
 
     One nonterminal per strategy-reachable winning sequent; rule bodies are
-    rebuilt from the derivations behind the chosen assumption maps.
+    rebuilt from the derivations that the chosen Adam nodes carry.  `m` is
+    not read: the derivations already hold what the automaton decided.
     """
     require_wellformed(h)
     start_node = EveNode(h.start, StateType(q))
@@ -184,15 +184,10 @@ def extract_scheme(h: Hors, m: Apt, s: Solution, q: str,
         chosen = s.strategy_eve.get(node)
         if not isinstance(chosen, AdamNode):
             raise ReconstructionError(f"no strategy move at {node}")
-        delta = chosen.assumption
-        deriv = None
-        for d, dv in rule_typings(h, m, node.nonterminal, node.ty, limit):
-            if d == delta:
-                deriv = dv
-                break
+        deriv = chosen.derivation
         if deriv is None:
             raise ReconstructionError(
-                f"strategy assumption map at {node} has no derivation")
+                f"strategy move {chosen} at {node} carries no derivation")
 
         rule = h.rules[node.nonterminal]
         arg_sets, _ = split_chain(node.ty)

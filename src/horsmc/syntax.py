@@ -297,9 +297,6 @@ class Hors:
     rules: dict[str, Rule]
     start: str
 
-    def rule(self, name: str) -> Rule:
-        return self.rules[name]
-
 
 def _contains_binding(t: Term) -> bool:
     if isinstance(t, (Lam, Fix)):

@@ -21,11 +21,11 @@ the brute-force counterpart that the backward search is checked against.
 minimal assumption maps on nonterminals under which the body is derivable,
 together with witnessing derivations, which the footprint search builds
 as it goes.  The parity-game construction takes its moves from it, and
-witness extraction reads the derivations behind Eve's strategy.  Under a
+each move carries its derivation on to witness extraction.  Under a
 terminal head the search takes each argument's sets from the clauses of
 the transition formula, one per clause, as a terminal's denotation is the
 profiles covering a clause; under a variable or nonterminal head it tries
-every subset of the argument's options, and `pair_cap` guards only there.
+every subset of the argument's options, and `PAIR_CAP` guards only there.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .automata import Apt, Color, EPSILON, cmax, color_key, color_set, dnf
 from .itypes import (ArrowType, ColoredSet, IType, SizeGuardExceeded,
                      StateType, colored_set, cset_key, enumerate_colored_sets,
                      enumerate_types, is_terminal_type, split_chain,
-                     subtype, type_key, DEFAULT_ENUM_LIMIT)
+                     subtype, type_key)
 from .syntax import (App, Fix, Hors, Lam, NonTerminal, SimpleType,
                      Term, Terminal, Var, format_sort, format_term, free_vars,
                      ground_sort, infer_sort, nonterminals_of, spine)
@@ -152,11 +152,9 @@ def check_derivation(d: Derivation, m: Apt, env: TypeEnv) -> bool:
 class Deriver:
     """Reusable backward-search context (shared memo tables)."""
 
-    def __init__(self, m: Apt, sort_env: dict[str, SimpleType],
-                 limit: int = DEFAULT_ENUM_LIMIT):
+    def __init__(self, m: Apt, sort_env: dict[str, SimpleType]):
         self.m = m
         self.sort_env = dict(sort_env)
-        self.limit = limit
         self.cols = color_set(m)
         self._memo: dict = {}
         self._sorts: dict = {}
@@ -174,8 +172,7 @@ class Deriver:
                 return None
             inner_env = dict(env)
             inner_env[t.binder] = target.argument
-            sub = Deriver(self.m, {**self.sort_env, t.binder: t.binder_sort},
-                          self.limit)
+            sub = Deriver(self.m, {**self.sort_env, t.binder: t.binder_sort})
             body = sub.derive(inner_env, t.body, target.result)
             if body is None:
                 return None
@@ -213,7 +210,7 @@ class Deriver:
         pairs: list[tuple[Color, IType, Derivation]] = []
         for c in self.cols:
             env_c = residual_env(env, c, self.cols)
-            for beta in enumerate_types(sigma, self.m, self.limit):
+            for beta in enumerate_types(sigma, self.m):
                 sub = self._derive(env_c, t.argument, beta)
                 if sub is not None:
                     pairs.append((c, beta, sub))
@@ -227,17 +224,15 @@ class Deriver:
 
 
 def derive(env: TypeEnv, t: Term, target: IType, m: Apt,
-           sort_env: dict[str, SimpleType],
-           limit: int = DEFAULT_ENUM_LIMIT) -> Derivation | None:
+           sort_env: dict[str, SimpleType]) -> Derivation | None:
     """Backward proof search; None when the sequent is not provable."""
-    return Deriver(m, sort_env, limit).derive(env, t, target)
+    return Deriver(m, sort_env).derive(env, t, target)
 
 
 # ---------------------------------------------------------------------------
 # Bottom-up denotation (brute-force counterpart of `derive`)
 
 def denotation(t: Term, sorts: dict[str, SimpleType], m: Apt,
-               limit: int = DEFAULT_ENUM_LIMIT,
                spaces: dict[str, list[ColoredSet]] | None = None
                ) -> set[tuple[tuple[ColoredSet, ...], IType]]:
     """The full finite relation between environments and result types.
@@ -255,7 +250,7 @@ def denotation(t: Term, sorts: dict[str, SimpleType], m: Apt,
     def var_space(x: str, sort: SimpleType) -> list[ColoredSet]:
         base = spaces.get(x)
         if base is None:
-            return enumerate_colored_sets(sort, m, limit)
+            return enumerate_colored_sets(sort, m)
         closed = list(dict.fromkeys(
             list(base) + [residual_set(u, c, cols) for u in base
                           for c in cols]))
@@ -271,7 +266,7 @@ def denotation(t: Term, sorts: dict[str, SimpleType], m: Apt,
                 raise KeyError(f"free name '{x}' has no declared sort")
             entries = set()
             for u in var_space(x, scope[x]):
-                for alpha in enumerate_types(scope[x], m, limit):
+                for alpha in enumerate_types(scope[x], m):
                     if any(isinstance(c, type(EPSILON)) and subtype(alpha, a2)
                            for c, a2 in u):
                         entries.add(((u,), alpha))
@@ -279,7 +274,7 @@ def denotation(t: Term, sorts: dict[str, SimpleType], m: Apt,
         if isinstance(term, Terminal):
             chain = ground_sort(m.terminals[term.symbol])
             entries = {((), theta)
-                       for theta in enumerate_types(chain, m, limit)
+                       for theta in enumerate_types(chain, m)
                        if is_terminal_type(term.symbol, theta, m)}
             return (), entries
         if isinstance(term, Lam):
@@ -294,7 +289,7 @@ def denotation(t: Term, sorts: dict[str, SimpleType], m: Apt,
                     rest = envt[:i] + envt[i + 1:]
                     entries.add((rest, ArrowType(envt[i], r)))
             else:
-                for u in enumerate_colored_sets(term.binder_sort, m, limit):
+                for u in enumerate_colored_sets(term.binder_sort, m):
                     for envt, r in d_m:
                         entries.add((envt, ArrowType(u, r)))
             return sup, entries
@@ -309,7 +304,7 @@ def denotation(t: Term, sorts: dict[str, SimpleType], m: Apt,
                 by_result.setdefault((envt, theta.result), []).append(theta.argument)
         env_spaces = [var_space(x, scope_of(x, scope)) for x in sup]
         result_sort_ = result_sort_of(term, scope)
-        targets = enumerate_types(result_sort_, m, limit)
+        targets = enumerate_types(result_sort_, m)
         entries = set()
         for envt in itertools.product(*env_spaces):
             env = dict(zip(sup, envt))
@@ -331,7 +326,7 @@ def denotation(t: Term, sorts: dict[str, SimpleType], m: Apt,
         return infer_sort(term, scope, scope, m.terminals)
 
     support, dset = compute(t, dict(sorts))
-    final_spaces = [spaces.get(x) or enumerate_colored_sets(sorts[x], m, limit)
+    final_spaces = [spaces.get(x) or enumerate_colored_sets(sorts[x], m)
                     for x in names]
     out = set()
     index = [names.index(x) for x in support]
@@ -425,6 +420,11 @@ def _unions(base: frozenset[Requirement], option_lists, emitted: _SubsetIndex):
     return extend(0, base, ())
 
 
+# The most argument options whose subsets are all tried, under a variable or
+# nonterminal head.
+PAIR_CAP = 12
+
+
 class _FootprintSearch:
     """Enumerates minimal nonterminal-assumption sets for one sequent.
 
@@ -432,17 +432,15 @@ class _FootprintSearch:
     its spine.  Under a terminal they come from the clauses of the
     transition formula (`_clause_subsets`).  Under a variable or a
     nonterminal every subset of the argument's options is tried, and
-    `pair_cap` bounds the number of options.
+    `PAIR_CAP` bounds the number of options.
     """
 
     def __init__(self, m: Apt, rule: str, sort_env: dict[str, SimpleType],
-                 var_env: TypeEnv, limit: int, pair_cap: int = 12):
+                 var_env: TypeEnv):
         self.m = m
         self.rule = rule
         self.sort_env = sort_env
         self.var_env = var_env
-        self.limit = limit
-        self.pair_cap = pair_cap
         self.cols = color_set(m)
         self._memo: dict = {}
         self._sorts: dict = {}
@@ -491,11 +489,11 @@ class _FootprintSearch:
             return options
         sigma = self.sort_of(arg)
         try:
-            types = enumerate_types(sigma, self.m, self.limit)
+            types = enumerate_types(sigma, self.m)
         except SizeGuardExceeded as e:
             raise SizeGuardExceeded(
                 f"{e.what} (argument of `{format_term(t)}` in the rule of "
-                f"{self.rule})", e.count, e.limit) from None
+                f"{self.rule})", e.count, e.bound) from None
         options = []
         for c2 in self.cols:
             for beta in types:
@@ -558,12 +556,12 @@ class _FootprintSearch:
                                            c)
         else:
             options = self._argument_options(t, c)
-            if len(options) > self.pair_cap:
+            if len(options) > PAIR_CAP:
                 raise SizeGuardExceeded(
                     f"candidate argument typings at `{format_term(t)}` in "
                     f"the rule of {self.rule}, argument sort "
                     f"{format_sort(self.sort_of(t.argument))}",
-                    2 ** len(options), 2 ** self.pair_cap)
+                    2 ** len(options), 2 ** PAIR_CAP)
             subsets = (subset for n in range(len(options) + 1)
                        for subset in itertools.combinations(options, n))
         results = []
@@ -602,31 +600,13 @@ def _minimal(results):
     return [(req, first[req]) for req in minimal]
 
 
-def rule_typings(h: Hors, m: Apt, name: str, theta: IType,
-                 limit: int = DEFAULT_ENUM_LIMIT
+def rule_typings(h: Hors, m: Apt, name: str, theta: IType
                  ) -> list[tuple[AssumptionMap, Derivation]]:
     """Minimal nonterminal assumption maps under which the rule body of
     `name` derives the result state of `theta`, with derivations.
 
-    `theta`'s argument sets type the rule binders positionally.  Results
-    are cached on the scheme (idempotent inserts; safe to share read-mostly).
+    `theta`'s argument sets type the rule binders positionally.
     """
-    cache = getattr(h, "_typings_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(h, "_typings_cache", cache)
-    key = (id(m), name, theta, limit)
-    hit = cache.get(key)
-    if hit is not None and hit[0] is m:
-        return hit[1]
-    out = _rule_typings_uncached(h, m, name, theta, limit)
-    cache[key] = (m, out)
-    return out
-
-
-def _rule_typings_uncached(h: Hors, m: Apt, name: str, theta: IType,
-                           limit: int
-                           ) -> list[tuple[AssumptionMap, Derivation]]:
     rule = h.rules[name]
     arg_sets, result = split_chain(theta)
     if len(arg_sets) != len(rule.binders):
@@ -634,7 +614,7 @@ def _rule_typings_uncached(h: Hors, m: Apt, name: str, theta: IType,
     var_env: TypeEnv = {b: u for (b, _), u in zip(rule.binders, arg_sets)}
     sort_env: dict[str, SimpleType] = dict(h.nonterminals)
     sort_env.update({b: s for b, s in rule.binders})
-    search = _FootprintSearch(m, name, sort_env, var_env, limit)
+    search = _FootprintSearch(m, name, sort_env, var_env)
     found = search.search(rule.body, result, EPSILON)
     out = [(assumptions_from(req), d) for req, d in found]
     out.sort(key=lambda du: tuple((n, cset_key(u)) for n, u in du[0]))

@@ -105,6 +105,14 @@ class TestColorSet:
         assert len(color_set(loop_apt(7))) == 2
 
 
+class TestValidate:
+    def test_repeated_state_rejected(self):
+        m = Apt(states=("q", "r", "q"), terminals={}, delta={},
+                omega={"q": 0, "r": 0}, initial="q")
+        with pytest.raises(ValueError, match="state 'q' is listed twice"):
+            m.validate()
+
+
 class TestRunSearch:
     def test_example_prefixes(self, ex1, ex1_apt):
         for d in range(9):

@@ -91,6 +91,25 @@ class TestStates:
         assert code == 0
         assert out.splitlines() == ["q0", "q1"]
 
+    def test_repeated_state_is_a_parse_error(self, tmp_path, capsys):
+        scheme = tmp_path / "loop.hors"
+        scheme.write_text(LOOP_HORS)
+        apt = tmp_path / "dup.apt"
+        apt.write_text(loop_apt_text(2).replace("states: q", "states: q q"))
+        code, out, err = run(["states", str(scheme), str(apt)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"{apt}:1:11: state 'q' listed twice\n"
+
+    def test_repeated_transition_is_a_parse_error(self, tmp_path, capsys):
+        scheme = tmp_path / "loop.hors"
+        scheme.write_text(LOOP_HORS)
+        apt = tmp_path / "dup.apt"
+        apt.write_text(loop_apt_text(2) + "  q a -> false\n")
+        code, out, err = run(["check", str(scheme), str(apt)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"{apt}:7:3: second transition for state 'q' and "
+                       "symbol 'a'\n")
+
 
 class TestUnfold:
     def test_prefix_s_expression(self, files, capsys):

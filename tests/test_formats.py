@@ -113,6 +113,19 @@ class TestAptFormat:
             parse_apt("states: q\ninitial: q\ndelta:\n  q a -> (1,q) /\\\n")
         assert e.value.line == 4
 
+    def test_repeated_state_positioned(self):
+        with pytest.raises(ParseError) as e:
+            parse_apt("states: q r\n  p q\ninitial: q\n")
+        assert (e.value.line, e.value.col) == (2, 5)
+        assert e.value.msg == "state 'q' listed twice"
+
+    def test_repeated_transition_positioned(self):
+        with pytest.raises(ParseError) as e:
+            parse_apt("states: q\ninitial: q\ndelta:\n  q a -> (1,q)\n"
+                      "  q b -> true\n  q a -> false\n")
+        assert (e.value.line, e.value.col) == (6, 3)
+        assert e.value.msg == "second transition for state 'q' and symbol 'a'"
+
     def test_colors_comma_or_newline(self):
         m = parse_apt("states: a b c\ninitial: a\ncolors:\n"
                       "  a -> 1, b -> 2\n  c -> 3\n")

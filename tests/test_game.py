@@ -8,8 +8,9 @@ from horsmc import (ADAM, AdamNode, Apt, ColorNode, EVE, EveNode,
                     ParityGame, Solution, SizeGuardExceeded, StateType,
                     accepted_states, build_game, check_adam_strategy,
                     check_eve_strategy, extract_scheme, run_search,
-                    solve_brute, to_dot, unfold, zielonka)
+                    Terminal, solve_brute, to_dot, unfold, zielonka)
 from horsmc.formats import print_annotated
+from horsmc.typecheck import DDelta
 from conftest import const_scheme, loop_apt, loop_scheme, order2_scheme, \
     order2_unary, random_game, solve_cached
 
@@ -80,18 +81,37 @@ class TestBuildGame:
     def test_select_output_is_pinned(self, ex1, ex1_apt):
         # Golden witnesses: the derivations behind Eve's strategy, however
         # they are built, must print these very schemes.
-        cases = [
-            (ex1, ex1_apt, "q0", "a3ad78816cc3ba6ee66ff23911b93514"
-                                 "811976face9dc17780a53fdedf5f862d"),
-            (ex1, ex1_apt, "q1", "de9376a20e66245c169d478e307c8ad5"
-                                 "1fc952472dccdfad2c33ef482da034e7"),
-            (*order2_unary(), "q", "5b7c88c3f48ec57d4c6b894cbadf87aa"
-                                   "2c42207df16731cd182a67dd286e9497"),
-        ]
-        for h, m, q, digest in cases:
+        for h, m, q, digest in select_pins(ex1, ex1_apt):
             _, sol = solve_cached(h, m, q)
             text = print_annotated(extract_scheme(h, m, sol, q))
             assert hashlib.sha256(text.encode()).hexdigest() == digest, q
+
+    def test_extraction_reads_the_game_alone(self, ex1, ex1_apt,
+                                             monkeypatch):
+        # Once the game is built, its Adam nodes carry every derivation
+        # extraction needs: no footprint search runs again.
+        pins = select_pins(ex1, ex1_apt)
+        solved = [solve_cached(h, m, q) for h, m, q, _ in pins]
+
+        def fail(*args, **kwargs):
+            raise AssertionError("rule_typings called during extraction")
+
+        monkeypatch.setattr("horsmc.typecheck.rule_typings", fail)
+        monkeypatch.setattr("horsmc.game.rule_typings", fail)
+        monkeypatch.setattr("horsmc.selection.rule_typings", fail,
+                            raising=False)
+        for (h, m, q, digest), (_, sol) in zip(pins, solved):
+            text = print_annotated(extract_scheme(h, m, sol, q))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, q
+
+    def test_derivation_is_invisible_to_equality(self):
+        ty = StateType("q")
+        bare = AdamNode("S", ty, ())
+        carrying = AdamNode("S", ty, (), DDelta(Terminal("c"), ty))
+        assert carrying.derivation is not None and bare.derivation is None
+        assert bare == carrying
+        assert hash(bare) == hash(carrying)
+        assert repr(bare) == repr(carrying)
 
     def test_solutions_are_pinned(self):
         # Golden solutions: regions and both strategies, nodes written as
@@ -105,6 +125,18 @@ class TestBuildGame:
                  for _ in range(50)]
         assert solution_digest([(g, zielonka(g)) for g in games]) == (
             "3c2ac2a3dfb46cfbefc52b2b384654a95cef25daeb52af6f913b5bb5513fd347")
+
+
+def select_pins(ex1, ex1_apt):
+    """(scheme, automaton, state, sha256 of the `select` text)."""
+    return [
+        (ex1, ex1_apt, "q0", "a3ad78816cc3ba6ee66ff23911b93514"
+                             "811976face9dc17780a53fdedf5f862d"),
+        (ex1, ex1_apt, "q1", "de9376a20e66245c169d478e307c8ad5"
+                             "1fc952472dccdfad2c33ef482da034e7"),
+        (*order2_unary(), "q", "5b7c88c3f48ec57d4c6b894cbadf87aa"
+                               "2c42207df16731cd182a67dd286e9497"),
+    ]
 
 
 def solution_digest(solved) -> str:

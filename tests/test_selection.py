@@ -1,9 +1,11 @@
 import pytest
 
-from horsmc import (ArrowType, EveNode, GROUND, StateType, Terminal,
-                    accepted_states, check_wellformed, colored_set,
-                    extract_scheme, format_tree, unfold, verify_runtree)
-from horsmc.selection import (LosingStart, annotated_sort, terminal_symbol)
+from horsmc import (ADAM, AdamNode, ArrowType, EVE, EveNode, GROUND,
+                    ParityGame, StateType, Terminal, accepted_states,
+                    check_wellformed, colored_set, extract_scheme,
+                    format_tree, unfold, verify_runtree, zielonka)
+from horsmc.selection import (LosingStart, ReconstructionError,
+                              annotated_sort, terminal_symbol)
 from horsmc.syntax import Arrow, arrow
 from conftest import (const_scheme, loop_apt, loop_scheme, order2_unary,
                       solve_cached)
@@ -41,6 +43,21 @@ class TestExtractScheme:
         h, m = loop_scheme(), loop_apt(1)
         with pytest.raises(LosingStart):
             extract_scheme(h, m, solve(h, m, "q"), "q")
+
+    def test_move_without_derivation_is_named(self):
+        # A game built from nodes alone, as the benchmark's synthetic games
+        # are, gives Eve a move that carries no derivation.
+        h, m = const_scheme()
+        eve = EveNode("S", StateType("q"))
+        adam = AdamNode("S", StateType("q"), ())
+        g = ParityGame((eve, adam), {eve: EVE, adam: ADAM},
+                       {eve: 1, adam: 1}, {eve: (adam,)}, eve)
+        sol = zielonka(g)
+        assert sol.strategy_eve == {eve: adam}
+        with pytest.raises(ReconstructionError) as e:
+            extract_scheme(h, m, sol, "q")
+        assert str(e.value) == (f"strategy move {adam} at {eve} carries no "
+                                "derivation")
 
     def test_example_witness_verifies_deeply(self, ex1, ex1_apt):
         sol = solve(ex1, ex1_apt, "q0")

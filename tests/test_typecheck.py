@@ -12,11 +12,11 @@ from horsmc import (App, Apt, Arrow, ArrowType, Atom, EPSILON, EveNode,
                     enumerate_types, format_itype, format_sort, format_term,
                     is_terminal_type, residual_env, rule_typings, subtype,
                     subtype_set)
-from horsmc.itypes import DEFAULT_ENUM_LIMIT, EMPTY_SET, cset_key, split_chain
+from horsmc.itypes import EMPTY_SET, cset_key, split_chain
 from horsmc.syntax import ground_sort
-from horsmc.typecheck import (DApp, Deriver, _FootprintSearch, _minimal,
-                              _SubsetIndex, _unions, assumptions_from,
-                              requirement_key)
+from horsmc.typecheck import (DApp, Deriver, PAIR_CAP, _FootprintSearch,
+                              _minimal, _SubsetIndex, _unions,
+                              assumptions_from, requirement_key)
 from conftest import (fixture_terms, grow_apt, grow_scheme, loop_apt,
                       loop_scheme, mutual_apt, mutual_scheme, order0_apt,
                       order0_instances, order0_scheme, order2_unary,
@@ -409,12 +409,12 @@ class PowersetSearch(_FootprintSearch):
         if not isinstance(t, App):
             return super()._search(t, target, c)
         options = self._argument_options(t, c)
-        if len(options) > self.pair_cap:
+        if len(options) > PAIR_CAP:
             raise SizeGuardExceeded(
                 f"candidate argument typings at `{format_term(t)}` in the "
                 f"rule of {self.rule}, argument sort "
                 f"{format_sort(self.sort_of(t.argument))}",
-                2 ** len(options), 2 ** self.pair_cap)
+                2 ** len(options), 2 ** PAIR_CAP)
         results = []
         emitted = _SubsetIndex()
         for k in range(len(options) + 1):
@@ -440,7 +440,7 @@ def reference_rule_typings(h, m, name, theta):
     arg_sets, result = split_chain(theta)
     sort_env = {**h.nonterminals, **dict(rule.binders)}
     var_env = {b: u for (b, _), u in zip(rule.binders, arg_sets)}
-    search = PowersetSearch(m, name, sort_env, var_env, DEFAULT_ENUM_LIMIT)
+    search = PowersetSearch(m, name, sort_env, var_env)
     out = [(assumptions_from(req), d)
            for req, d in search.search(rule.body, result, EPSILON)]
     out.sort(key=lambda du: tuple((n, cset_key(u)) for n, u in du[0]))
