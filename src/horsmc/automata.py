@@ -220,7 +220,7 @@ class Apt:
                 raise ValueError(f"transition for unknown state '{q}'")
             if a not in self.terminals:
                 raise ValueError(f"transition for unknown symbol '{a}'")
-            for d, q2 in atoms_of(f):
+            for d, q2 in sorted(atoms_of(f)):
                 if not 1 <= d <= self.terminals[a]:
                     raise ValueError(
                         f"direction {d} out of range for '{a}' "

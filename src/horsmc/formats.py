@@ -137,12 +137,18 @@ def parse_hors(text: str) -> Hors:
             if not name or not arity.isdigit():
                 raise ParseError("expected 'name : arity'", no,
                                  line.index(stripped) + 1)
+            if name in terminals:
+                raise ParseError(f"terminal '{name}' declared twice", no,
+                                 line.index(stripped) + 1)
             terminals[name] = int(arity)
         elif section == "nonterminals":
             name, _, sort_text = stripped.rpartition(":")
             name, sort_text = name.strip(), sort_text.strip()
             if not name or not sort_text:
                 raise ParseError("expected 'name : sort'", no,
+                                 line.index(stripped) + 1)
+            if name in nonterminals:
+                raise ParseError(f"nonterminal '{name}' declared twice", no,
                                  line.index(stripped) + 1)
             nonterminals[name] = parse_sort(sort_text, no)
         elif section == "start":
@@ -157,9 +163,13 @@ def parse_hors(text: str) -> Hors:
             if not head_tokens or any(t in "()" for t, _, _ in head_tokens):
                 raise ParseError("malformed rule head", no, 1)
             fname = head_tokens[0][0]
+            head_col = line.index(stripped) + head_tokens[0][2]
             if fname not in nonterminals:
                 raise ParseError(f"rule for undeclared nonterminal '{fname}'",
-                                 no, head_tokens[0][2])
+                                 no, head_col)
+            if fname in rules:
+                raise ParseError(f"second rule for nonterminal '{fname}'",
+                                 no, head_col)
             binder_names = [t for t, _, _ in head_tokens[1:]]
             sort = nonterminals[fname]
             binders = []
@@ -372,13 +382,14 @@ def _apt_entry(section: str, text: str, no: int, line: str,
                omega: dict, delta: dict, symbols: dict) -> None:
     col0 = line.index(text) + 1 if text in line else 1
     if section == "colors":
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
+        for entry in re.finditer(r"[^,\s][^,]*", text):
+            part = entry.group().rstrip()
             m = re.match(r"^([A-Za-z][A-Za-z0-9_]*)\s*->\s*(\d+)$", part)
             if not m:
                 raise ParseError("expected 'state -> color'", no, col0)
+            if m.group(1) in omega:
+                raise ParseError(f"second color for state '{m.group(1)}'",
+                                 no, col0 + entry.start())
             omega[m.group(1)] = int(m.group(2))
     else:
         m = re.match(r"^(\S+)\s+(\S+)\s*->\s*(.*)$", text)

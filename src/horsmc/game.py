@@ -115,6 +115,7 @@ def build_game(h: Hors, m: Apt, states=None,
     edges: dict = {}
     seen: set = set()
     queue: deque[GameNode] = deque()
+    memo: dict = {}  # one footprint search per rule, for all Eve nodes
 
     def push(v: GameNode) -> None:
         if v in seen:
@@ -136,7 +137,8 @@ def build_game(h: Hors, m: Apt, states=None,
         v = queue.popleft()
         if isinstance(v, EveNode):
             succs = [AdamNode(v.nonterminal, v.ty, delta, d)
-                     for delta, d in rule_typings(h, m, v.nonterminal, v.ty)]
+                     for delta, d in rule_typings(h, m, v.nonterminal, v.ty,
+                                                  memo)]
         elif isinstance(v, AdamNode):
             succs = [ColorNode(c, name, ty)
                      for name, u in v.assumption

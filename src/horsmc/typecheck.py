@@ -26,6 +26,13 @@ terminal head the search takes each argument's sets from the clauses of
 the transition formula, one per clause, as a terminal's denotation is the
 profiles covering a clause; under a variable or nonterminal head it tries
 every subset of the argument's options, and `PAIR_CAP` guards only there.
+
+The search is memoised on (subterm, type, color, view), the view being the
+color-residuals of the subterm's free variables' sets: all the search
+reads of its environment.  The environment is finite and residuals are
+few, so `build_game` shares one memo among all the Eve nodes of a game,
+and an Eve node whose sets differ only where a subterm does not look
+reuses that subterm's footprints (`_FootprintSearch` gives the argument).
 """
 
 from __future__ import annotations
@@ -433,6 +440,24 @@ class _FootprintSearch:
     transition formula (`_clause_subsets`).  Under a variable or a
     nonterminal every subset of the argument's options is tried, and
     `PAIR_CAP` bounds the number of options.
+
+    One search serves every binder environment of its rule (`rebind`), and
+    its memo, with the caches of free variables, sorts and residuals,
+    carries over.  The memo keys `search(t, target, c)` on
+    `(t, target, c, view)`, where `view` holds `residual_set(var_env[x], c)`
+    for the variables x free in t, in sorted order; a closed term's view is
+    `()`.  The key is sound because every read of `var_env` at color c goes
+    through that residual:
+
+    - the `Var` case reads the entries of color exactly c, which are the
+      residual's neutral-colored entries;
+    - `_argument_options` on a bare variable reads, for each c2, the
+      entries of color `cmax(c, c2)`, which are the residual's pairs at c2;
+    - a sub-search at `cmax(c, c2)` reads `residual(u, cmax(c, c2))`,
+      which is `residual(residual(u, c), c2)`.
+
+    Colored sets keep their pairs canonically sorted, so the options, and
+    with them every derivation, come in the same order under equal views.
     """
 
     def __init__(self, m: Apt, rule: str, sort_env: dict[str, SimpleType],
@@ -443,7 +468,21 @@ class _FootprintSearch:
         self.var_env = var_env
         self.cols = color_set(m)
         self._memo: dict = {}
+        self._views = False  # whether the memo keys carry views
+        self._free: dict = {}
         self._sorts: dict = {}
+        self._residuals: dict = {}
+
+    def rebind(self, var_env: TypeEnv) -> None:
+        """Search on under another environment of the rule's binders.
+        Under one environment the views add nothing to the key, so they are
+        computed only once a second one arrives; the entries made so far
+        are then keyed again under the environment they were made in."""
+        if var_env != self.var_env and not self._views:
+            self._views = True
+            self._memo = {self._key(*key): out
+                          for key, out in self._memo.items()}
+        self.var_env = var_env
 
     def sort_of(self, t: Term) -> SimpleType:
         s = self._sorts.get(t)
@@ -458,11 +497,26 @@ class _FootprintSearch:
         derivation types `t` in the `c`-residual of the rule environment:
         the binders' sets, the requirements, and empty sets for the other
         nonterminals."""
-        key = (t, target, c)
-        if key in self._memo:
-            return self._memo[key]
-        self._memo[key] = out = self._search(t, target, c)
+        key = self._key(t, target, c) if self._views else (t, target, c)
+        out = self._memo.get(key)
+        if out is None:
+            self._memo[key] = out = self._search(t, target, c)
         return out
+
+    def _key(self, t: Term, target: IType, c: Color) -> tuple:
+        """`(t, target, c)` followed by the view of `t` at `c`."""
+        names = self._free.get(t)
+        if names is None:
+            names = self._free[t] = tuple(sorted(free_vars(t)))
+        return (t, target, c, *[self.residual(self.var_env[x], c)
+                                for x in names])
+
+    def residual(self, u: ColoredSet, c: Color) -> ColoredSet:
+        """`residual_set(u, c)`, cached by the interned set and the color."""
+        r = self._residuals.get((u, c))
+        if r is None:
+            r = self._residuals[u, c] = residual_set(u, c, self.cols)
+        return r
 
     def _argument_options(self, t: App, c: Color, named=None):
         """Candidate (color, type, derivations) triples for the argument of
@@ -600,21 +654,30 @@ def _minimal(results):
     return [(req, first[req]) for req in minimal]
 
 
-def rule_typings(h: Hors, m: Apt, name: str, theta: IType
+def rule_typings(h: Hors, m: Apt, name: str, theta: IType,
+                 memo: dict | None = None
                  ) -> list[tuple[AssumptionMap, Derivation]]:
     """Minimal nonterminal assumption maps under which the rule body of
     `name` derives the result state of `theta`, with derivations.
 
-    `theta`'s argument sets type the rule binders positionally.
+    `theta`'s argument sets type the rule binders positionally.  The calls
+    that pass one `memo` dict share one footprint search per rule, kept
+    there under the rule's name; `h` and `m` must be the same in all of
+    them.
     """
     rule = h.rules[name]
     arg_sets, result = split_chain(theta)
     if len(arg_sets) != len(rule.binders):
         raise ValueError(f"type {theta!r} does not match the arity of '{name}'")
     var_env: TypeEnv = {b: u for (b, _), u in zip(rule.binders, arg_sets)}
-    sort_env: dict[str, SimpleType] = dict(h.nonterminals)
-    sort_env.update({b: s for b, s in rule.binders})
-    search = _FootprintSearch(m, name, sort_env, var_env)
+    if memo is None:
+        memo = {}
+    search = memo.get(name)
+    if search is None:
+        sort_env: dict[str, SimpleType] = dict(h.nonterminals)
+        sort_env.update({b: s for b, s in rule.binders})
+        search = memo[name] = _FootprintSearch(m, name, sort_env, var_env)
+    search.rebind(var_env)
     found = search.search(rule.body, result, EPSILON)
     out = [(assumptions_from(req), d) for req, d in found]
     out.sort(key=lambda du: tuple((n, cset_key(u)) for n, u in du[0]))

@@ -111,6 +111,28 @@ class TestStates:
                        "symbol 'a'\n")
 
 
+    def test_second_rule_is_a_parse_error(self, tmp_path, capsys):
+        # With the first rule kept the loop is rejected, with the second
+        # accepted; neither is silently dropped.
+        scheme = tmp_path / "dup.hors"
+        scheme.write_text(LOOP_HORS.replace("  a : 1\n", "  a : 1\n  c : 0\n")
+                          + "  F = c\n")
+        apt = tmp_path / "loop.apt"
+        apt.write_text(loop_apt_text(1))
+        code, out, err = run(["check", str(scheme), str(apt)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"{scheme}:11:3: second rule for nonterminal 'F'\n"
+
+    def test_second_color_is_a_parse_error(self, tmp_path, capsys):
+        scheme = tmp_path / "loop.hors"
+        scheme.write_text(LOOP_HORS)
+        apt = tmp_path / "dup.apt"
+        apt.write_text(loop_apt_text(1).replace("q -> 1", "q -> 1, q -> 2"))
+        code, out, err = run(["check", str(scheme), str(apt)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"{apt}:4:11: second color for state 'q'\n"
+
+
 class TestUnfold:
     def test_prefix_s_expression(self, files, capsys):
         _, scheme, _ = files
@@ -274,3 +296,20 @@ class TestDeterminism:
                 assert r.returncode == 0, (argv, seed, r.stderr)
             outs = {r.stdout for r in runs.values()}
             assert len(outs) == 1, (argv, outs)
+
+    def test_invalid_automaton_message_across_hash_seeds(self, tmp_path):
+        # Both atoms of delta(q, b) are out of range for the nullary `b`;
+        # the first one in (direction, state) order is reported.  Hash
+        # seeds 0 and 3 iterate the atom set in opposite orders.
+        scheme = tmp_path / "b.hors"
+        scheme.write_text("terminals:\n  b : 0\nnonterminals:\n  S : o\n"
+                          "start: S\nrules:\n  S = b\n")
+        apt = tmp_path / "b.apt"
+        apt.write_text("states: q\ninitial: q\ndelta:\n"
+                       "  q b -> (1,q) /\\ (2,q)\n")
+        runs = [run_subprocess(["check", str(scheme), str(apt)], seed)
+                for seed in (0, 3)]
+        for r in runs:
+            assert (r.returncode, r.stdout) == (2, "")
+            assert r.stderr == (f"{apt}: direction 1 out of range for 'b' "
+                                "(arity 0) in delta(q,b)\n")

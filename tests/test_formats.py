@@ -72,6 +72,32 @@ class TestHorsFormat:
             parse_hors("terminals:\n  c : 0\nnonterminals:\n  S : o\n"
                        "rules:\n  S = c\n")
 
+    def test_second_rule_positioned(self):
+        # Keeping either rule would change the verdict: `F = a F` is an
+        # infinite a-branch, `F = c` a leaf.
+        with pytest.raises(ParseError) as e:
+            parse_hors("terminals:\n  a : 1\n  c : 0\nnonterminals:\n"
+                       "  S : o\n  F : o\nstart: S\nrules:\n  S = F\n"
+                       "  F = a F\n  F = c\n")
+        assert (e.value.line, e.value.col) == (11, 3)
+        assert e.value.msg == "second rule for nonterminal 'F'"
+
+    def test_repeated_terminal_positioned(self):
+        with pytest.raises(ParseError) as e:
+            parse_hors("terminals:\n  a : 1\n  c : 0\n  a : 2\n"
+                       "nonterminals:\n  S : o\nstart: S\nrules:\n"
+                       "  S = a c\n")
+        assert (e.value.line, e.value.col) == (4, 3)
+        assert e.value.msg == "terminal 'a' declared twice"
+
+    def test_repeated_nonterminal_positioned(self):
+        with pytest.raises(ParseError) as e:
+            parse_hors("terminals:\n  c : 0\nnonterminals:\n  S : o\n"
+                       "  F : o\n  F : o -> o\nstart: S\nrules:\n"
+                       "  S = F\n  F = c\n")
+        assert (e.value.line, e.value.col) == (6, 3)
+        assert e.value.msg == "nonterminal 'F' declared twice"
+
 
 class TestAptFormat:
     def test_parse_example(self, ex1, ex1_apt):
@@ -125,6 +151,17 @@ class TestAptFormat:
                       "  q b -> true\n  q a -> false\n")
         assert (e.value.line, e.value.col) == (6, 3)
         assert e.value.msg == "second transition for state 'q' and symbol 'a'"
+
+    @pytest.mark.parametrize("colors, line, col", [
+        ("  q -> 1, q -> 2\n", 4, 11), ("  q -> 1\n  q -> 2\n", 5, 3)])
+    def test_second_color_positioned(self, colors, line, col):
+        # Keeping the later color 2 would accept the one-state a-loop that
+        # color 1 rejects.
+        with pytest.raises(ParseError) as e:
+            parse_apt("states: q\ninitial: q\ncolors:\n" + colors
+                      + "delta:\n  q a -> (1,q)\n")
+        assert (e.value.line, e.value.col) == (line, col)
+        assert e.value.msg == "second color for state 'q'"
 
     def test_colors_comma_or_newline(self):
         m = parse_apt("states: a b c\ninitial: a\ncolors:\n"

@@ -508,3 +508,79 @@ def test_head_directed_sets_match_powerset_under_partial_application(color):
                and any(isinstance(ty, ArrowType) for _, ty in v.ty.argument)
                for v in g.nodes)
     assert assert_matches_powerset(h, m, g) > 1
+
+
+# ---------------------------------------------------------------------------
+# One footprint memo per game, keyed by the residuals a subterm reads.
+
+def assert_shared_memo_matches_fresh(h, m, g, seed=0) -> int:
+    """At every Eve node of `g`, `rule_typings` through one memo shared by
+    all nodes equals `rule_typings` through a fresh memo, and so do the
+    moves `build_game` made there.  The nodes are visited in reverse and in
+    a seeded shuffle, so no entry depends on which node filled it."""
+    eves = [v for v in g.nodes if isinstance(v, EveNode)]
+    fresh = {v: rule_typings(h, m, v.nonterminal, v.ty) for v in eves}
+    for v in eves:
+        assert [(a.assumption, a.derivation)
+                for a in g.successors(v)] == fresh[v], v
+    shuffled = list(eves)
+    random.Random(seed).shuffle(shuffled)
+    for order in (eves[::-1], shuffled):
+        memo: dict = {}
+        for v in order:
+            assert rule_typings(h, m, v.nonterminal, v.ty, memo) == fresh[v], v
+    return len(eves)
+
+
+def test_shared_memo_matches_fresh_on_fixture_games(ex1, ex1_apt):
+    games = [(ex1, ex1_apt, "q0"), (ex1, ex1_apt, "q1"),
+             (loop_scheme(), loop_apt(1), "q"),
+             (loop_scheme(), loop_apt(2), "q"),
+             (mutual_scheme(), mutual_apt(), "p"),
+             (mutual_scheme(), mutual_apt(), "r"),
+             (grow_scheme(), grow_apt(), "q"),
+             (order2_unary_scheme(), order2_unary_apt(0), "q"),
+             (order2_unary_scheme(), order2_unary_apt(1), "q")]
+    for seed, (h, m, q) in enumerate(games):
+        g, _ = solve_cached(h, m, q)
+        assert assert_shared_memo_matches_fresh(h, m, g, seed) > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(order0_instances(), st.integers(0, 2 ** 16))
+def test_shared_memo_matches_fresh_on_order0_schemes(instance, seed):
+    rules, omega, delta = instance
+    h, m = order0_scheme(rules), order0_apt(omega, delta)
+    assert assert_shared_memo_matches_fresh(h, m, build_game(h, m), seed) > 0
+
+
+def test_shared_memo_searches_each_residual_once(monkeypatch):
+    # In `A f = b (f c) (A f)` the subterm `A f` reads f's set only through
+    # its 0-residual.  The 256 Eve nodes A : U -> q hold 256 sets U but
+    # only 16 distinct residuals, so one memo per game searches `A f` 16
+    # times, where a fresh memo per node searches it 256 times.
+    h, m = order2_unary_scheme(), order2_unary_apt(0)
+    calls: dict = {}
+    search = _FootprintSearch._search
+
+    def counting(self, t, target, c):
+        calls[t] = calls.get(t, 0) + 1
+        return search(self, t, target, c)
+
+    monkeypatch.setattr(_FootprintSearch, "_search", counting)
+    g = build_game(h, m)
+    a_f = apply(NonTerminal("A"), Var("f"))
+    assert calls[a_f] == 16
+    calls.clear()
+    for v in g.nodes:
+        if isinstance(v, EveNode):
+            rule_typings(h, m, v.nonterminal, v.ty)
+    assert calls[a_f] == 256
+
+
+def test_build_game_adds_no_attribute(ex1, ex1_apt):
+    for h, m in [(ex1, ex1_apt), (order2_unary_scheme(), order2_unary_apt(0)),
+                 (grow_scheme(), grow_apt())]:
+        before = (set(vars(h)), set(vars(m)))
+        build_game(h, m)
+        assert (set(vars(h)), set(vars(m))) == before
