@@ -8,9 +8,9 @@ listening-loop scheme, looks at finite prefixes of its tree, and round-trips
 the scheme through the lambda-calculus-with-fixpoints presentation.
 """
 
-from horsmc import (bohm_tree, check_wellformed, format_term, format_tree,
-                    from_lambda_y, to_lambda_y, unfold)
+from horsmc import check_wellformed, format_term, format_tree, unfold
 from horsmc.formats import parse_hors, print_hors
+from horsmc.oracles import bohm_tree, from_lambda_y, to_lambda_y
 
 SCHEME = """\
 # Main calls Listen on an empty stack; Listen either stops reading

@@ -8,11 +8,11 @@ the checker interprets every simple sort as a finite preorder built from
 states and colored sets; this script pokes at both layers.
 """
 
-from horsmc import (EPSILON, box_color, color_set, colored_set, dnf,
-                    enumerate_types, format_itype, is_terminal_type,
-                    run_search, satisfies, sorted_dnf, subtype, unfold,
-                    ArrowType, StateType, GROUND, Arrow)
+from horsmc import (EPSILON, color_set, colored_set, enumerate_types,
+                    format_itype, is_terminal_type, satisfies, sorted_dnf,
+                    subtype, unfold, ArrowType, StateType, GROUND, Arrow)
 from horsmc.formats import parse_apt, parse_hors
+from horsmc.oracles import box_color, run_search
 
 APT = """\
 states: q0 q1

@@ -10,8 +10,9 @@ play exactly when the maximal recurring priority is even.
 """
 
 from horsmc import (EveNode, StateType, accepted_states, build_game,
-                    check_eve_strategy, solve_brute, to_dot, zielonka)
+                    check_eve_strategy, to_dot, zielonka)
 from horsmc.formats import parse_apt, parse_hors
+from horsmc.oracles import solve_brute
 
 SCHEME = """\
 terminals:

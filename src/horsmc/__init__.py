@@ -4,15 +4,13 @@ sequents, with extraction of schemes generating accepting run-trees."""
 
 from .automata import (Apt, Atom, Clause, ColoredProfile, EPSILON, FALSE,
                        Formula, TRUE, FAnd, FOr, atoms_of, cmax, color_key,
-                       color_set, conj, disj, dnf, eval_formula,
-                       format_color, format_formula, run_search, satisfies,
-                       sorted_dnf)
+                       color_set, conj, disj, dnf, format_color,
+                       format_formula, satisfies, sorted_dnf)
 from .game import (ADAM, AdamNode, ColorNode, EVE, EveNode, GameNode,
                    ParityGame, Solution, accepted_states, build_game,
-                   check_adam_strategy, check_eve_strategy, solve_brute,
-                   to_dot, zielonka)
+                   check_adam_strategy, check_eve_strategy, to_dot, zielonka)
 from .itypes import (ArrowType, ColoredSet, IType, SizeGuardExceeded,
-                     StateType, box_color, colored_set, count_types,
+                     StateType, colored_set, count_types,
                      enumerate_colored_sets, enumerate_types, format_itype,
                      is_terminal_type, subtype, subtype_set)
 from .selection import (AnnotatedHors, RunReport, extract_scheme,
@@ -20,8 +18,6 @@ from .selection import (AnnotatedHors, RunReport, extract_scheme,
 from .syntax import (App, Arrow, BOTTOM, Fix, GROUND, Ground, Hors,
                      IllFormedScheme, Lam, NonTerminal, Rule, SimpleType,
                      Term, Terminal, TreePrefix, UnresolvedWithinBudget, Var,
-                     apply, arrow, bohm_tree, check_wellformed, format_sort,
-                     format_term, format_tree, from_lambda_y, is_prefix_of,
-                     order, to_lambda_y, unfold)
-from .typecheck import (Derivation, TypeEnv, check_derivation, denotation,
-                        derive, residual_env, rule_typings)
+                     apply, arrow, check_wellformed, format_sort,
+                     format_term, format_tree, order, unfold)
+from .typecheck import Derivation, TypeEnv, rule_typings

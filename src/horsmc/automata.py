@@ -2,17 +2,14 @@
 
 Transitions are positive boolean formulas over (direction, state) atoms;
 states carry a priority (color).  Alongside the automaton structure this
-module provides disjunctive normal forms, the satisfaction relation between
-colored profiles and transition formulas, and a finite-prefix run search
-used as a per-depth acceptance oracle.
+module provides disjunctive normal forms and the satisfaction relation
+between colored profiles and transition formulas.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-
-from .syntax import TreePrefix
 
 
 # ---------------------------------------------------------------------------
@@ -135,19 +132,6 @@ def atoms_of(f: Formula) -> frozenset[tuple[int, str]]:
     return frozenset()
 
 
-def eval_formula(f: Formula, truth: frozenset[tuple[int, str]]) -> bool:
-    """Evaluate under a set of atoms taken to be true."""
-    if isinstance(f, FTrue):
-        return True
-    if isinstance(f, FFalse):
-        return False
-    if isinstance(f, Atom):
-        return (f.direction, f.state) in truth
-    if isinstance(f, FAnd):
-        return eval_formula(f.left, truth) and eval_formula(f.right, truth)
-    return eval_formula(f.left, truth) or eval_formula(f.right, truth)
-
-
 Clause = frozenset[tuple[int, str]]
 
 
@@ -256,33 +240,3 @@ def satisfies(alpha: ColoredProfile, q: str, a: str, m: Apt) -> bool:
         if all((m.omega[q2], q2) in alpha[k - 1] for k, q2 in clause):
             return True
     return False
-
-
-# ---------------------------------------------------------------------------
-# Finite-prefix run search
-
-def run_search(m: Apt, t: TreePrefix, q: str) -> bool:
-    """Is there a finite run over the prefix from state q?
-
-    Unresolved leaves accept unconditionally; the parity condition is
-    ignored, so this is only a per-depth oracle (exact for automata whose
-    colors make every infinite run accepting).
-    """
-    memo: dict[tuple[int, str], bool] = {}
-
-    def visit(node: TreePrefix, p: str) -> bool:
-        if node.is_bottom:
-            return True
-        key = (id(node), p)
-        if key in memo:
-            return memo[key]
-        memo[key] = False  # cycles impossible on a finite tree; guard anyway
-        ok = False
-        for clause in dnf(m.delta_of(p, node.label)):
-            if all(visit(node.children[k - 1], q2) for k, q2 in clause):
-                ok = True
-                break
-        memo[key] = ok
-        return ok
-
-    return visit(t, q)

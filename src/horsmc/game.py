@@ -1,4 +1,4 @@
-"""Finite parity game built from typing sequents, and two solvers.
+"""Finite parity game built from typing sequents, and its solver.
 
 The game has three node layers: at an Eve node the prover picks an
 assumption map under which the nonterminal's rule body is derivable; at an
@@ -8,12 +8,11 @@ corresponding Eve node.  Infinite plays thus follow infinite branches of a
 derivation tree with fixpoint unfoldings, and the parity condition encodes
 the winning condition on colors.
 
-`zielonka` is the production solver (attractor recursion, memoryless
-strategies for both players).  It works on integer node indices and keeps
-its recursion on an explicit stack, so Python's recursion limit bounds no
-game.  `solve_brute` enumerates strategy pairs and is kept as a testing
-oracle for small games.  `check_eve_strategy` and `check_adam_strategy`
-check either player's strategy by graph traversal alone.
+`zielonka` solves it (attractor recursion, memoryless strategies for both
+players).  It works on integer node indices and keeps its recursion on an
+explicit stack, so Python's recursion limit bounds no game.
+`check_eve_strategy` and `check_adam_strategy` check either player's
+strategy by graph traversal alone.
 """
 
 from __future__ import annotations
@@ -99,10 +98,10 @@ def node_priority(v: GameNode) -> int:
     return 1
 
 
-def build_game(h: Hors, m: Apt, states=None,
-               node_limit: int = DEFAULT_NODE_LIMIT) -> ParityGame:
+def build_game(h: Hors, m: Apt, states=None) -> ParityGame:
     """Reachable sequent game seeded at the start symbol in the given states
-    (all automaton states by default)."""
+    (all automaton states by default), of at most `DEFAULT_NODE_LIMIT`
+    nodes."""
     require_wellformed(h)
     m.validate()
     if states is None:
@@ -120,11 +119,11 @@ def build_game(h: Hors, m: Apt, states=None,
     def push(v: GameNode) -> None:
         if v in seen:
             return
-        if len(seen) >= node_limit:
+        if len(seen) >= DEFAULT_NODE_LIMIT:
             raise SizeGuardExceeded(
                 f"game nodes (refused {type(v).__name__} {v.nonterminal} : "
                 f"{format_itype(v.ty)})",
-                len(seen) + 1, node_limit)
+                len(seen) + 1, DEFAULT_NODE_LIMIT)
         seen.add(v)
         nodes.append(v)
         owner[v] = ADAM if isinstance(v, AdamNode) else EVE
@@ -271,82 +270,6 @@ def zielonka(g: ParityGame) -> Solution:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force solver (testing oracle)
-
-BRUTE_NODE_LIMIT = 12
-
-
-def _play_winner(g: ParityGame, start, choice: dict) -> str:
-    seen_at: dict = {}
-    path = []
-    v = start
-    while True:
-        if v in seen_at:
-            cycle = path[seen_at[v]:]
-            top = max(g.priority[u] for u in cycle)
-            return EVE if top % 2 == 0 else ADAM
-        seen_at[v] = len(path)
-        path.append(v)
-        nxt = choice.get(v)
-        if nxt is None:
-            return ADAM if g.owner[v] == EVE else EVE  # stuck owner loses
-        v = nxt
-
-
-def solve_brute(g: ParityGame) -> Solution:
-    """Exhaustive enumeration of memoryless strategy pairs."""
-    if len(g.nodes) > BRUTE_NODE_LIMIT:
-        raise SizeGuardExceeded("brute-force game nodes", len(g.nodes),
-                                BRUTE_NODE_LIMIT)
-    import itertools
-
-    def strategies(player: str):
-        owned = [v for v in g.nodes
-                 if g.owner[v] == player and g.successors(v)]
-        pools = [tuple(dict.fromkeys(g.successors(v))) for v in owned]
-        for pick in itertools.product(*pools):
-            yield dict(zip(owned, pick))
-
-    eve_strats = list(strategies(EVE))
-    adam_strats = list(strategies(ADAM))
-
-    def eve_wins_with(e: dict) -> set:
-        result = set(g.nodes)
-        for a in adam_strats:
-            choice = {**e, **a}
-            result = {v for v in result if _play_winner(g, v, choice) == EVE}
-            if not result:
-                break
-        return result
-
-    win_sets = [eve_wins_with(e) for e in eve_strats]
-    win_eve = set().union(*win_sets) if win_sets else set()
-    win_adam = set(g.nodes) - win_eve
-    strategy_eve = {}
-    for e, ws in zip(eve_strats, win_sets):
-        if ws == win_eve:
-            strategy_eve = {v: w for v, w in e.items() if v in win_eve}
-            break
-
-    def adam_wins_with(a: dict) -> set:
-        result = set(g.nodes)
-        for e in eve_strats:
-            choice = {**e, **a}
-            result = {v for v in result if _play_winner(g, v, choice) == ADAM}
-            if not result:
-                break
-        return result
-
-    strategy_adam = {}
-    for a in adam_strats:
-        if adam_wins_with(a) == win_adam:
-            strategy_adam = {v: w for v, w in a.items() if v in win_adam}
-            break
-    return Solution(frozenset(win_eve), frozenset(win_adam),
-                    strategy_eve, strategy_adam)
-
-
-# ---------------------------------------------------------------------------
 # Strategy self-check and acceptance
 
 def _sccs(vertices: list, succs) -> list[list]:
@@ -470,14 +393,14 @@ def node_label(v: GameNode) -> str:
             f"{format_itype(v.ty)}")
 
 
-def to_dot(g: ParityGame, label=node_label) -> str:
+def to_dot(g: ParityGame) -> str:
     """Graphviz rendering: Eve nodes are ellipses, Adam nodes boxes; every
     label carries the node's priority."""
     ids = {v: f"n{i}" for i, v in enumerate(g.nodes)}
     lines = ["digraph game {", "  node [fontname=\"monospace\"];"]
     for v in g.nodes:
         shape = "box" if g.owner[v] == ADAM else "ellipse"
-        text = f"{label(v)}\\np={g.priority[v]}"
+        text = f"{node_label(v)}\\np={g.priority[v]}"
         extra = " penwidth=2" if v == g.initial else ""
         lines.append(f"  {ids[v]} [label=\"{text}\", shape={shape}{extra}];")
     for v in g.nodes:

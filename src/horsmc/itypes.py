@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import functools
 
-from .automata import (Apt, Color, cmax, color_key, color_set,
-                       format_color, satisfies)
+from .automata import (Apt, Color, color_key, color_set, format_color,
+                       satisfies)
 from .syntax import Ground, SimpleType, format_sort
 
 
@@ -222,11 +222,6 @@ def subtype(a: IType, b: IType) -> bool:
 def subtype_set(u: ColoredSet, v: ColoredSet) -> bool:
     """Every (c, a) of u is dominated by some (c, b) of v with the same color."""
     return all(any(c2 == c and subtype(a, b) for c2, b in v) for c, a in u)
-
-
-def box_color(c: Color, u: ColoredSet) -> ColoredSet:
-    """Raise every pair's color to at least c (the context coloring)."""
-    return colored_set((cmax(c, ci), t) for ci, t in u)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,10 @@
 """Decision procedure for the colored intersection type system.
 
-`derive` runs a syntax-directed backward search over abstraction-free terms
-(or a top-level abstraction spine) and returns a locally correct derivation
-tree when the sequent is provable.  Instead of existentially splitting
-contexts at applications, the search propagates the color-residual of a
-fixed environment; weakening admissibility (denotations are downward
-closed) makes this equivalent, and the equivalence is tested against a
-literal context-splitting implementation kept in the test suite.
-
 A derivation node records its subject, its type and the rule's choices,
 not its environment: the environment of every node follows from the root
 sequent's, since an argument under a box of color c sits in the c-residual
-and a lambda body in the extension by its binder.  `check_derivation` is
-given the root environment and replays that rule.
-
-`denotation` computes the full finite typing relation bottom-up, serving as
-the brute-force counterpart that the backward search is checked against.
+of its application's.  The reference search and derivation checker are in
+`oracles`.
 
 `rule_typings` enumerates, for a nonterminal typed against a rule body, the
 minimal assumption maps on nonterminals under which the body is derivable,
@@ -42,12 +31,10 @@ from dataclasses import dataclass
 
 from .automata import Apt, Color, EPSILON, cmax, color_key, color_set, dnf
 from .itypes import (ArrowType, ColoredSet, IType, SizeGuardExceeded,
-                     StateType, colored_set, cset_key, enumerate_colored_sets,
-                     enumerate_types, is_terminal_type, split_chain,
-                     subtype, type_key)
-from .syntax import (App, Fix, Hors, Lam, NonTerminal, SimpleType,
-                     Term, Terminal, Var, format_sort, format_term, free_vars,
-                     ground_sort, infer_sort, nonterminals_of, spine)
+                     StateType, colored_set, cset_key, enumerate_types,
+                     is_terminal_type, split_chain, subtype, type_key)
+from .syntax import (App, Hors, NonTerminal, SimpleType, Term, Terminal, Var,
+                     format_sort, format_term, free_vars, infer_sort, spine)
 
 TypeEnv = dict[str, ColoredSet]
 
@@ -63,10 +50,6 @@ def residual_set(u: ColoredSet, c: Color, cols) -> ColoredSet:
             if cmax(c, c2) == d:
                 out.append((c2, t))
     return colored_set(out)
-
-
-def residual_env(env: TypeEnv, c: Color, cols) -> TypeEnv:
-    return {x: residual_set(u, c, cols) for x, u in env.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -94,257 +77,7 @@ class DApp:
     arguments: tuple["Derivation", ...]  # aligned with chosen.pairs
 
 
-@dataclass(frozen=True)
-class DLam:
-    term: Term
-    target: IType
-    body: "Derivation"
-
-
-Derivation = DAx | DDelta | DApp | DLam
-
-
-def check_derivation(d: Derivation, m: Apt, env: TypeEnv) -> bool:
-    """Independent local-correctness check of every rule instance, with the
-    root sequent in `env`.  An argument under a box of color c sits in the
-    c-residual of its application's environment; a lambda body sits in its
-    abstraction's environment extended with the binder."""
-    cols = color_set(m)
-
-    def check(node: Derivation, env: TypeEnv) -> bool:
-        if isinstance(node, DAx):
-            name = (node.term.name if isinstance(node.term, (Var, NonTerminal))
-                    else None)
-            if name is None or name not in env:
-                return False
-            return ((EPSILON, node.used) in env[name]
-                    and subtype(node.target, node.used))
-        if isinstance(node, DDelta):
-            if not isinstance(node.term, Terminal):
-                return False
-            return is_terminal_type(node.term.symbol, node.target, m)
-        if isinstance(node, DApp):
-            if not isinstance(node.term, App):
-                return False
-            fn = node.function
-            if fn.term != node.term.function:
-                return False
-            if fn.target != ArrowType(node.chosen, node.target):
-                return False
-            if len(node.arguments) != len(node.chosen.pairs):
-                return False
-            for (c, beta), arg in zip(node.chosen.pairs, node.arguments):
-                if arg.term != node.term.argument or arg.target != beta:
-                    return False
-                if not check(arg, residual_env(env, c, cols)):
-                    return False
-            return check(fn, env)
-        if isinstance(node, DLam):
-            if not isinstance(node.term, Lam):
-                return False
-            if not isinstance(node.target, ArrowType):
-                return False
-            if node.body.target != node.target.result:
-                return False
-            return check(node.body,
-                         {**env, node.term.binder: node.target.argument})
-        return False
-
-    return check(d, env)
-
-
-# ---------------------------------------------------------------------------
-# Backward search
-
-class Deriver:
-    """Reusable backward-search context (shared memo tables)."""
-
-    def __init__(self, m: Apt, sort_env: dict[str, SimpleType]):
-        self.m = m
-        self.sort_env = dict(sort_env)
-        self.cols = color_set(m)
-        self._memo: dict = {}
-        self._sorts: dict = {}
-
-    def sort_of(self, t: Term) -> SimpleType:
-        s = self._sorts.get(t)
-        if s is None:
-            s = infer_sort(t, self.sort_env, self.sort_env, self.m.terminals)
-            self._sorts[t] = s
-        return s
-
-    def derive(self, env: TypeEnv, t: Term, target: IType) -> Derivation | None:
-        if isinstance(t, Lam):
-            if not isinstance(target, ArrowType):
-                return None
-            inner_env = dict(env)
-            inner_env[t.binder] = target.argument
-            sub = Deriver(self.m, {**self.sort_env, t.binder: t.binder_sort})
-            body = sub.derive(inner_env, t.body, target.result)
-            if body is None:
-                return None
-            return DLam(t, target, body)
-        if isinstance(t, Fix):
-            raise ValueError("fixpoints are handled by the game, not derive")
-        return self._derive(env, t, target)
-
-    def _derive(self, env: TypeEnv, t: Term, target: IType) -> Derivation | None:
-        needed = sorted(free_vars(t) | nonterminals_of(t))
-        for x in needed:
-            if x not in env:
-                raise KeyError(f"free name '{x}' not covered by the environment")
-        key = (t, tuple((x, env[x]) for x in needed), target)
-        if key in self._memo:
-            return self._memo[key]
-        result = self._derive_uncached(env, t, target)
-        self._memo[key] = result
-        return result
-
-    def _derive_uncached(self, env: TypeEnv, t: Term,
-                         target: IType) -> Derivation | None:
-        if isinstance(t, (Var, NonTerminal)):
-            u = env[t.name]
-            for c, alpha in u.pairs:
-                if isinstance(c, type(EPSILON)) and subtype(target, alpha):
-                    return DAx(t, target, alpha)
-            return None
-        if isinstance(t, Terminal):
-            if is_terminal_type(t.symbol, target, self.m):
-                return DDelta(t, target)
-            return None
-        assert isinstance(t, App)
-        sigma = self.sort_of(t.argument)
-        pairs: list[tuple[Color, IType, Derivation]] = []
-        for c in self.cols:
-            env_c = residual_env(env, c, self.cols)
-            for beta in enumerate_types(sigma, self.m):
-                sub = self._derive(env_c, t.argument, beta)
-                if sub is not None:
-                    pairs.append((c, beta, sub))
-        chosen = colored_set((c, beta) for c, beta, _ in pairs)
-        by_pair = {(c, beta): d for c, beta, d in pairs}
-        fn = self._derive(env, t.function, ArrowType(chosen, target))
-        if fn is None:
-            return None
-        args = tuple(by_pair[p] for p in chosen.pairs)
-        return DApp(t, target, chosen, fn, args)
-
-
-def derive(env: TypeEnv, t: Term, target: IType, m: Apt,
-           sort_env: dict[str, SimpleType]) -> Derivation | None:
-    """Backward proof search; None when the sequent is not provable."""
-    return Deriver(m, sort_env).derive(env, t, target)
-
-
-# ---------------------------------------------------------------------------
-# Bottom-up denotation (brute-force counterpart of `derive`)
-
-def denotation(t: Term, sorts: dict[str, SimpleType], m: Apt,
-               spaces: dict[str, list[ColoredSet]] | None = None
-               ) -> set[tuple[tuple[ColoredSet, ...], IType]]:
-    """The full finite relation between environments and result types.
-
-    The environment tuples follow the iteration order of `sorts`.  Fixpoint
-    constructors are not admitted here.  When a variable's colored-set space
-    is too large to enumerate, `spaces` may restrict it to a candidate list;
-    the relation is then computed over that subspace (internally closed
-    under color residuals, which the application rule consumes).
-    """
-    names = list(sorts)
-    cols = color_set(m)
-    spaces = spaces or {}
-
-    def var_space(x: str, sort: SimpleType) -> list[ColoredSet]:
-        base = spaces.get(x)
-        if base is None:
-            return enumerate_colored_sets(sort, m)
-        closed = list(dict.fromkeys(
-            list(base) + [residual_set(u, c, cols) for u in base
-                          for c in cols]))
-        return closed
-
-    def compute(term: Term, scope: dict[str, SimpleType]):
-        """Returns (support names tuple, set of (support env tuple, type))."""
-        if isinstance(term, Fix):
-            raise ValueError("fixpoints are not admitted in denotation")
-        if isinstance(term, (Var, NonTerminal)):
-            x = term.name
-            if x not in scope:
-                raise KeyError(f"free name '{x}' has no declared sort")
-            entries = set()
-            for u in var_space(x, scope[x]):
-                for alpha in enumerate_types(scope[x], m):
-                    if any(isinstance(c, type(EPSILON)) and subtype(alpha, a2)
-                           for c, a2 in u):
-                        entries.add(((u,), alpha))
-            return (x,), entries
-        if isinstance(term, Terminal):
-            chain = ground_sort(m.terminals[term.symbol])
-            entries = {((), theta)
-                       for theta in enumerate_types(chain, m)
-                       if is_terminal_type(term.symbol, theta, m)}
-            return (), entries
-        if isinstance(term, Lam):
-            inner_scope = dict(scope)
-            inner_scope[term.binder] = term.binder_sort
-            sup_m, d_m = compute(term.body, inner_scope)
-            sup = tuple(x for x in sup_m if x != term.binder)
-            entries = set()
-            if term.binder in sup_m:
-                i = sup_m.index(term.binder)
-                for envt, r in d_m:
-                    rest = envt[:i] + envt[i + 1:]
-                    entries.add((rest, ArrowType(envt[i], r)))
-            else:
-                for u in enumerate_colored_sets(term.binder_sort, m):
-                    for envt, r in d_m:
-                        entries.add((envt, ArrowType(u, r)))
-            return sup, entries
-        assert isinstance(term, App)
-        sup_f, d_f = compute(term.function, scope)
-        sup_a, d_a = compute(term.argument, scope)
-        sup = tuple(sorted(set(sup_f) | set(sup_a)))
-        # Index the function relation by (env, result) -> argument sets.
-        by_result: dict = {}
-        for envt, theta in d_f:
-            if isinstance(theta, ArrowType):
-                by_result.setdefault((envt, theta.result), []).append(theta.argument)
-        env_spaces = [var_space(x, scope_of(x, scope)) for x in sup]
-        result_sort_ = result_sort_of(term, scope)
-        targets = enumerate_types(result_sort_, m)
-        entries = set()
-        for envt in itertools.product(*env_spaces):
-            env = dict(zip(sup, envt))
-            env_f = tuple(env[x] for x in sup_f)
-            env_a = {x: env[x] for x in sup_a}
-            residuals = {c: tuple(residual_set(env_a[x], c, cols) for x in sup_a)
-                         for c in cols}
-            for alpha in targets:
-                for u in by_result.get((env_f, alpha), ()):
-                    if all((residuals[c], beta) in d_a for c, beta in u.pairs):
-                        entries.add((envt, alpha))
-                        break
-        return sup, entries
-
-    def scope_of(x: str, scope: dict[str, SimpleType]) -> SimpleType:
-        return scope[x]
-
-    def result_sort_of(term: Term, scope: dict[str, SimpleType]) -> SimpleType:
-        return infer_sort(term, scope, scope, m.terminals)
-
-    support, dset = compute(t, dict(sorts))
-    final_spaces = [spaces.get(x) or enumerate_colored_sets(sorts[x], m)
-                    for x in names]
-    out = set()
-    index = [names.index(x) for x in support]
-    by_key: dict = {}
-    for sup_env, alpha in dset:
-        by_key.setdefault(sup_env, []).append(alpha)
-    for envt in itertools.product(*final_spaces):
-        key = tuple(envt[i] for i in index)
-        for alpha in by_key.get(key, ()):
-            out.add((envt, alpha))
-    return out
+Derivation = DAx | DDelta | DApp
 
 
 # ---------------------------------------------------------------------------
@@ -654,8 +387,7 @@ def _minimal(results):
     return [(req, first[req]) for req in minimal]
 
 
-def rule_typings(h: Hors, m: Apt, name: str, theta: IType,
-                 memo: dict | None = None
+def rule_typings(h: Hors, m: Apt, name: str, theta: IType, memo: dict
                  ) -> list[tuple[AssumptionMap, Derivation]]:
     """Minimal nonterminal assumption maps under which the rule body of
     `name` derives the result state of `theta`, with derivations.
@@ -663,15 +395,13 @@ def rule_typings(h: Hors, m: Apt, name: str, theta: IType,
     `theta`'s argument sets type the rule binders positionally.  The calls
     that pass one `memo` dict share one footprint search per rule, kept
     there under the rule's name; `h` and `m` must be the same in all of
-    them.
+    them.  A fresh `{}` searches from scratch.
     """
     rule = h.rules[name]
     arg_sets, result = split_chain(theta)
     if len(arg_sets) != len(rule.binders):
         raise ValueError(f"type {theta!r} does not match the arity of '{name}'")
     var_env: TypeEnv = {b: u for (b, _), u in zip(rule.binders, arg_sets)}
-    if memo is None:
-        memo = {}
     search = memo.get(name)
     if search is None:
         sort_env: dict[str, SimpleType] = dict(h.nonterminals)

@@ -10,11 +10,11 @@ import time
 
 from horsmc import (Arrow, GROUND, StateType, accepted_states, build_game,
                     check_adam_strategy, check_eve_strategy, colored_set,
-                    denotation, enumerate_colored_sets, enumerate_types,
-                    extract_scheme, run_search, solve_brute, subtype,
-                    subtype_set, unfold, verify_runtree, zielonka, EveNode)
+                    enumerate_colored_sets, enumerate_types, extract_scheme,
+                    subtype, subtype_set, unfold, verify_runtree, zielonka,
+                    EveNode)
 from horsmc.cli import main as cli_main
-from horsmc.typecheck import Deriver
+from horsmc.oracles import Deriver, denotation, run_search, solve_brute
 from conftest import (cli_env, const_scheme, fixture_terms, loop_apt,
                       loop_scheme, order2_unary, random_game, solve_cached)
 from test_formats import EX1_APT, EX1_HORS

@@ -5,7 +5,8 @@ import pytest
 
 from horsmc import (Apt, Atom, BOTTOM, EPSILON, FALSE, FAnd, FOr, TRUE,
                     TreePrefix, cmax, color_key, color_set, conj, disj, dnf,
-                    eval_formula, run_search, satisfies, unfold)
+                    satisfies, unfold)
+from horsmc.oracles import eval_formula, run_search
 from conftest import loop_apt
 
 

@@ -1,4 +1,3 @@
-import functools
 import subprocess
 import sys
 
@@ -258,8 +257,7 @@ class TestSizeGuard:
     def test_node_guard_names_the_refused_node(self, files, capsys,
                                                monkeypatch):
         _, scheme, apt = files
-        monkeypatch.setattr(cli, "build_game",
-                            functools.partial(game.build_game, node_limit=3))
+        monkeypatch.setattr(game, "DEFAULT_NODE_LIMIT", 3)
         code, _, err = run(["check", scheme, apt, "-q", "q0"], capsys)
         assert code == 3
         assert err == ("size guard: game nodes (refused AdamNode S : q0): "

@@ -7,9 +7,11 @@ import pytest
 from horsmc import (ADAM, AdamNode, Apt, ColorNode, EVE, EveNode,
                     ParityGame, Solution, SizeGuardExceeded, StateType,
                     accepted_states, build_game, check_adam_strategy,
-                    check_eve_strategy, extract_scheme, run_search,
-                    Terminal, solve_brute, to_dot, unfold, zielonka)
+                    check_eve_strategy, extract_scheme, Terminal, to_dot,
+                    unfold, zielonka)
+from horsmc import game
 from horsmc.formats import print_annotated
+from horsmc.oracles import run_search, solve_brute
 from horsmc.typecheck import DDelta
 from conftest import const_scheme, loop_apt, loop_scheme, order2_scheme, \
     order2_unary, random_game, solve_cached
@@ -65,9 +67,10 @@ class TestBuildGame:
         assert s1.win_eve == s2.win_eve
         assert s1.strategy_eve == s2.strategy_eve
 
-    def test_node_limit_guard(self, ex1, ex1_apt):
+    def test_node_limit_guard(self, ex1, ex1_apt, monkeypatch):
+        monkeypatch.setattr(game, "DEFAULT_NODE_LIMIT", 5)
         with pytest.raises(SizeGuardExceeded):
-            build_game(ex1, ex1_apt, node_limit=5)
+            build_game(ex1, ex1_apt)
 
     def test_order2_unary_game_is_pinned(self):
         # Golden game: a faster footprint search must build this very game.

@@ -4,10 +4,11 @@ import random
 import pytest
 
 from horsmc import (Arrow, ArrowType, EPSILON, GROUND, SizeGuardExceeded,
-                    StateType, box_color, cmax, colored_set,
-                    count_types, enumerate_colored_sets, enumerate_types,
+                    StateType, cmax, colored_set, count_types,
+                    enumerate_colored_sets, enumerate_types,
                     is_terminal_type, subtype, subtype_set)
 from horsmc.itypes import EMPTY_SET
+from horsmc.oracles import box_color
 from conftest import loop_apt
 
 Q0, Q1 = StateType("q0"), StateType("q1")

@@ -2,8 +2,8 @@ import pytest
 
 from horsmc import (Arrow, BOTTOM, Fix, GROUND, Hors, Lam, NonTerminal, Rule,
                     Terminal, TreePrefix, UnresolvedWithinBudget, Var, apply,
-                    bohm_tree, check_wellformed, format_tree, from_lambda_y,
-                    is_prefix_of, order, to_lambda_y, unfold)
+                    check_wellformed, format_tree, order, unfold)
+from horsmc.oracles import bohm_tree, from_lambda_y, is_prefix_of, to_lambda_y
 from conftest import const_scheme, loop_scheme, mutual_scheme, order2_scheme
 
 

@@ -6,15 +6,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from horsmc import (App, Apt, Arrow, ArrowType, Atom, EPSILON, EveNode,
                     GROUND, Hors, NonTerminal, Rule, SizeGuardExceeded,
-                    StateType, TRUE, Terminal, Var, apply, box_color,
-                    build_game, check_derivation, color_set, colored_set,
-                    conj, denotation, derive, enumerate_colored_sets,
+                    StateType, TRUE, Terminal, Var, apply, build_game,
+                    color_set, colored_set, conj, enumerate_colored_sets,
                     enumerate_types, format_itype, format_sort, format_term,
-                    is_terminal_type, residual_env, rule_typings, subtype,
-                    subtype_set)
+                    is_terminal_type, rule_typings, subtype, subtype_set)
 from horsmc.itypes import EMPTY_SET, cset_key, split_chain
+from horsmc.oracles import (Deriver, box_color, check_derivation, denotation,
+                            derive, residual_env)
 from horsmc.syntax import ground_sort
-from horsmc.typecheck import (DApp, Deriver, PAIR_CAP, _FootprintSearch,
+from horsmc.typecheck import (DApp, PAIR_CAP, _FootprintSearch,
                               _minimal, _SubsetIndex, _unions,
                               assumptions_from, requirement_key)
 from conftest import (fixture_terms, grow_apt, grow_scheme, loop_apt,
@@ -258,7 +258,7 @@ class TestRuleTypings:
     def test_returned_maps_are_derivable(self, ex1, ex1_apt):
         u_q1 = colored_set([(0, Q1)])
         theta = ArrowType(u_q1, Q0)
-        for delta, deriv in rule_typings(ex1, ex1_apt, "L", theta):
+        for delta, deriv in rule_typings(ex1, ex1_apt, "L", theta, {}):
             env = {"x": u_q1}
             env.update({n: u for n, u in delta})
             for nt in ex1.nonterminals:
@@ -271,7 +271,7 @@ class TestRuleTypings:
     def test_maps_are_inclusion_minimal(self, ex1, ex1_apt):
         theta = ArrowType(colored_set([(0, Q1)]), Q0)
         maps = [dict(delta) for delta, _ in
-                rule_typings(ex1, ex1_apt, "L", theta)]
+                rule_typings(ex1, ex1_apt, "L", theta, {})]
         as_sets = []
         for m_ in maps:
             flat = frozenset((n, c, ty) for n, u in m_.items()
@@ -285,12 +285,12 @@ class TestRuleTypings:
     def test_empty_assumptions_for_closed_body(self, ex1_apt):
         from conftest import const_scheme
         h, m = const_scheme()
-        maps = rule_typings(h, m, "S", StateType("q"))
+        maps = rule_typings(h, m, "S", StateType("q"), {})
         assert maps and maps[0][0] == ()
 
     def test_arity_mismatch_rejected(self, ex1, ex1_apt):
         with pytest.raises(ValueError):
-            rule_typings(ex1, ex1_apt, "L", Q0)
+            rule_typings(ex1, ex1_apt, "L", Q0, {})
 
     def test_every_game_derivation_checks(self, ex1, ex1_apt):
         # The root environment is rebuilt here, not taken from the search:
@@ -311,7 +311,7 @@ class TestRuleTypings:
                 arg_sets, _ = split_chain(node.ty)
                 binders = h.rules[node.nonterminal].binders
                 for delta, deriv in rule_typings(h, m, node.nonterminal,
-                                                 node.ty):
+                                                 node.ty, {}):
                     env = {nt: EMPTY_SET for nt in h.nonterminals}
                     env.update(delta)
                     env.update({x: u for (x, _), u in zip(binders, arg_sets)})
@@ -452,7 +452,7 @@ def assert_matches_powerset(h, m, g) -> int:
     checked = 0
     for node in g.nodes:
         if isinstance(node, EveNode):
-            assert (rule_typings(h, m, node.nonterminal, node.ty)
+            assert (rule_typings(h, m, node.nonterminal, node.ty, {})
                     == reference_rule_typings(h, m, node.nonterminal,
                                               node.ty)), node
             checked += 1
@@ -519,7 +519,7 @@ def assert_shared_memo_matches_fresh(h, m, g, seed=0) -> int:
     moves `build_game` made there.  The nodes are visited in reverse and in
     a seeded shuffle, so no entry depends on which node filled it."""
     eves = [v for v in g.nodes if isinstance(v, EveNode)]
-    fresh = {v: rule_typings(h, m, v.nonterminal, v.ty) for v in eves}
+    fresh = {v: rule_typings(h, m, v.nonterminal, v.ty, {}) for v in eves}
     for v in eves:
         assert [(a.assumption, a.derivation)
                 for a in g.successors(v)] == fresh[v], v
@@ -574,7 +574,7 @@ def test_shared_memo_searches_each_residual_once(monkeypatch):
     calls.clear()
     for v in g.nodes:
         if isinstance(v, EveNode):
-            rule_typings(h, m, v.nonterminal, v.ty)
+            rule_typings(h, m, v.nonterminal, v.ty, {})
     assert calls[a_f] == 256
 
 
