@@ -199,6 +199,9 @@ class Apt:
                 raise ValueError(f"state '{q}' is listed twice")
             if q not in self.omega:
                 raise ValueError(f"state '{q}' has no color")
+        for q in self.omega:
+            if q not in self.states:
+                raise ValueError(f"color for unlisted state '{q}'")
         for (q, a), f in self.delta.items():
             if q not in self.states:
                 raise ValueError(f"transition for unknown state '{q}'")

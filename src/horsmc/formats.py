@@ -75,36 +75,42 @@ def _lex_expr(s: str, lineno: int, offset: int = 0):
 # ---------------------------------------------------------------------------
 # Sorts
 
-def parse_sort(text: str, lineno: int = 0) -> SimpleType:
-    tokens = re.findall(r"->|[()]|o|\S+", text)
+def parse_sort(text: str, lineno: int = 0, offset: int = 0) -> SimpleType:
+    """`offset` is the index of `text` in its line: errors carry the 1-based
+    column of the offending token, or of the end of `text`."""
+    tokens = [(m.group(), offset + m.start() + 1)
+              for m in re.finditer(r"->|[()]|o|\S+", text)]
+    tokens.append((None, offset + len(text) + 1))
     pos = [0]
 
     def atom() -> SimpleType:
-        if pos[0] >= len(tokens):
-            raise ParseError("sort expected", lineno, 0)
-        t = tokens[pos[0]]
+        t, col = tokens[pos[0]]
+        if t is None:
+            raise ParseError("sort expected", lineno, col)
         if t == "o":
             pos[0] += 1
             return GROUND
         if t == "(":
             pos[0] += 1
             inner = sort()
-            if pos[0] >= len(tokens) or tokens[pos[0]] != ")":
-                raise ParseError("')' expected in sort", lineno, 0)
+            if tokens[pos[0]][0] != ")":
+                raise ParseError("')' expected in sort", lineno,
+                                 tokens[pos[0]][1])
             pos[0] += 1
             return inner
-        raise ParseError(f"bad sort token {t!r}", lineno, 0)
+        raise ParseError(f"bad sort token {t!r}", lineno, col)
 
     def sort() -> SimpleType:
         left = atom()
-        if pos[0] < len(tokens) and tokens[pos[0]] == "->":
+        if tokens[pos[0]][0] == "->":
             pos[0] += 1
             return Arrow(left, sort())
         return left
 
     result = sort()
-    if pos[0] != len(tokens):
-        raise ParseError(f"trailing sort token {tokens[pos[0]]!r}", lineno, 0)
+    t, col = tokens[pos[0]]
+    if t is not None:
+        raise ParseError(f"trailing sort token {t!r}", lineno, col)
     return result
 
 
@@ -112,9 +118,15 @@ def parse_sort(text: str, lineno: int = 0) -> SimpleType:
 # Scheme files
 
 def parse_hors(text: str) -> Hors:
+    return _parse_hors(text)[0]
+
+
+def _parse_hors(text: str) -> tuple[Hors, dict[str, tuple[int, int]]]:
+    """The scheme, and the line and column of each declared name."""
     terminals: dict[str, int] = {}
     nonterminals: dict[str, SimpleType] = {}
     rules: dict[str, Rule] = {}
+    where: dict[str, tuple[int, int]] = {}
     start: str | None = None
     section = None
     # Section headers have no space before the colon; declaration lines
@@ -134,23 +146,31 @@ def parse_hors(text: str) -> Hors:
         if section == "terminals":
             name, _, arity = stripped.rpartition(":")
             name, arity = name.strip(), arity.strip()
+            col = line.index(stripped) + 1
             if not name or not arity.isdigit():
-                raise ParseError("expected 'name : arity'", no,
-                                 line.index(stripped) + 1)
+                raise ParseError("expected 'name : arity'", no, col)
             if name in terminals:
-                raise ParseError(f"terminal '{name}' declared twice", no,
-                                 line.index(stripped) + 1)
+                raise ParseError(f"terminal '{name}' declared twice", no, col)
+            if name in nonterminals:
+                raise ParseError(f"terminal '{name}' already declared as a "
+                                 "nonterminal", no, col)
             terminals[name] = int(arity)
+            where[name] = (no, col)
         elif section == "nonterminals":
             name, _, sort_text = stripped.rpartition(":")
             name, sort_text = name.strip(), sort_text.strip()
+            col = line.index(stripped) + 1
             if not name or not sort_text:
-                raise ParseError("expected 'name : sort'", no,
-                                 line.index(stripped) + 1)
+                raise ParseError("expected 'name : sort'", no, col)
             if name in nonterminals:
                 raise ParseError(f"nonterminal '{name}' declared twice", no,
-                                 line.index(stripped) + 1)
-            nonterminals[name] = parse_sort(sort_text, no)
+                                 col)
+            if name in terminals:
+                raise ParseError(f"nonterminal '{name}' already declared as "
+                                 "a terminal", no, col)
+            nonterminals[name] = parse_sort(sort_text, no,
+                                            len(line) - len(sort_text))
+            where[name] = (no, col)
         elif section == "start":
             start = stripped
             section = None
@@ -188,7 +208,7 @@ def parse_hors(text: str) -> Hors:
     if start is None:
         raise ParseError("missing start symbol", 1, 1)
     return Hors(terminals=terminals, nonterminals=nonterminals, rules=rules,
-                start=start)
+                start=start), where
 
 
 def _parse_body(src: str, lineno: int, offset: int, binders: set[str],
@@ -321,6 +341,7 @@ def parse_apt(text: str, terminals: dict[str, int] | None = None) -> Apt:
     states: list[str] = []
     initial: str | None = None
     omega: dict[str, int] = {}
+    color_at: dict[str, tuple[int, int]] = {}
     delta: dict[tuple[str, str], Formula] = {}
     symbols: dict[str, int] = dict(terminals) if terminals else {}
     infer_arities = terminals is None
@@ -339,7 +360,8 @@ def parse_apt(text: str, terminals: dict[str, int] | None = None) -> Apt:
                 elif section == "initial":
                     initial = rest
                 else:
-                    _apt_entry(section, rest, no, line, omega, delta, symbols)
+                    _apt_entry(section, rest, no, line, omega, color_at,
+                               delta, symbols)
             if section in ("initial",) and rest:
                 section = None
             continue
@@ -349,7 +371,8 @@ def parse_apt(text: str, terminals: dict[str, int] | None = None) -> Apt:
             initial = stripped
             section = None
         elif section in ("colors", "delta"):
-            _apt_entry(section, stripped, no, line, omega, delta, symbols)
+            _apt_entry(section, stripped, no, line, omega, color_at, delta,
+                       symbols)
         else:
             raise ParseError(f"text outside any section: {stripped!r}", no, 1)
 
@@ -357,6 +380,9 @@ def parse_apt(text: str, terminals: dict[str, int] | None = None) -> Apt:
         raise ParseError("missing states", 1, 1)
     if initial is None:
         raise ParseError("missing initial state", 1, 1)
+    for q, (no, col) in color_at.items():
+        if q not in states:
+            raise ParseError(f"color for unlisted state '{q}'", no, col)
     for q in states:
         omega.setdefault(q, 0)
     if infer_arities:
@@ -378,8 +404,10 @@ def _apt_states(line: str, start: int, no: int, states: list[str]) -> None:
         states.append(q)
 
 
-def _apt_entry(section: str, text: str, no: int, line: str,
-               omega: dict, delta: dict, symbols: dict) -> None:
+def _apt_entry(section: str, text: str, no: int, line: str, omega: dict,
+               color_at: dict, delta: dict, symbols: dict) -> None:
+    """Record one `colors:` or `delta:` line; `color_at` gets each colored
+    state's position."""
     col0 = line.index(text) + 1 if text in line else 1
     if section == "colors":
         for entry in re.finditer(r"[^,\s][^,]*", text):
@@ -391,6 +419,7 @@ def _apt_entry(section: str, text: str, no: int, line: str,
                 raise ParseError(f"second color for state '{m.group(1)}'",
                                  no, col0 + entry.start())
             omega[m.group(1)] = int(m.group(2))
+            color_at[m.group(1)] = (no, col0 + entry.start())
     else:
         m = re.match(r"^(\S+)\s+(\S+)\s*->\s*(.*)$", text)
         if not m:
@@ -418,27 +447,28 @@ def print_apt(m: Apt) -> str:
 # ---------------------------------------------------------------------------
 # Annotated schemes
 
-def _parse_color(text: str, lineno: int):
-    if text == "e":
-        return EPSILON
-    if text.isdigit():
-        return int(text)
-    raise ParseError(f"bad color {text!r}", lineno, 0)
+def _parse_color(text: str):
+    """A color token the caller matched as `e` or digits."""
+    return EPSILON if text == "e" else int(text)
 
 
-def parse_itype(text: str, lineno: int = 0) -> IType:
+def parse_itype(text: str, lineno: int = 0, offset: int = 0) -> IType:
+    """`offset` is the index of `text` in its line: errors carry 1-based
+    columns."""
     pos = [0]
 
     def itype() -> IType:
         if pos[0] < len(text) and text[pos[0]] == "{":
             u = cset()
             if not text.startswith("->", pos[0]):
-                raise ParseError("'->' expected in type", lineno, pos[0] + 1)
+                raise ParseError("'->' expected in type", lineno,
+                                 offset + pos[0] + 1)
             pos[0] += 2
             return ArrowType(u, itype())
         m = _IDENT.match(text, pos[0])
         if not m:
-            raise ParseError("state expected in type", lineno, pos[0] + 1)
+            raise ParseError("state expected in type", lineno,
+                             offset + pos[0] + 1)
         pos[0] = m.end()
         return StateType(m.group(0))
 
@@ -449,21 +479,23 @@ def parse_itype(text: str, lineno: int = 0) -> IType:
         while pos[0] < len(text) and text[pos[0]] != "}":
             m = re.compile(r"(e|\d+)\.").match(text, pos[0])
             if not m:
-                raise ParseError("'color.type' expected", lineno, pos[0] + 1)
-            c = _parse_color(m.group(1), lineno)
+                raise ParseError("'color.type' expected", lineno,
+                                 offset + pos[0] + 1)
+            c = _parse_color(m.group(1))
             pos[0] = m.end()
             pairs.append((c, itype()))
             if pos[0] < len(text) and text[pos[0]] == ",":
                 pos[0] += 1
         if pos[0] >= len(text):
-            raise ParseError("'}' expected in type", lineno, pos[0])
+            raise ParseError("'}' expected in type", lineno,
+                             offset + pos[0])
         pos[0] += 1
         return colored_set(pairs)
 
     t = itype()
     if pos[0] != len(text):
         raise ParseError(f"trailing type text {text[pos[0]:]!r}", lineno,
-                         pos[0] + 1)
+                         offset + pos[0] + 1)
     return t
 
 
@@ -471,37 +503,40 @@ _TERMINAL_TOKEN = re.compile(
     r"^([A-Za-z][A-Za-z0-9_]*)@\{([^}]*)\}->([A-Za-z][A-Za-z0-9_]*)$")
 
 
-def decode_terminal_symbol(sym: str, arity: int,
-                           lineno: int = 0) -> tuple[str, Profile, str]:
+def decode_terminal_symbol(sym: str, arity: int, lineno: int = 0,
+                           col: int = 0) -> tuple[str, Profile, str]:
+    """Errors are reported at `lineno` and `col`, where `sym` is declared."""
     m = _TERMINAL_TOKEN.match(sym)
     if not m:
-        raise ParseError(f"bad annotated terminal {sym!r}", lineno, 0)
+        raise ParseError(f"bad annotated terminal {sym!r}", lineno, col)
     a, entries, q = m.group(1), m.group(2), m.group(3)
     per_dir: dict[int, list] = {}
     if entries:
         for part in entries.split(","):
             em = re.match(r"^(\d+):(e|\d+)\.([A-Za-z][A-Za-z0-9_]*)$", part)
             if not em:
-                raise ParseError(f"bad profile entry {part!r}", lineno, 0)
+                raise ParseError(f"bad profile entry {part!r}", lineno, col)
             per_dir.setdefault(int(em.group(1)), []).append(
-                (_parse_color(em.group(2), lineno), em.group(3)))
+                (_parse_color(em.group(2)), em.group(3)))
     n = max(per_dir, default=0)
     profile = tuple(tuple(per_dir.get(k, [])) for k in range(1, n + 1))
     if sum(len(c) for c in profile) != arity:
-        raise ParseError(f"profile arity mismatch for {sym!r}", lineno, 0)
+        raise ParseError(f"profile arity mismatch for {sym!r}", lineno, col)
     return a, profile, q
 
 
 def parse_annotated(text: str) -> AnnotatedHors:
-    h = parse_hors(text)
+    h, where = _parse_hors(text)
     terminal_info = {}
     for sym, arity in h.terminals.items():
-        terminal_info[sym] = decode_terminal_symbol(sym, arity)
+        terminal_info[sym] = decode_terminal_symbol(sym, arity, *where[sym])
     nonterminal_info = {}
     for name in h.nonterminals:
         if "@" in name:
             orig, _, ty_text = name.partition("@")
-            nonterminal_info[name] = (orig, parse_itype(ty_text))
+            no, col = where[name]
+            nonterminal_info[name] = (orig, parse_itype(ty_text, no,
+                                                        col + len(orig)))
     return AnnotatedHors(h, terminal_info, nonterminal_info)
 
 

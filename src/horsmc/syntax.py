@@ -253,6 +253,8 @@ def check_wellformed(h: Hors) -> list[str]:
     for a, n in h.terminals.items():
         if n < 0:
             diags.append(f"terminal '{a}': negative arity {n}")
+        if a in h.nonterminals:
+            diags.append(f"'{a}' declared both as terminal and as nonterminal")
     if h.start not in h.nonterminals:
         diags.append(f"start symbol '{h.start}' is not a declared nonterminal")
     elif h.nonterminals[h.start] != GROUND:

@@ -113,6 +113,13 @@ class TestValidate:
         with pytest.raises(ValueError, match="state 'q' is listed twice"):
             m.validate()
 
+    def test_color_for_unlisted_state_rejected(self):
+        m = Apt(states=("q",), terminals={}, delta={},
+                omega={"q": 0, "r": 1}, initial="q")
+        with pytest.raises(ValueError,
+                           match="color for unlisted state 'r'"):
+            m.validate()
+
 
 class TestRunSearch:
     def test_example_prefixes(self, ex1, ex1_apt):

@@ -131,6 +131,35 @@ class TestStates:
         assert (code, out) == (2, "")
         assert err == f"{apt}:4:11: second color for state 'q'\n"
 
+    def test_color_for_unlisted_state_is_a_parse_error(self, tmp_path,
+                                                       capsys):
+        scheme = tmp_path / "loop.hors"
+        scheme.write_text(LOOP_HORS)
+        apt = tmp_path / "typo.apt"
+        apt.write_text(loop_apt_text(1).replace("q -> 1", "q -> 1, r -> 2"))
+        code, out, err = run(["check", str(scheme), str(apt)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"{apt}:4:11: color for unlisted state 'r'\n"
+
+    def test_bad_sort_is_positioned(self, tmp_path, capsys):
+        scheme = tmp_path / "badsort.hors"
+        scheme.write_text(LOOP_HORS.replace("  F : o\n", "  F : o ->\n"))
+        code, out, err = run(["check", str(scheme), str(tmp_path / "x.apt")],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == f"{scheme}:5:11: sort expected\n"
+
+    def test_terminal_and_nonterminal_name_is_a_parse_error(self, tmp_path,
+                                                            capsys):
+        scheme = tmp_path / "dup.hors"
+        scheme.write_text(LOOP_HORS.replace("  F : o\n", "  F : o\n  a : o\n")
+                          + "  a = a\n")
+        code, out, err = run(["check", str(scheme), str(tmp_path / "x.apt")],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"{scheme}:6:3: nonterminal 'a' already declared as "
+                       "a terminal\n")
+
 
 class TestUnfold:
     def test_prefix_s_expression(self, files, capsys):
@@ -194,6 +223,18 @@ class TestSelectVerify:
         code, out, _ = run(["verify", scheme, apt, "-q", "q0", "-d", "6",
                             "--witness", str(out_path)], capsys)
         assert code == 0 and "verdict: consistent" in out
+
+    def test_bad_witness_declaration_is_positioned(self, files, capsys):
+        tmp, scheme, apt = files
+        bad = tmp / "w.hors"
+        bad.write_text("terminals:\n  a@{1:e.q0}->q0 : 2\nnonterminals:\n"
+                       "  S@q0 : o\nstart: S@q0\nrules:\n"
+                       "  S@q0 = a@{1:e.q0}->q0\n")
+        code, out, err = run(["verify", scheme, apt, "--witness", str(bad)],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"{bad}:2:3: profile arity mismatch for "
+                       "'a@{1:e.q0}->q0'\n")
 
     def test_verify_detects_corruption(self, files, capsys):
         tmp, scheme, apt = files
@@ -280,6 +321,21 @@ class TestInternalError:
 def run_subprocess(argv, seed):
     return subprocess.run([sys.executable, "-m", "horsmc.cli", *argv],
                           capture_output=True, text=True, env=cli_env(seed))
+
+
+class TestImportPath:
+    def test_cli_does_not_load_the_oracles(self):
+        r = subprocess.run(
+            [sys.executable, "-c", "import sys, horsmc.cli; "
+             "print('horsmc.oracles' in sys.modules)"],
+            capture_output=True, text=True, env=cli_env(0))
+        assert (r.returncode, r.stdout) == (0, "False\n"), r.stderr
+
+    def test_oracles_are_not_reexported(self):
+        import horsmc
+        from horsmc import oracles
+        assert all(hasattr(oracles, name) for name in oracles.__all__)
+        assert set(oracles.__all__).isdisjoint(dir(horsmc))
 
 
 class TestDeterminism:

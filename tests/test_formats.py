@@ -98,6 +98,29 @@ class TestHorsFormat:
         assert (e.value.line, e.value.col) == (6, 3)
         assert e.value.msg == "nonterminal 'F' declared twice"
 
+    @pytest.mark.parametrize("sort, col, msg", [
+        ("o ->", 11, "sort expected"), ("o -> x", 12, "bad sort token 'x'"),
+        ("(o -> o", 14, "')' expected in sort"),
+        ("o o", 9, "trailing sort token 'o'")])
+    def test_bad_sort_positioned(self, sort, col, msg):
+        with pytest.raises(ParseError) as e:
+            parse_hors("terminals:\n  a : 0\nnonterminals:\n"
+                       f"  S : {sort}\nstart: S\nrules:\n  S = a\n")
+        assert (e.value.line, e.value.col, e.value.msg) == (4, col, msg)
+
+    @pytest.mark.parametrize("sections, line, msg", [
+        ("terminals:\n  a : 0\nnonterminals:\n  S : o\n  a : o\n", 5,
+         "nonterminal 'a' already declared as a terminal"),
+        ("nonterminals:\n  S : o\n  a : o\nterminals:\n  a : 0\n", 5,
+         "terminal 'a' already declared as a nonterminal")],
+        ids=["nonterminal-second", "terminal-second"])
+    def test_terminal_and_nonterminal_name_rejected(self, sections, line,
+                                                    msg):
+        # Either reading of the body's `a` is possible, and they differ.
+        with pytest.raises(ParseError) as e:
+            parse_hors(sections + "start: S\nrules:\n  S = a\n  a = a\n")
+        assert (e.value.line, e.value.col, e.value.msg) == (line, 3, msg)
+
 
 class TestAptFormat:
     def test_parse_example(self, ex1, ex1_apt):
@@ -163,6 +186,17 @@ class TestAptFormat:
         assert (e.value.line, e.value.col) == (line, col)
         assert e.value.msg == "second color for state 'q'"
 
+    @pytest.mark.parametrize("text, line", [
+        ("states: q\ninitial: q\ncolors: q -> 0, r -> 1\n", 3),
+        ("colors: q -> 0, r -> 1\nstates: q\ninitial: q\n", 1)],
+        ids=["states-first", "colors-first"])
+    def test_color_for_unlisted_state_positioned(self, text, line):
+        # A misspelt state in `colors:` would leave the real one at color 0.
+        with pytest.raises(ParseError) as e:
+            parse_apt(text + "delta:\n  q a -> (1,q)\n")
+        assert (e.value.line, e.value.col) == (line, 17)
+        assert e.value.msg == "color for unlisted state 'r'"
+
     def test_colors_comma_or_newline(self):
         m = parse_apt("states: a b c\ninitial: a\ncolors:\n"
                       "  a -> 1, b -> 2\n  c -> 3\n")
@@ -189,6 +223,22 @@ class TestAnnotatedFormat:
         assert format_itype(t) == "{e.q0,0.q1}->q0"
         nested = parse_itype("{0.{e.q0}->q0}->q1")
         assert format_itype(nested) == "{0.{e.q0}->q0}->q1"
+
+    @pytest.mark.parametrize("terminal, nonterminal, line, col, msg", [
+        ("  a@{1:e.q}->q : 2\n", "", 3, 3,
+         "profile arity mismatch for 'a@{1:e.q}->q'"),
+        ("  a@{1:q}->q : 1\n", "", 3, 3, "bad profile entry '1:q'"),
+        ("", "  F@{e.q}-> : o -> o\n", 5, 12, "state expected in type"),
+        ("", "  F@{q}->q : o -> o\n", 5, 6, "'color.type' expected")],
+        ids=["profile-arity", "profile-entry", "type-state", "type-color"])
+    def test_bad_declaration_positioned(self, terminal, nonterminal, line,
+                                        col, msg):
+        text = ("terminals:\n  c@{}->q : 0\n" + terminal
+                + "nonterminals:\n  S@q : o\n" + nonterminal
+                + "start: S@q\nrules:\n  S@q = c@{}->q\n")
+        with pytest.raises(ParseError) as e:
+            parse_annotated(text)
+        assert (e.value.line, e.value.col, e.value.msg) == (line, col, msg)
 
     def test_witness_unfolds_after_parsing(self, ex1, ex1_apt):
         _, sol = solve_cached(ex1, ex1_apt, "q0")

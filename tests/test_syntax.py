@@ -36,6 +36,15 @@ class TestCheckWellformed:
         diags = check_wellformed(h)
         assert any("abstraction-free" in d for d in diags)
 
+    def test_terminal_and_nonterminal_name_rejected(self):
+        h = Hors(terminals={"a": 0},
+                 nonterminals={"S": GROUND, "a": GROUND},
+                 rules={"S": Rule((), Terminal("a")),
+                        "a": Rule((), NonTerminal("a"))},
+                 start="S")
+        assert check_wellformed(h) == [
+            "'a' declared both as terminal and as nonterminal"]
+
     def test_missing_rule_and_sort_error(self):
         h = Hors(terminals={"a": 1},
                  nonterminals={"S": GROUND, "F": GROUND},
