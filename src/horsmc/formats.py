@@ -406,8 +406,6 @@ def _apt_states(line: str, start: int, no: int, states: list[str]) -> None:
 
 def _apt_entry(section: str, text: str, no: int, line: str, omega: dict,
                color_at: dict, delta: dict, symbols: dict) -> None:
-    """Record one `colors:` or `delta:` line; `color_at` gets each colored
-    state's position."""
     col0 = line.index(text) + 1 if text in line else 1
     if section == "colors":
         for entry in re.finditer(r"[^,\s][^,]*", text):
