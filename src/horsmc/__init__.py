@@ -20,4 +20,4 @@ from .syntax import (App, Arrow, BOTTOM, Fix, GROUND, Ground, Hors,
                      Term, Terminal, TreePrefix, UnresolvedWithinBudget, Var,
                      apply, arrow, check_wellformed, format_sort,
                      format_term, format_tree, order, unfold)
-from .typecheck import Derivation, TypeEnv, rule_typings
+from .typecheck import Analysis, Derivation, TypeEnv, rule_typings

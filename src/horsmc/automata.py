@@ -9,7 +9,7 @@ between colored profiles and transition formulas.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +184,6 @@ class Apt:
     delta: dict[tuple[str, str], Formula]
     omega: dict[str, int]
     initial: str
-    _enum_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def delta_of(self, q: str, a: str) -> Formula:
         return self.delta.get((q, a), FALSE)

@@ -175,32 +175,35 @@ def _parse_hors(text: str) -> tuple[Hors, dict[str, tuple[int, int]]]:
             start = stripped
             section = None
         elif section == "rules":
+            indent = len(line) - len(stripped)
             if "=" not in stripped:
                 raise ParseError("expected 'F x1 ... xn = body'", no,
-                                 line.index(stripped) + 1)
-            lhs, _, rhs = stripped.partition("=")
-            head_tokens = _lex_expr(lhs, no)
-            if not head_tokens or any(t in "()" for t, _, _ in head_tokens):
-                raise ParseError("malformed rule head", no, 1)
-            fname = head_tokens[0][0]
-            head_col = line.index(stripped) + head_tokens[0][2]
+                                 indent + 1)
+            eq = line.index("=")
+            head_tokens = _lex_expr(line[indent:eq], no, indent)
+            if not head_tokens:
+                raise ParseError("malformed rule head", no, indent + 1)
+            for t, _, col in head_tokens:
+                if t in "()":
+                    raise ParseError("malformed rule head", no, col)
+            fname, _, head_col = head_tokens[0]
             if fname not in nonterminals:
                 raise ParseError(f"rule for undeclared nonterminal '{fname}'",
                                  no, head_col)
             if fname in rules:
                 raise ParseError(f"second rule for nonterminal '{fname}'",
                                  no, head_col)
-            binder_names = [t for t, _, _ in head_tokens[1:]]
             sort = nonterminals[fname]
             binders = []
-            for b in binder_names:
+            for b, _, col in head_tokens[1:]:
                 if not isinstance(sort, Arrow):
-                    raise ParseError(
-                        f"too many binders for '{fname}'", no, 1)
+                    raise ParseError(f"too many binders for '{fname}'", no,
+                                     col)
                 binders.append((b, sort.domain))
                 sort = sort.codomain
-            body = _parse_body(rhs, no, line.index(rhs) if rhs in line else 0,
-                               set(binder_names), terminals, nonterminals)
+            body = _parse_body(line[eq + 1:], no, eq + 1,
+                               {b for b, _ in binders}, terminals,
+                               nonterminals)
             rules[fname] = Rule(tuple(binders), body)
         else:
             raise ParseError(f"text outside any section: {stripped!r}", no, 1)
@@ -360,8 +363,8 @@ def parse_apt(text: str, terminals: dict[str, int] | None = None) -> Apt:
                 elif section == "initial":
                     initial = rest
                 else:
-                    _apt_entry(section, rest, no, line, omega, color_at,
-                               delta, symbols)
+                    _apt_entry(section, line, line.index(":") + 1, no,
+                               omega, color_at, delta, symbols)
             if section in ("initial",) and rest:
                 section = None
             continue
@@ -371,8 +374,7 @@ def parse_apt(text: str, terminals: dict[str, int] | None = None) -> Apt:
             initial = stripped
             section = None
         elif section in ("colors", "delta"):
-            _apt_entry(section, stripped, no, line, omega, color_at, delta,
-                       symbols)
+            _apt_entry(section, line, 0, no, omega, color_at, delta, symbols)
         else:
             raise ParseError(f"text outside any section: {stripped!r}", no, 1)
 
@@ -404,29 +406,31 @@ def _apt_states(line: str, start: int, no: int, states: list[str]) -> None:
         states.append(q)
 
 
-def _apt_entry(section: str, text: str, no: int, line: str, omega: dict,
+def _apt_entry(section: str, line: str, start: int, no: int, omega: dict,
                color_at: dict, delta: dict, symbols: dict) -> None:
-    col0 = line.index(text) + 1 if text in line else 1
+    """Read the color entries or the transition on `line` from `start`."""
     if section == "colors":
-        for entry in re.finditer(r"[^,\s][^,]*", text):
+        for entry in re.finditer(r"[^,\s][^,]*", line[start:]):
+            col = start + entry.start() + 1
             part = entry.group().rstrip()
             m = re.match(r"^([A-Za-z][A-Za-z0-9_]*)\s*->\s*(\d+)$", part)
             if not m:
-                raise ParseError("expected 'state -> color'", no, col0)
+                raise ParseError("expected 'state -> color'", no, col)
             if m.group(1) in omega:
                 raise ParseError(f"second color for state '{m.group(1)}'",
-                                 no, col0 + entry.start())
+                                 no, col)
             omega[m.group(1)] = int(m.group(2))
-            color_at[m.group(1)] = (no, col0 + entry.start())
+            color_at[m.group(1)] = (no, col)
     else:
-        m = re.match(r"^(\S+)\s+(\S+)\s*->\s*(.*)$", text)
+        m = re.compile(r"\s*(\S+)\s+(\S+)\s*->\s*(.*)$").match(line, start)
+        col = len(line) - len(line[start:].lstrip()) + 1
         if not m:
-            raise ParseError("expected 'state symbol -> formula'", no, col0)
-        q, a, rest = m.group(1), m.group(2), m.group(3)
+            raise ParseError("expected 'state symbol -> formula'", no, col)
+        q, a = m.group(1), m.group(2)
         if (q, a) in delta:
             raise ParseError(f"second transition for state '{q}' and "
-                             f"symbol '{a}'", no, col0)
-        delta[(q, a)] = _parse_formula(rest, no, line.index(rest) if rest else 0)
+                             f"symbol '{a}'", no, col)
+        delta[(q, a)] = _parse_formula(m.group(3), no, m.start(3))
         symbols.setdefault(a, 0)
 
 

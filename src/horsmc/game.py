@@ -25,7 +25,7 @@ from .automata import Apt, Color, color_key, format_color
 from .itypes import (IType, SizeGuardExceeded, StateType, format_cset,
                      format_itype)
 from .syntax import Hors, require_wellformed
-from .typecheck import AssumptionMap, Derivation, rule_typings
+from .typecheck import Analysis, AssumptionMap, Derivation, rule_typings
 
 EVE = "eve"
 ADAM = "adam"
@@ -114,7 +114,7 @@ def build_game(h: Hors, m: Apt, states=None) -> ParityGame:
     edges: dict = {}
     seen: set = set()
     queue: deque[GameNode] = deque()
-    memo: dict = {}  # one footprint search per rule, for all Eve nodes
+    analysis = Analysis(h, m)  # shared by all Eve nodes, dropped on return
 
     def push(v: GameNode) -> None:
         if v in seen:
@@ -136,8 +136,8 @@ def build_game(h: Hors, m: Apt, states=None) -> ParityGame:
         v = queue.popleft()
         if isinstance(v, EveNode):
             succs = [AdamNode(v.nonterminal, v.ty, delta, d)
-                     for delta, d in rule_typings(h, m, v.nonterminal, v.ty,
-                                                  memo)]
+                     for delta, d in rule_typings(analysis, v.nonterminal,
+                                                  v.ty)]
         elif isinstance(v, AdamNode):
             succs = [ColorNode(c, name, ty)
                      for name, u in v.assumption

@@ -3,11 +3,15 @@
 Ground types are automaton states; an arrow type consumes a finite set of
 (color, type) pairs.  Everything is kept in a canonical sorted form so that
 enumeration order, hashing and printed output are deterministic.
+
+Types and colored sets are hash-consed in class-level intern tables, so
+identity is equality.  This is how types are represented, not a memo of an
+analysis (`typecheck.Analysis`), and types cross analyses: a parsed
+witness's, and the `EveNode(h.start, StateType(q))` a caller looks up in a
+game, are the objects the game's construction made.
 """
 
 from __future__ import annotations
-
-import functools
 
 from .automata import (Apt, Color, color_key, color_set, format_color,
                        satisfies)
@@ -17,11 +21,12 @@ from .syntax import Ground, SimpleType, format_sort
 # ---------------------------------------------------------------------------
 # Types and colored sets.  Instances are interned: equal values are the
 # same object, so comparisons and hashing are cheap even for deep types.
+# Each computes its order key, `key`, once, when it is interned.
 
 class StateType:
     """Ground intersection type: one automaton state."""
 
-    __slots__ = ("state",)
+    __slots__ = ("state", "key")
     _cache: dict = {}
 
     def __new__(cls, state: str):
@@ -29,6 +34,7 @@ class StateType:
         if t is None:
             t = object.__new__(cls)
             t.state = state
+            t.key = (0, state)
             cls._cache[state] = t
         return t
 
@@ -40,17 +46,18 @@ class StateType:
 
 
 class ArrowType:
-    __slots__ = ("argument", "result")
+    __slots__ = ("argument", "result", "key")
     _cache: dict = {}
 
     def __new__(cls, argument: "ColoredSet", result: "IType"):
-        key = (id(argument), id(result))
-        t = cls._cache.get(key)
+        ids = (id(argument), id(result))
+        t = cls._cache.get(ids)
         if t is None:
             t = object.__new__(cls)
             t.argument = argument
             t.result = result
-            cls._cache[key] = t
+            t.key = (1, argument.key, result.key)
+            cls._cache[ids] = t
         return t
 
     def __repr__(self):
@@ -66,16 +73,17 @@ IType = StateType | ArrowType
 class ColoredSet:
     """Canonical finite set of (color, type) pairs of one common sort."""
 
-    __slots__ = ("pairs",)
+    __slots__ = ("pairs", "key")
     _cache: dict = {}
 
     def __new__(cls, pairs: tuple):
-        key = tuple((color_key(c), id(t)) for c, t in pairs)
-        u = cls._cache.get(key)
+        ids = tuple((color_key(c), id(t)) for c, t in pairs)
+        u = cls._cache.get(ids)
         if u is None:
             u = object.__new__(cls)
             u.pairs = pairs
-            cls._cache[key] = u
+            u.key = tuple(map(pair_key, pairs))
+            cls._cache[ids] = u
         return u
 
     def __iter__(self):
@@ -94,20 +102,8 @@ class ColoredSet:
         return (ColoredSet, (self.pairs,))
 
 
-@functools.lru_cache(maxsize=None)
-def type_key(t: IType):
-    if isinstance(t, StateType):
-        return (0, t.state)
-    return (1, cset_key(t.argument), type_key(t.result))
-
-
 def pair_key(pair: tuple[Color, IType]):
-    return (color_key(pair[0]), type_key(pair[1]))
-
-
-@functools.lru_cache(maxsize=None)
-def cset_key(u: ColoredSet):
-    return tuple(pair_key(p) for p in u.pairs)
+    return (color_key(pair[0]), pair[1].key)
 
 
 def colored_set(pairs) -> ColoredSet:
@@ -168,42 +164,27 @@ def enumerate_types(sigma: SimpleType, m: Apt) -> list[IType]:
     Refuses (with the computed cardinality) when the space is larger than
     `DEFAULT_ENUM_LIMIT`.
     """
-    key = ("types", sigma)
-    cached = m._enum_cache.get(key)
-    if cached is not None:
-        return cached
     n = count_types(sigma, m)
     if n > DEFAULT_ENUM_LIMIT:
         raise SizeGuardExceeded(f"type space at sort {format_sort(sigma)}",
                                 n, DEFAULT_ENUM_LIMIT)
     if isinstance(sigma, Ground):
-        result = [StateType(q) for q in sorted(m.states)]
-    else:
-        args = enumerate_colored_sets(sigma.domain, m)
-        results = enumerate_types(sigma.codomain, m)
-        result = [ArrowType(u, r) for u in args for r in results]
-    m._enum_cache[key] = result
-    return result
+        return [StateType(q) for q in sorted(m.states)]
+    args = enumerate_colored_sets(sigma.domain, m)
+    results = enumerate_types(sigma.codomain, m)
+    return [ArrowType(u, r) for u in args for r in results]
 
 
 def enumerate_colored_sets(sigma: SimpleType, m: Apt) -> list[ColoredSet]:
     """All colored sets over the type space at a sort, deterministically."""
-    key = ("csets", sigma)
-    cached = m._enum_cache.get(key)
-    if cached is not None:
-        return cached
     base = enumerate_types(sigma, m)
     cols = color_set(m)
     pairs = sorted(((c, t) for c in cols for t in base), key=pair_key)
     if 2 ** len(pairs) > DEFAULT_ENUM_LIMIT:
         raise SizeGuardExceeded(f"colored sets at sort {format_sort(sigma)}",
                                 2 ** len(pairs), DEFAULT_ENUM_LIMIT)
-    out = []
-    for mask in range(2 ** len(pairs)):
-        chosen = [p for i, p in enumerate(pairs) if mask >> i & 1]
-        out.append(colored_set(chosen))
-    m._enum_cache[key] = out
-    return out
+    return [colored_set([p for i, p in enumerate(pairs) if mask >> i & 1])
+            for mask in range(2 ** len(pairs))]
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +216,10 @@ def is_terminal_type(a: str, t: IType, m: Apt) -> bool:
     Non-ground entries make the membership false.
     """
     arity = m.terminals[a]
-    sets, result = _chain_or_raise(a, t, arity)
+    sets, result = split_chain(t)
+    if len(sets) != arity:
+        raise ValueError(f"type of {len(sets)} arguments for terminal '{a}' "
+                         f"of arity {arity}")
     profile = []
     for u in sets:
         entries = set()
@@ -245,15 +229,3 @@ def is_terminal_type(a: str, t: IType, m: Apt) -> bool:
             entries.add((c, ty.state))
         profile.append(frozenset(entries))
     return satisfies(tuple(profile), result.state, a, m)
-
-
-def _chain_or_raise(a: str, t: IType, arity: int):
-    sets = []
-    for _ in range(arity):
-        if not isinstance(t, ArrowType):
-            raise ValueError(f"type too short for terminal '{a}' of arity {arity}")
-        sets.append(t.argument)
-        t = t.result
-    if not isinstance(t, StateType):
-        raise ValueError(f"type too long for terminal '{a}' of arity {arity}")
-    return sets, t

@@ -16,12 +16,13 @@ the transition formula, one per clause, as a terminal's denotation is the
 profiles covering a clause; under a variable or nonterminal head it tries
 every subset of the argument's options, and `PAIR_CAP` guards only there.
 
-The search is memoised on (subterm, type, color, view), the view being the
-color-residuals of the subterm's free variables' sets: all the search
-reads of its environment.  The environment is finite and residuals are
-few, so `build_game` shares one memo among all the Eve nodes of a game,
-and an Eve node whose sets differ only where a subterm does not look
-reuses that subterm's footprints (`_FootprintSearch` gives the argument).
+An `Analysis` owns what the search memoises: the type space of each sort
+and one search per rule, memoised on (subterm, type, color, view), the view
+being the color-residuals of the subterm's free variables' sets: all the
+search reads of its environment.  Residuals are few, so `build_game` makes
+one analysis for all the Eve nodes of a game, and an Eve node whose sets
+differ only where a subterm does not look reuses that subterm's footprints
+(`_FootprintSearch` gives the argument).
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 
 from .automata import Apt, Color, EPSILON, cmax, color_key, color_set, dnf
 from .itypes import (ArrowType, ColoredSet, IType, SizeGuardExceeded,
-                     StateType, colored_set, cset_key, enumerate_types,
-                     is_terminal_type, split_chain, subtype, type_key)
+                     StateType, colored_set, enumerate_types,
+                     is_terminal_type, split_chain, subtype)
 from .syntax import (App, Hors, NonTerminal, SimpleType, Term, Terminal, Var,
                      format_sort, format_term, free_vars, infer_sort, spine)
 
@@ -89,7 +90,7 @@ AssumptionMap = tuple[tuple[str, ColoredSet], ...]
 
 
 def requirement_key(r: Requirement):
-    return (r[0], color_key(r[1]), type_key(r[2]))
+    return (r[0], color_key(r[1]), r[2].key)
 
 
 def assumptions_from(reqs: frozenset[Requirement]) -> AssumptionMap:
@@ -144,20 +145,23 @@ def _unions(base: frozenset[Requirement], option_lists, emitted: _SubsetIndex):
             return ()
         return ((acc, tuple(options[0][1] for options in option_lists)),)
 
-    def extend(i: int, acc: frozenset[Requirement], derivs: tuple):
-        if emitted.has_subset_of(acc):
-            return
-        if i == len(live):
-            yield acc, derivs
-            return
-        for req, d in live[i]:
-            yield from extend(i + 1, acc | req, derivs + (d,))
-
     # `emitted` only grows, so an option dead next to `base` now stays dead.
     live = [[(req, d) for req, d in options
              if not emitted.has_subset_of(base | req)]
             for options in option_lists]
-    return extend(0, base, ())
+    return _extend(live, emitted, 0, base, ())
+
+
+def _extend(live, emitted: _SubsetIndex, i: int,
+            acc: frozenset[Requirement], derivs: tuple):
+    """The picks of `_unions` from the i-th list of `live` on."""
+    if emitted.has_subset_of(acc):
+        return
+    if i == len(live):
+        yield acc, derivs
+        return
+    for req, d in live[i]:
+        yield from _extend(live, emitted, i + 1, acc | req, derivs + (d,))
 
 
 # The most argument options whose subsets are all tried, under a variable or
@@ -193,13 +197,16 @@ class _FootprintSearch:
     with them every derivation, come in the same order under equal views.
     """
 
-    def __init__(self, m: Apt, rule: str, sort_env: dict[str, SimpleType],
-                 var_env: TypeEnv):
-        self.m = m
+    def __init__(self, analysis: Analysis, rule: str, var_env: TypeEnv):
+        # Not the analysis itself: it holds this search, and the cycle
+        # would outlive `build_game`.
+        self.m = analysis.m
+        self.cols = analysis.cols
+        self.types = analysis.types
         self.rule = rule
-        self.sort_env = sort_env
+        self.sort_env: dict[str, SimpleType] = dict(analysis.h.nonterminals)
+        self.sort_env.update(analysis.h.rules[rule].binders)
         self.var_env = var_env
-        self.cols = color_set(m)
         self._memo: dict = {}
         self._views = False  # whether the memo keys carry views
         self._free: dict = {}
@@ -275,12 +282,14 @@ class _FootprintSearch:
                                           DAx(arg, alpha, alpha))]))
             return options
         sigma = self.sort_of(arg)
-        try:
-            types = enumerate_types(sigma, self.m)
-        except SizeGuardExceeded as e:
-            raise SizeGuardExceeded(
-                f"{e.what} (argument of `{format_term(t)}` in the rule of "
-                f"{self.rule})", e.count, e.bound) from None
+        types = self.types.get(sigma)
+        if types is None:
+            try:
+                types = self.types[sigma] = enumerate_types(sigma, self.m)
+            except SizeGuardExceeded as e:
+                raise SizeGuardExceeded(
+                    f"{e.what} (argument of `{format_term(t)}` in the rule "
+                    f"of {self.rule})", e.count, e.bound) from None
         options = []
         for c2 in self.cols:
             for beta in types:
@@ -387,28 +396,39 @@ def _minimal(results):
     return [(req, first[req]) for req in minimal]
 
 
-def rule_typings(h: Hors, m: Apt, name: str, theta: IType, memo: dict
+class Analysis:
+    """What the footprint search derives from one scheme and automaton,
+    shared by the `rule_typings` calls on it: the colors, the type space of
+    each argument sort (`types`) and each rule's search (`searches`)."""
+
+    def __init__(self, h: Hors, m: Apt):
+        self.h = h
+        self.m = m
+        self.cols = color_set(m)
+        self.types: dict[SimpleType, list[IType]] = {}
+        self.searches: dict[str, _FootprintSearch] = {}
+
+
+def rule_typings(analysis: Analysis, name: str, theta: IType
                  ) -> list[tuple[AssumptionMap, Derivation]]:
     """Minimal nonterminal assumption maps under which the rule body of
     `name` derives the result state of `theta`, with derivations.
 
-    `theta`'s argument sets type the rule binders positionally.  The calls
-    that pass one `memo` dict share one footprint search per rule, kept
-    there under the rule's name; `h` and `m` must be the same in all of
-    them.  A fresh `{}` searches from scratch.
+    `theta`'s argument sets type the rule binders positionally.  The rule's
+    footprint search is the analysis's, so calls on one analysis share it;
+    a fresh `Analysis` searches from scratch.
     """
-    rule = h.rules[name]
+    rule = analysis.h.rules[name]
     arg_sets, result = split_chain(theta)
     if len(arg_sets) != len(rule.binders):
         raise ValueError(f"type {theta!r} does not match the arity of '{name}'")
     var_env: TypeEnv = {b: u for (b, _), u in zip(rule.binders, arg_sets)}
-    search = memo.get(name)
+    search = analysis.searches.get(name)
     if search is None:
-        sort_env: dict[str, SimpleType] = dict(h.nonterminals)
-        sort_env.update({b: s for b, s in rule.binders})
-        search = memo[name] = _FootprintSearch(m, name, sort_env, var_env)
+        search = analysis.searches[name] = _FootprintSearch(analysis, name,
+                                                            var_env)
     search.rebind(var_env)
     found = search.search(rule.body, result, EPSILON)
     out = [(assumptions_from(req), d) for req, d in found]
-    out.sort(key=lambda du: tuple((n, cset_key(u)) for n, u in du[0]))
+    out.sort(key=lambda du: tuple((n, u.key) for n, u in du[0]))
     return out

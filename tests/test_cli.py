@@ -160,6 +160,42 @@ class TestStates:
         assert err == (f"{scheme}:6:3: nonterminal 'a' already declared as "
                        "a terminal\n")
 
+    def test_body_name_is_positioned_past_the_head(self, tmp_path, capsys):
+        scheme = tmp_path / "body.hors"
+        scheme.write_text(LOOP_HORS.replace("  F : o\n", "  F : o -> o\n")
+                          .replace("  F = a F\n", "  F ff = f\n"))
+        code, out, err = run(["check", str(scheme), str(tmp_path / "x.apt")],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == f"{scheme}:9:10: unknown name 'f'\n"
+
+    def test_too_many_binders_is_positioned(self, tmp_path, capsys):
+        scheme = tmp_path / "binder.hors"
+        scheme.write_text(LOOP_HORS.replace("  S = F\n", "  S x = F\n"))
+        code, out, err = run(["check", str(scheme), str(tmp_path / "x.apt")],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == f"{scheme}:8:5: too many binders for 'S'\n"
+
+    def test_formula_token_is_positioned_past_the_head(self, tmp_path,
+                                                       capsys):
+        scheme = tmp_path / "loop.hors"
+        scheme.write_text(LOOP_HORS)
+        apt = tmp_path / "formula.apt"
+        apt.write_text(loop_apt_text(0).replace("(1,q)", "q"))
+        code, out, err = run(["check", str(scheme), str(apt)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"{apt}:6:10: unexpected formula token 'q'\n"
+
+    def test_bad_color_entry_is_positioned(self, tmp_path, capsys):
+        scheme = tmp_path / "loop.hors"
+        scheme.write_text(LOOP_HORS)
+        apt = tmp_path / "badcol.apt"
+        apt.write_text(loop_apt_text(1).replace("q -> 1", "q -> 1, r 1"))
+        code, out, err = run(["check", str(scheme), str(apt)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"{apt}:4:11: expected 'state -> color'\n"
+
 
 class TestUnfold:
     def test_prefix_s_expression(self, files, capsys):
@@ -330,6 +366,19 @@ class TestImportPath:
              "print('horsmc.oracles' in sys.modules)"],
             capture_output=True, text=True, env=cli_env(0))
         assert (r.returncode, r.stdout) == (0, "False\n"), r.stderr
+
+    def test_no_cache_decorators_on_the_production_path(self):
+        # Memo tables belong to an analysis; `dnf` is a pure function of an
+        # immutable formula and keeps its cache.
+        r = subprocess.run(
+            [sys.executable, "-c", "import functools, sys, horsmc.cli\n"
+             "print(sorted({f'{f.__module__}.{f.__qualname__}'\n"
+             "  for n, mod in list(sys.modules.items())\n"
+             "  if n.split('.')[0] == 'horsmc' for f in vars(mod).values()\n"
+             "  if isinstance(f, functools._lru_cache_wrapper)}))"],
+            capture_output=True, text=True, env=cli_env(0))
+        assert (r.returncode, r.stdout) == (0, "['horsmc.automata.dnf']\n"), \
+            r.stderr
 
     def test_oracles_are_not_reexported(self):
         import horsmc

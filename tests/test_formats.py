@@ -121,6 +121,25 @@ class TestHorsFormat:
             parse_hors(sections + "start: S\nrules:\n  S = a\n  a = a\n")
         assert (e.value.line, e.value.col, e.value.msg) == (line, 3, msg)
 
+    def test_body_name_positioned_past_the_head(self):
+        # The body ` z` also occurs inside the head `F zz`.
+        with pytest.raises(ParseError) as e:
+            parse_hors("terminals:\n  a : 0\nnonterminals:\n  S : o\n"
+                       "  F : o -> o\nstart: S\nrules:\n  S = F a\n"
+                       "  F zz = z\n")
+        assert (e.value.line, e.value.col) == (9, 10)
+        assert e.value.msg == "unknown name 'z'"
+
+    @pytest.mark.parametrize("rule, col, msg", [
+        ("  S x = a", 5, "too many binders for 'S'"),
+        ("  S (x) = a", 5, "malformed rule head"),
+        ("  = a", 3, "malformed rule head")])
+    def test_rule_head_error_positioned(self, rule, col, msg):
+        with pytest.raises(ParseError) as e:
+            parse_hors("terminals:\n  a : 0\nnonterminals:\n  S : o\n"
+                       f"start: S\nrules:\n{rule}\n")
+        assert (e.value.line, e.value.col, e.value.msg) == (7, col, msg)
+
 
 class TestAptFormat:
     def test_parse_example(self, ex1, ex1_apt):
@@ -161,6 +180,22 @@ class TestAptFormat:
         with pytest.raises(ParseError) as e:
             parse_apt("states: q\ninitial: q\ndelta:\n  q a -> (1,q) /\\\n")
         assert e.value.line == 4
+
+    def test_formula_token_positioned_past_the_head(self):
+        # The formula `t` also occurs as the state of the transition.
+        with pytest.raises(ParseError) as e:
+            parse_apt("states: t\ninitial: t\ncolors:\n  t -> 0\ndelta:\n"
+                      "  t a -> t\n")
+        assert (e.value.line, e.value.col) == (6, 10)
+        assert e.value.msg == "unexpected formula token 't'"
+
+    @pytest.mark.parametrize("colors, line, col", [
+        ("colors:\n  q -> 0, r 1\n", 4, 11), ("colors: q -> 0, r 1\n", 3, 17)])
+    def test_bad_color_entry_positioned(self, colors, line, col):
+        with pytest.raises(ParseError) as e:
+            parse_apt("states: q r\ninitial: q\n" + colors)
+        assert (e.value.line, e.value.col) == (line, col)
+        assert e.value.msg == "expected 'state -> color'"
 
     def test_repeated_state_positioned(self):
         with pytest.raises(ParseError) as e:

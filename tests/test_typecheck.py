@@ -1,16 +1,20 @@
+import copy
+import gc
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from horsmc import (App, Apt, Arrow, ArrowType, Atom, EPSILON, EveNode,
-                    GROUND, Hors, NonTerminal, Rule, SizeGuardExceeded,
-                    StateType, TRUE, Terminal, Var, apply, build_game,
-                    color_set, colored_set, conj, enumerate_colored_sets,
-                    enumerate_types, format_itype, format_sort, format_term,
-                    is_terminal_type, rule_typings, subtype, subtype_set)
-from horsmc.itypes import EMPTY_SET, cset_key, split_chain
+from horsmc import (Analysis, App, Apt, Arrow, ArrowType, Atom, EPSILON,
+                    EveNode, GROUND, Hors, NonTerminal, Rule,
+                    SizeGuardExceeded, StateType, TRUE, Terminal, Var,
+                    apply, build_game, color_set, colored_set, conj,
+                    enumerate_colored_sets, enumerate_types, extract_scheme,
+                    format_itype, format_sort, format_term, is_terminal_type,
+                    rule_typings, subtype, subtype_set, typecheck, zielonka)
+from horsmc.itypes import EMPTY_SET, split_chain
 from horsmc.oracles import (Deriver, box_color, check_derivation, denotation,
                             derive, residual_env)
 from horsmc.syntax import ground_sort
@@ -258,7 +262,7 @@ class TestRuleTypings:
     def test_returned_maps_are_derivable(self, ex1, ex1_apt):
         u_q1 = colored_set([(0, Q1)])
         theta = ArrowType(u_q1, Q0)
-        for delta, deriv in rule_typings(ex1, ex1_apt, "L", theta, {}):
+        for delta, deriv in rule_typings(Analysis(ex1, ex1_apt), "L", theta):
             env = {"x": u_q1}
             env.update({n: u for n, u in delta})
             for nt in ex1.nonterminals:
@@ -271,7 +275,7 @@ class TestRuleTypings:
     def test_maps_are_inclusion_minimal(self, ex1, ex1_apt):
         theta = ArrowType(colored_set([(0, Q1)]), Q0)
         maps = [dict(delta) for delta, _ in
-                rule_typings(ex1, ex1_apt, "L", theta, {})]
+                rule_typings(Analysis(ex1, ex1_apt), "L", theta)]
         as_sets = []
         for m_ in maps:
             flat = frozenset((n, c, ty) for n, u in m_.items()
@@ -285,12 +289,12 @@ class TestRuleTypings:
     def test_empty_assumptions_for_closed_body(self, ex1_apt):
         from conftest import const_scheme
         h, m = const_scheme()
-        maps = rule_typings(h, m, "S", StateType("q"), {})
+        maps = rule_typings(Analysis(h, m), "S", StateType("q"))
         assert maps and maps[0][0] == ()
 
     def test_arity_mismatch_rejected(self, ex1, ex1_apt):
         with pytest.raises(ValueError):
-            rule_typings(ex1, ex1_apt, "L", Q0, {})
+            rule_typings(Analysis(ex1, ex1_apt), "L", Q0)
 
     def test_every_game_derivation_checks(self, ex1, ex1_apt):
         # The root environment is rebuilt here, not taken from the search:
@@ -310,8 +314,8 @@ class TestRuleTypings:
                     continue
                 arg_sets, _ = split_chain(node.ty)
                 binders = h.rules[node.nonterminal].binders
-                for delta, deriv in rule_typings(h, m, node.nonterminal,
-                                                 node.ty, {}):
+                for delta, deriv in rule_typings(Analysis(h, m),
+                                                 node.nonterminal, node.ty):
                     env = {nt: EMPTY_SET for nt in h.nonterminals}
                     env.update(delta)
                     env.update({x: u for (x, _), u in zip(binders, arg_sets)})
@@ -438,12 +442,11 @@ def reference_rule_typings(h, m, name, theta):
     """`rule_typings` through the powerset search, uncached."""
     rule = h.rules[name]
     arg_sets, result = split_chain(theta)
-    sort_env = {**h.nonterminals, **dict(rule.binders)}
     var_env = {b: u for (b, _), u in zip(rule.binders, arg_sets)}
-    search = PowersetSearch(m, name, sort_env, var_env)
+    search = PowersetSearch(Analysis(h, m), name, var_env)
     out = [(assumptions_from(req), d)
            for req, d in search.search(rule.body, result, EPSILON)]
-    out.sort(key=lambda du: tuple((n, cset_key(u)) for n, u in du[0]))
+    out.sort(key=lambda du: tuple((n, u.key) for n, u in du[0]))
     return out
 
 
@@ -452,7 +455,7 @@ def assert_matches_powerset(h, m, g) -> int:
     checked = 0
     for node in g.nodes:
         if isinstance(node, EveNode):
-            assert (rule_typings(h, m, node.nonterminal, node.ty, {})
+            assert (rule_typings(Analysis(h, m), node.nonterminal, node.ty)
                     == reference_rule_typings(h, m, node.nonterminal,
                                               node.ty)), node
             checked += 1
@@ -519,16 +522,18 @@ def assert_shared_memo_matches_fresh(h, m, g, seed=0) -> int:
     moves `build_game` made there.  The nodes are visited in reverse and in
     a seeded shuffle, so no entry depends on which node filled it."""
     eves = [v for v in g.nodes if isinstance(v, EveNode)]
-    fresh = {v: rule_typings(h, m, v.nonterminal, v.ty, {}) for v in eves}
+    fresh = {v: rule_typings(Analysis(h, m), v.nonterminal, v.ty)
+             for v in eves}
     for v in eves:
         assert [(a.assumption, a.derivation)
                 for a in g.successors(v)] == fresh[v], v
     shuffled = list(eves)
     random.Random(seed).shuffle(shuffled)
     for order in (eves[::-1], shuffled):
-        memo: dict = {}
+        analysis = Analysis(h, m)
         for v in order:
-            assert rule_typings(h, m, v.nonterminal, v.ty, memo) == fresh[v], v
+            assert (rule_typings(analysis, v.nonterminal, v.ty)
+                    == fresh[v]), v
     return len(eves)
 
 
@@ -574,7 +579,7 @@ def test_shared_memo_searches_each_residual_once(monkeypatch):
     calls.clear()
     for v in g.nodes:
         if isinstance(v, EveNode):
-            rule_typings(h, m, v.nonterminal, v.ty, {})
+            rule_typings(Analysis(h, m), v.nonterminal, v.ty)
     assert calls[a_f] == 256
 
 
@@ -584,3 +589,44 @@ def test_build_game_adds_no_attribute(ex1, ex1_apt):
         before = (set(vars(h)), set(vars(m)))
         build_game(h, m)
         assert (set(vars(h)), set(vars(m))) == before
+
+
+# ---------------------------------------------------------------------------
+# One analysis per game: what the search memoises lives and dies with it.
+
+def test_build_and_extract_leave_the_automaton_unchanged(ex1, ex1_apt):
+    for h, m, q in [(ex1, ex1_apt, "q0"), (*order2_unary(), "q")]:
+        before = copy.deepcopy(vars(m))
+        sol = zielonka(build_game(h, m))
+        extract_scheme(h, m, sol, q)
+        assert vars(m) == before
+
+
+def test_each_type_space_is_enumerated_once_per_game(monkeypatch, ex1,
+                                                     ex1_apt):
+    calls: Counter = Counter()
+    enumerate_types = typecheck.enumerate_types
+
+    def counting(sigma, m):
+        calls[sigma] += 1
+        return enumerate_types(sigma, m)
+
+    monkeypatch.setattr(typecheck, "enumerate_types", counting)
+    for h, m in [(ex1, ex1_apt), order2_unary(), (grow_scheme(), grow_apt())]:
+        calls.clear()
+        build_game(h, m)
+        assert calls and set(calls.values()) == {1}, calls
+
+
+def test_a_warm_build_leaves_no_garbage():
+    # The game's own objects are freed by reference counting alone; a cycle
+    # would wait for the collector, and the collector is off here.
+    h, m = order2_unary()
+    build_game(h, m)
+    gc.collect()
+    gc.disable()
+    try:
+        build_game(h, m)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
