@@ -133,7 +133,8 @@ class TestHorsFormat:
     @pytest.mark.parametrize("rule, col, msg", [
         ("  S x = a", 5, "too many binders for 'S'"),
         ("  S (x) = a", 5, "malformed rule head"),
-        ("  = a", 3, "malformed rule head")])
+        ("  = a", 3, "malformed rule head"),
+        ("  S! = a", 4, "unexpected character '!'")])
     def test_rule_head_error_positioned(self, rule, col, msg):
         with pytest.raises(ParseError) as e:
             parse_hors("terminals:\n  a : 0\nnonterminals:\n  S : o\n"
