@@ -286,3 +286,133 @@ class TestAnnotatedFormat:
 def test_tree_printing(ex1):
     assert print_tree(unfold(ex1, 2)) == "(if (Nil) (if _|_ _|_))"
     assert print_tree(unfold(ex1, 0)) == "_|_"
+
+
+# One row per `ParseError` message of `horsmc.formats`, each with the line,
+# column and message it reports.  Schemes edit `SCHEME`, automata `AUTOMATON`
+# (read over the terminals of `SCHEME`) and witnesses `WITNESS`.
+SCHEME = ("terminals:\n  a : 1\n  c : 0\nnonterminals:\n  S : o\nstart: S\n"
+          "rules:\n  S = a c\n")
+AUTOMATON = ("states: q\ninitial: q\ncolors:\n  q -> 0\ndelta:\n"
+             "  q a -> (1,q)\n  q c -> true\n")
+WITNESS = ("terminals:\n  c@{}->q : 0\nnonterminals:\n  S@q : o\n"
+           "start: S@q\nrules:\n  S@q = c@{}->q\n")
+
+
+def _edit(base, old, new):
+    assert old in base
+    return base.replace(old, new, 1)
+
+
+PARSERS = {
+    "scheme": parse_hors,
+    "automaton": lambda t: parse_apt(t, terminals={"a": 1, "c": 0}),
+    "witness": parse_annotated,
+    "itype": parse_itype,
+}
+
+ERROR_TABLE = [
+    # Scheme declarations and sections.
+    ("scheme", "foo\n" + SCHEME, 1, 1, "text outside any section: 'foo'"),
+    ("scheme", _edit(SCHEME, "start: S\n", ""), 1, 1,
+     "missing start symbol"),
+    ("scheme", _edit(SCHEME, "a : 1", "a : x"), 2, 3,
+     "expected 'name : arity'"),
+    ("scheme", _edit(SCHEME, "  c : 0\n", "  c : 0\n  a : 0\n"), 4, 3,
+     "terminal 'a' declared twice"),
+    ("scheme", "nonterminals:\n  S : o\nterminals:\n  S : 0\n"
+     "start: S\nrules:\n  S = S\n", 4, 3,
+     "terminal 'S' already declared as a nonterminal"),
+    ("scheme", _edit(SCHEME, "S : o", "S :"), 5, 3,
+     "expected 'name : sort'"),
+    ("scheme", _edit(SCHEME, "  S : o\n", "  S : o\n  S : o\n"), 6, 3,
+     "nonterminal 'S' declared twice"),
+    ("scheme", _edit(SCHEME, "  S : o\n", "  S : o\n  c : o\n"), 6, 3,
+     "nonterminal 'c' already declared as a terminal"),
+    # Sorts.
+    ("scheme", _edit(SCHEME, "S : o", "S : o ->"), 5, 11, "sort expected"),
+    ("scheme", _edit(SCHEME, "S : o", "S : (o -> o"), 5, 14,
+     "')' expected in sort"),
+    ("scheme", _edit(SCHEME, "S : o", "S : x"), 5, 7, "bad sort token 'x'"),
+    ("scheme", _edit(SCHEME, "S : o", "S : o o"), 5, 9,
+     "trailing sort token 'o'"),
+    # Rules.
+    ("scheme", _edit(SCHEME, "S = a c", "S a c"), 8, 3,
+     "expected 'F x1 ... xn = body'"),
+    ("scheme", _edit(SCHEME, "S = a c", "S (x) = a c"), 8, 5,
+     "malformed rule head"),
+    ("scheme", _edit(SCHEME, "S = a c", "S! = a c"), 8, 4,
+     "unexpected character '!'"),
+    ("scheme", SCHEME + "  F = c\n", 9, 3,
+     "rule for undeclared nonterminal 'F'"),
+    ("scheme", SCHEME + "  S = c\n", 9, 3,
+     "second rule for nonterminal 'S'"),
+    ("scheme", _edit(SCHEME, "S = a c", "S x = a c"), 8, 5,
+     "too many binders for 'S'"),
+    ("scheme", _edit(SCHEME, "S = a c", "S = a ("), 8, 9,
+     "expression expected"),
+    ("scheme", _edit(SCHEME, "S = a c", "S = a (c"), 8, 9, "')' expected"),
+    ("scheme", _edit(SCHEME, "S = a c", "S = )"), 8, 7, "unexpected ')'"),
+    ("scheme", _edit(SCHEME, "S = a c", "S = a b"), 8, 9,
+     "unknown name 'b'"),
+    ("scheme", _edit(SCHEME, "S = a c", "S = a c)"), 8, 10,
+     "trailing token ')'"),
+    # Automaton sections and entries.
+    ("automaton", "foo\n" + AUTOMATON, 1, 1,
+     "text outside any section: 'foo'"),
+    ("automaton", _edit(AUTOMATON, "states: q\n", ""), 1, 1,
+     "missing states"),
+    ("automaton", _edit(AUTOMATON, "initial: q\n", ""), 1, 1,
+     "missing initial state"),
+    ("automaton", _edit(AUTOMATON, "states: q", "states: q q"), 1, 11,
+     "state 'q' listed twice"),
+    ("automaton", _edit(AUTOMATON, "q -> 0", "q -> 0, r 1"), 4, 11,
+     "expected 'state -> color'"),
+    ("automaton", _edit(AUTOMATON, "q -> 0", "q -> 0, q -> 1"), 4, 11,
+     "second color for state 'q'"),
+    ("automaton", _edit(AUTOMATON, "q -> 0", "q -> 0, r -> 1"), 4, 11,
+     "color for unlisted state 'r'"),
+    ("automaton", _edit(AUTOMATON, "q a -> (1,q)", "q a (1,q)"), 6, 3,
+     "expected 'state symbol -> formula'"),
+    ("automaton", AUTOMATON + "  q a -> false\n", 8, 3,
+     "second transition for state 'q' and symbol 'a'"),
+    # Formulas.
+    ("automaton", _edit(AUTOMATON, "(1,q)", "!"), 6, 10,
+     "bad formula character '!'"),
+    ("automaton", _edit(AUTOMATON, "(1,q)", "(1,q) /\\"), 6, 17,
+     "formula ends unexpectedly"),
+    ("automaton", _edit(AUTOMATON, "(1,q)", "(1 q)"), 6, 13,
+     "expected ',', found 'q'"),
+    ("automaton", _edit(AUTOMATON, "(1,q)", "q"), 6, 10,
+     "unexpected formula token 'q'"),
+    ("automaton", _edit(AUTOMATON, "(1,q)", "true (1,q)"), 6, 15,
+     "trailing formula token '('"),
+    # Witness declarations and their types.
+    ("witness", _edit(WITNESS, "nonterminals:", "  b : 0\nnonterminals:"),
+     3, 3, "bad annotated terminal 'b'"),
+    ("witness", _edit(WITNESS, "nonterminals:",
+                      "  a@{1:q}->q : 1\nnonterminals:"), 3, 3,
+     "bad profile entry '1:q'"),
+    ("witness", _edit(WITNESS, "nonterminals:",
+                      "  a@{1:e.q}->q : 2\nnonterminals:"), 3, 3,
+     "profile arity mismatch for 'a@{1:e.q}->q'"),
+    ("witness", _edit(WITNESS, "start:", "  F@{e.q}q : o -> o\nstart:"),
+     5, 10, "'->' expected in type"),
+    ("witness", _edit(WITNESS, "start:", "  F@{e.q}-> : o -> o\nstart:"),
+     5, 12, "state expected in type"),
+    ("witness", _edit(WITNESS, "start:", "  F@{q}->q : o -> o\nstart:"),
+     5, 6, "'color.type' expected"),
+    ("witness", _edit(WITNESS, "start:", "  F@{e.q : o -> o\nstart:"),
+     5, 8, "'}' expected in type"),
+    ("witness", _edit(WITNESS, "start:", "  F@q} : o\nstart:"),
+     5, 6, "trailing type text '}'"),
+    ("itype", "{e.q", 0, 4, "'}' expected in type"),
+]
+
+
+@pytest.mark.parametrize("parser, text, line, col, msg", ERROR_TABLE,
+                         ids=[f"{row[0]}-{row[4]}" for row in ERROR_TABLE])
+def test_parse_error_table(parser, text, line, col, msg):
+    with pytest.raises(ParseError) as e:
+        PARSERS[parser](text)
+    assert (e.value.line, e.value.col, e.value.msg) == (line, col, msg)
