@@ -68,10 +68,10 @@ rules:
 """
 
 for color in (1, 2):
+    loop = parse_hors(LOOP)
     loop_apt = parse_apt(
         f"states: q\ninitial: q\ncolors:\n  q -> {color}\n"
-        "delta:\n  q a -> (1,q)\n")
-    loop = parse_hors(LOOP)
+        "delta:\n  q a -> (1,q)\n", terminals=loop.terminals)
     g = build_game(loop, loop_apt)
     verdict = "ACCEPT" if accepted_states(loop, loop_apt) else "REJECT"
     brute = solve_brute(g)

@@ -6,15 +6,22 @@ Scheme files have sections `terminals:`, `nonterminals:`, `start:` and
 grammar with terminal tokens `a@{k:c.q,...}->q` and nonterminal tokens
 `F@<type>`, where a type is a state or `{c.<type>,...}-><type>` and the
 neutral color prints as `e`.
+
+Two pieces serve every grammar.  `_sections` reads the section structure
+of a file and yields its entries, one or more to a line.  `_Tokens` is a
+cursor over the tokens of one entry's sort, rule, formula or type.  Errors
+carry the 1-based line and column of the offending token; an error at the
+end of the text points one column past its last character.
 """
 
 from __future__ import annotations
 
 import re
+from typing import NoReturn
 
 from .automata import (Apt, Atom, EPSILON, FALSE, Formula, TRUE, FAnd, FOr,
-                       atoms_of, format_formula)
-from .itypes import ArrowType, ColoredSet, IType, StateType, colored_set
+                       format_formula)
+from .itypes import ArrowType, IType, StateType, colored_set
 from .selection import AnnotatedHors, Profile
 from .syntax import (App, Arrow, GROUND, Hors, NonTerminal, Rule, SimpleType,
                      Term, Terminal, TreePrefix, Var, format_sort,
@@ -30,46 +37,92 @@ class ParseError(Exception):
 
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-# After an @ an annotated token may carry braces, colons, dots and arrows.
-_ANNOT_TAIL = re.compile(r"[A-Za-z0-9_@{},.:>-]*")
+# A token pattern matches what it skips, then the token as group 1.
+_SORT_TOKEN = re.compile(r"\s*(->|[()]|o|\S+)")
+# Identifiers, annotated ones carrying braces, colons, dots and arrows after
+# the @, and parentheses.
+_EXPR_TOKEN = re.compile(r"\s*([()]|[A-Za-z][A-Za-z0-9_]*"
+                         r"(?:@[A-Za-z0-9_@{},.:>-]*)?)")
+_FORMULA_TOKEN = re.compile(r"\s*(true|false|/\\|\\/|[(),]|\d+"
+                            r"|[A-Za-z][A-Za-z0-9_]*)")
+# A type skips nothing: any other character, a space included, is a token
+# of its own, which the type grammar rejects.
+_TYPE_TOKEN = re.compile(r"((?:e|\d+)\.|->|[{},]|[A-Za-z][A-Za-z0-9_]*|.)",
+                         re.DOTALL)
+_COLOR_DOT = re.compile(r"(e|\d+)\.")
+_WORD = re.compile(r"\s*(\S+)")
+_COLOR_ENTRY = re.compile(r"[^,\s][^,]*")
+_TRANSITION = re.compile(r"(\S+)\s+(\S+)\s*->\s*(.*)$")
 
 
-def _strip_comment(line: str) -> str:
-    i = line.find("#")
-    return line if i < 0 else line[:i]
+class _Tokens:
+    """A cursor over the tokens of `text`, which starts at index `offset` of
+    line `line`.  It holds `(token, column)` pairs with 1-based columns,
+    then the end sentinel `(None, column)` one past the text.  `token_re`
+    matches one token as its group 1, after what it skips; trailing
+    whitespace ends the text, and any other character that starts no token
+    is an error named `bad`."""
+
+    def __init__(self, text: str, token_re: re.Pattern, line: int,
+                 offset: int = 0, bad: str = "unexpected character"):
+        self.line = line
+        self.toks: list[tuple[str | None, int]] = []
+        end = 0
+        for m in token_re.finditer(text):
+            if m.start() != end:
+                break
+            self.toks.append((m.group(1), offset + m.start(1) + 1))
+            end = m.end()
+        rest = text[end:].lstrip()
+        if rest:
+            raise ParseError(f"{bad} {rest[0]!r}", line,
+                             offset + len(text) - len(rest) + 1)
+        self.toks.append((None, offset + len(text) + 1))
+        self.i = 0
+
+    def peek(self) -> str | None:
+        return self.toks[self.i][0]
+
+    def take(self) -> tuple[str | None, int]:
+        """The next pair; the cursor stays on the end sentinel."""
+        tok = self.toks[self.i]
+        if tok[0] is not None:
+            self.i += 1
+        return tok
+
+    def fail(self, msg: str, col: int | None = None) -> NoReturn:
+        """Raise at `col`, by default at the next token."""
+        raise ParseError(msg, self.line,
+                         self.toks[self.i][1] if col is None else col)
 
 
-def _logical_lines(text: str):
+def _sections(text: str, names: tuple[str, ...], single: str):
+    """Yield `(section, lineno, line, col)` for each entry of `text`, where
+    `line` is without its comment and `line[col - 1:]` is the entry.  A
+    header `name:` may carry its first entry; the section `single` holds one
+    entry only."""
+    # Section headers have no space before the colon; declaration lines
+    # conventionally do (`name : arity`).
+    header = re.compile(r"\s*(" + "|".join(names) + r"):\s*")
+    section = None
     for no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).rstrip()
-        if line.strip():
-            yield no, line
-
-
-def _lex_expr(s: str, lineno: int, offset: int = 0):
-    """Tokens of a rule body: identifiers (possibly annotated) and parens."""
-    out = []
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch.isspace():
-            i += 1
+        line = raw.split("#", 1)[0].rstrip()
+        if not line:
             continue
-        if ch in "()":
-            out.append((ch, lineno, offset + i + 1))
-            i += 1
-            continue
-        m = _IDENT.match(s, i)
-        if not m:
-            raise ParseError(f"unexpected character {ch!r}", lineno,
-                             offset + i + 1)
-        end = m.end()
-        if end < len(s) and s[end] == "@":
-            m2 = _ANNOT_TAIL.match(s, end)
-            end = m2.end()
-        out.append((s[i:end], lineno, offset + i + 1))
-        i = end
-    return out
+        m = header.match(line)
+        if m:
+            section = m.group(1)
+            if m.end() == len(line):
+                continue
+            col = m.end() + 1
+        else:
+            col = len(line) - len(line.lstrip()) + 1
+        if section is None:
+            raise ParseError(f"text outside any section: {line.strip()!r}",
+                             no, 1)
+        yield section, no, line, col
+        if section == single:
+            section = None
 
 
 # ---------------------------------------------------------------------------
@@ -77,40 +130,33 @@ def _lex_expr(s: str, lineno: int, offset: int = 0):
 
 def parse_sort(text: str, lineno: int = 0, offset: int = 0) -> SimpleType:
     """`offset` is the index of `text` in its line: errors carry the 1-based
-    column of the offending token, or of the end of `text`."""
-    tokens = [(m.group(), offset + m.start() + 1)
-              for m in re.finditer(r"->|[()]|o|\S+", text)]
-    tokens.append((None, offset + len(text) + 1))
-    pos = [0]
+    column of the offending token, or one past the end of `text`."""
+    cur = _Tokens(text, _SORT_TOKEN, lineno, offset)
 
     def atom() -> SimpleType:
-        t, col = tokens[pos[0]]
+        t, col = cur.take()
         if t is None:
-            raise ParseError("sort expected", lineno, col)
+            cur.fail("sort expected", col)
         if t == "o":
-            pos[0] += 1
             return GROUND
         if t == "(":
-            pos[0] += 1
             inner = sort()
-            if tokens[pos[0]][0] != ")":
-                raise ParseError("')' expected in sort", lineno,
-                                 tokens[pos[0]][1])
-            pos[0] += 1
+            if cur.peek() != ")":
+                cur.fail("')' expected in sort")
+            cur.take()
             return inner
-        raise ParseError(f"bad sort token {t!r}", lineno, col)
+        cur.fail(f"bad sort token {t!r}", col)
 
     def sort() -> SimpleType:
         left = atom()
-        if tokens[pos[0]][0] == "->":
-            pos[0] += 1
+        if cur.peek() == "->":
+            cur.take()
             return Arrow(left, sort())
         return left
 
     result = sort()
-    t, col = tokens[pos[0]]
-    if t is not None:
-        raise ParseError(f"trailing sort token {t!r}", lineno, col)
+    if cur.peek() is not None:
+        cur.fail(f"trailing sort token {cur.peek()!r}")
     return result
 
 
@@ -128,25 +174,12 @@ def _parse_hors(text: str) -> tuple[Hors, dict[str, tuple[int, int]]]:
     rules: dict[str, Rule] = {}
     where: dict[str, tuple[int, int]] = {}
     start: str | None = None
-    section = None
-    # Section headers have no space before the colon; declaration lines
-    # conventionally do (`name : arity`).
-    section_re = re.compile(r"^(terminals|nonterminals|start|rules):(.*)$")
-
-    for no, line in _logical_lines(text):
-        stripped = line.strip()
-        m = section_re.match(stripped)
-        if m:
-            section = m.group(1)
-            rest = m.group(2).strip()
-            if section == "start" and rest:
-                start = rest
-                section = None
-            continue
+    for section, no, line, col in _sections(
+            text, ("terminals", "nonterminals", "start", "rules"), "start"):
+        entry = line[col - 1:]
         if section == "terminals":
-            name, _, arity = stripped.rpartition(":")
+            name, _, arity = entry.rpartition(":")
             name, arity = name.strip(), arity.strip()
-            col = line.index(stripped) + 1
             if not name or not arity.isdigit():
                 raise ParseError("expected 'name : arity'", no, col)
             if name in terminals:
@@ -157,9 +190,8 @@ def _parse_hors(text: str) -> tuple[Hors, dict[str, tuple[int, int]]]:
             terminals[name] = int(arity)
             where[name] = (no, col)
         elif section == "nonterminals":
-            name, _, sort_text = stripped.rpartition(":")
+            name, _, sort_text = entry.rpartition(":")
             name, sort_text = name.strip(), sort_text.strip()
-            col = line.index(stripped) + 1
             if not name or not sort_text:
                 raise ParseError("expected 'name : sort'", no, col)
             if name in nonterminals:
@@ -172,21 +204,19 @@ def _parse_hors(text: str) -> tuple[Hors, dict[str, tuple[int, int]]]:
                                             len(line) - len(sort_text))
             where[name] = (no, col)
         elif section == "start":
-            start = stripped
-            section = None
-        elif section == "rules":
-            indent = len(line) - len(stripped)
-            if "=" not in stripped:
-                raise ParseError("expected 'F x1 ... xn = body'", no,
-                                 indent + 1)
-            eq = line.index("=")
-            head_tokens = _lex_expr(line[indent:eq], no, indent)
-            if not head_tokens:
-                raise ParseError("malformed rule head", no, indent + 1)
-            for t, _, col in head_tokens:
+            start = entry
+        else:
+            if "=" not in entry:
+                raise ParseError("expected 'F x1 ... xn = body'", no, col)
+            eq = line.index("=", col - 1)
+            head = _Tokens(line[col - 1:eq], _EXPR_TOKEN, no,
+                           col - 1).toks[:-1]
+            if not head:
+                raise ParseError("malformed rule head", no, col)
+            for t, c in head:
                 if t in "()":
-                    raise ParseError("malformed rule head", no, col)
-            fname, _, head_col = head_tokens[0]
+                    raise ParseError("malformed rule head", no, c)
+            fname, head_col = head[0]
             if fname not in nonterminals:
                 raise ParseError(f"rule for undeclared nonterminal '{fname}'",
                                  no, head_col)
@@ -195,18 +225,14 @@ def _parse_hors(text: str) -> tuple[Hors, dict[str, tuple[int, int]]]:
                                  no, head_col)
             sort = nonterminals[fname]
             binders = []
-            for b, _, col in head_tokens[1:]:
+            for b, c in head[1:]:
                 if not isinstance(sort, Arrow):
-                    raise ParseError(f"too many binders for '{fname}'", no,
-                                     col)
+                    raise ParseError(f"too many binders for '{fname}'", no, c)
                 binders.append((b, sort.domain))
                 sort = sort.codomain
-            body = _parse_body(line[eq + 1:], no, eq + 1,
-                               {b for b, _ in binders}, terminals,
-                               nonterminals)
-            rules[fname] = Rule(tuple(binders), body)
-        else:
-            raise ParseError(f"text outside any section: {stripped!r}", no, 1)
+            body = _Tokens(line[eq + 1:], _EXPR_TOKEN, no, eq + 1)
+            rules[fname] = Rule(tuple(binders), _parse_body(
+                body, {b for b, _ in binders}, terminals, nonterminals))
 
     if start is None:
         raise ParseError("missing start symbol", 1, 1)
@@ -214,43 +240,37 @@ def _parse_hors(text: str) -> tuple[Hors, dict[str, tuple[int, int]]]:
                 start=start), where
 
 
-def _parse_body(src: str, lineno: int, offset: int, binders: set[str],
-                terminals: dict, nonterminals: dict) -> Term:
-    tokens = _lex_expr(src, lineno, offset)
-    pos = [0]
-
+def _parse_body(cur: _Tokens, binders: set[str], terminals: dict,
+                nonterminals: dict) -> Term:
     def atom() -> Term:
-        if pos[0] >= len(tokens):
-            raise ParseError("expression expected", lineno, offset + len(src))
-        tok, ln, col = tokens[pos[0]]
+        tok, col = cur.take()
+        if tok is None:
+            cur.fail("expression expected", col)
         if tok == "(":
-            pos[0] += 1
             inner = expr()
-            if pos[0] >= len(tokens) or tokens[pos[0]][0] != ")":
-                raise ParseError("')' expected", ln, col)
-            pos[0] += 1
+            if cur.peek() != ")":
+                cur.fail("')' expected", col)
+            cur.take()
             return inner
         if tok == ")":
-            raise ParseError("unexpected ')'", ln, col)
-        pos[0] += 1
+            cur.fail("unexpected ')'", col)
         if tok in binders:
             return Var(tok)
         if tok in terminals:
             return Terminal(tok)
         if tok in nonterminals:
             return NonTerminal(tok)
-        raise ParseError(f"unknown name '{tok}'", ln, col)
+        cur.fail(f"unknown name '{tok}'", col)
 
     def expr() -> Term:
         t = atom()
-        while pos[0] < len(tokens) and tokens[pos[0]][0] != ")":
+        while cur.peek() not in (None, ")"):
             t = App(t, atom())
         return t
 
     result = expr()
-    if pos[0] != len(tokens):
-        tok, ln, col = tokens[pos[0]]
-        raise ParseError(f"trailing token {tok!r}", ln, col)
+    if cur.peek() is not None:
+        cur.fail(f"trailing token {cur.peek()!r}")
     return result
 
 
@@ -272,33 +292,13 @@ def print_hors(h: Hors) -> str:
 # ---------------------------------------------------------------------------
 # Automaton files
 
-def _parse_formula(src: str, lineno: int, offset: int) -> Formula:
-    token_re = re.compile(r"\s*(true|false|/\\|\\/|[(),]|\d+|[A-Za-z][A-Za-z0-9_]*)")
-    tokens = []
-    i = 0
-    while i < len(src):
-        if src[i].isspace():
-            i += 1
-            continue
-        m = token_re.match(src, i)
-        if not m:
-            raise ParseError(f"bad formula character {src[i]!r}", lineno,
-                             offset + i + 1)
-        tokens.append((m.group(1), offset + m.start(1) + 1))
-        i = m.end()
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]][0] if pos[0] < len(tokens) else None
-
+def _parse_formula(cur: _Tokens) -> Formula:
     def take(expected=None):
-        if pos[0] >= len(tokens):
-            raise ParseError("formula ends unexpectedly", lineno,
-                             offset + len(src))
-        tok, col = tokens[pos[0]]
+        tok, col = cur.take()
+        if tok is None:
+            cur.fail("formula ends unexpectedly", col)
         if expected is not None and tok != expected:
-            raise ParseError(f"expected {expected!r}, found {tok!r}", lineno, col)
-        pos[0] += 1
+            cur.fail(f"expected {expected!r}, found {tok!r}", col)
         return tok, col
 
     def atom() -> Formula:
@@ -308,7 +308,7 @@ def _parse_formula(src: str, lineno: int, offset: int) -> Formula:
         if tok == "false":
             return FALSE
         if tok == "(":
-            if peek() is not None and peek().isdigit():
+            if cur.peek() is not None and cur.peek().isdigit():
                 d, _ = take()
                 take(",")
                 q, _ = take()
@@ -317,66 +317,71 @@ def _parse_formula(src: str, lineno: int, offset: int) -> Formula:
             inner = disjunction()
             take(")")
             return inner
-        raise ParseError(f"unexpected formula token {tok!r}", lineno, col)
+        cur.fail(f"unexpected formula token {tok!r}", col)
 
     def conjunction() -> Formula:
         left = atom()
-        while peek() == "/\\":
+        while cur.peek() == "/\\":
             take()
             left = FAnd(left, atom())
         return left
 
     def disjunction() -> Formula:
         left = conjunction()
-        while peek() == "\\/":
+        while cur.peek() == "\\/":
             take()
             left = FOr(left, conjunction())
         return left
 
     f = disjunction()
-    if pos[0] != len(tokens):
-        tok, col = tokens[pos[0]]
-        raise ParseError(f"trailing formula token {tok!r}", lineno, col)
+    if cur.peek() is not None:
+        cur.fail(f"trailing formula token {cur.peek()!r}")
     return f
 
 
-def parse_apt(text: str, terminals: dict[str, int] | None = None) -> Apt:
+def parse_apt(text: str, terminals: dict[str, int]) -> Apt:
+    """The automaton over the ranked alphabet `terminals`, the scheme's."""
     states: list[str] = []
     initial: str | None = None
     omega: dict[str, int] = {}
     color_at: dict[str, tuple[int, int]] = {}
     delta: dict[tuple[str, str], Formula] = {}
-    symbols: dict[str, int] = dict(terminals) if terminals else {}
-    infer_arities = terminals is None
-    section = None
-    section_re = re.compile(r"^(states|initial|colors|delta):(.*)$")
 
-    for no, line in _logical_lines(text):
-        stripped = line.strip()
-        m = section_re.match(stripped)
-        if m:
-            section = m.group(1)
-            rest = m.group(2).strip()
-            if rest:
-                if section == "states":
-                    _apt_states(line, line.index(":") + 1, no, states)
-                elif section == "initial":
-                    initial = rest
-                else:
-                    _apt_entry(section, line, line.index(":") + 1, no,
-                               omega, color_at, delta, symbols)
-            if section in ("initial",) and rest:
-                section = None
-            continue
+    for section, no, line, col in _sections(
+            text, ("states", "initial", "colors", "delta"), "initial"):
         if section == "states":
-            _apt_states(line, 0, no, states)
+            for q, c in _Tokens(line[col - 1:], _WORD, no, col - 1).toks[:-1]:
+                if q in states:
+                    raise ParseError(f"state '{q}' listed twice", no, c)
+                states.append(q)
         elif section == "initial":
-            initial = stripped
-            section = None
-        elif section in ("colors", "delta"):
-            _apt_entry(section, line, 0, no, omega, color_at, delta, symbols)
+            initial = line[col - 1:]
+        elif section == "colors":
+            for entry in _COLOR_ENTRY.finditer(line, col - 1):
+                c = entry.start() + 1
+                m = re.fullmatch(r"([A-Za-z][A-Za-z0-9_]*)\s*->\s*(\d+)",
+                                 entry.group().rstrip())
+                if not m:
+                    raise ParseError("expected 'state -> color'", no, c)
+                if m.group(1) in omega:
+                    raise ParseError(f"second color for state '{m.group(1)}'",
+                                     no, c)
+                omega[m.group(1)] = int(m.group(2))
+                color_at[m.group(1)] = (no, c)
         else:
-            raise ParseError(f"text outside any section: {stripped!r}", no, 1)
+            m = _TRANSITION.match(line, col - 1)
+            if not m:
+                raise ParseError("expected 'state symbol -> formula'", no, col)
+            q, a = m.group(1), m.group(2)
+            if a not in terminals:
+                raise ParseError(f"transition for unknown symbol '{a}'", no,
+                                 m.start(2) + 1)
+            if (q, a) in delta:
+                raise ParseError(f"second transition for state '{q}' and "
+                                 f"symbol '{a}'", no, col)
+            delta[(q, a)] = _parse_formula(_Tokens(
+                m.group(3), _FORMULA_TOKEN, no, m.start(3),
+                "bad formula character"))
 
     if not states:
         raise ParseError("missing states", 1, 1)
@@ -387,51 +392,8 @@ def parse_apt(text: str, terminals: dict[str, int] | None = None) -> Apt:
             raise ParseError(f"color for unlisted state '{q}'", no, col)
     for q in states:
         omega.setdefault(q, 0)
-    if infer_arities:
-        for (_, a), f in delta.items():
-            dirs = [d for d, _ in atoms_of(f)]
-            symbols[a] = max(symbols.get(a, 0), max(dirs, default=0))
-    m_ = Apt(states=tuple(states), terminals=symbols, delta=delta,
-             omega=omega, initial=initial)
-    return m_
-
-
-def _apt_states(line: str, start: int, no: int, states: list[str]) -> None:
-    """Append the state names on `line` from `start`; a repeat is an error."""
-    for tok in re.finditer(r"\S+", line[start:]):
-        q = tok.group()
-        if q in states:
-            raise ParseError(f"state '{q}' listed twice", no,
-                             start + tok.start() + 1)
-        states.append(q)
-
-
-def _apt_entry(section: str, line: str, start: int, no: int, omega: dict,
-               color_at: dict, delta: dict, symbols: dict) -> None:
-    """Read the color entries or the transition on `line` from `start`."""
-    if section == "colors":
-        for entry in re.finditer(r"[^,\s][^,]*", line[start:]):
-            col = start + entry.start() + 1
-            part = entry.group().rstrip()
-            m = re.match(r"^([A-Za-z][A-Za-z0-9_]*)\s*->\s*(\d+)$", part)
-            if not m:
-                raise ParseError("expected 'state -> color'", no, col)
-            if m.group(1) in omega:
-                raise ParseError(f"second color for state '{m.group(1)}'",
-                                 no, col)
-            omega[m.group(1)] = int(m.group(2))
-            color_at[m.group(1)] = (no, col)
-    else:
-        m = re.compile(r"\s*(\S+)\s+(\S+)\s*->\s*(.*)$").match(line, start)
-        col = len(line) - len(line[start:].lstrip()) + 1
-        if not m:
-            raise ParseError("expected 'state symbol -> formula'", no, col)
-        q, a = m.group(1), m.group(2)
-        if (q, a) in delta:
-            raise ParseError(f"second transition for state '{q}' and "
-                             f"symbol '{a}'", no, col)
-        delta[(q, a)] = _parse_formula(m.group(3), no, m.start(3))
-        symbols.setdefault(a, 0)
+    return Apt(states=tuple(states), terminals=dict(terminals), delta=delta,
+               omega=omega, initial=initial)
 
 
 def print_apt(m: Apt) -> str:
@@ -457,47 +419,34 @@ def _parse_color(text: str):
 def parse_itype(text: str, lineno: int = 0, offset: int = 0) -> IType:
     """`offset` is the index of `text` in its line: errors carry 1-based
     columns."""
-    pos = [0]
+    cur = _Tokens(text, _TYPE_TOKEN, lineno, offset)
 
     def itype() -> IType:
-        if pos[0] < len(text) and text[pos[0]] == "{":
-            u = cset()
-            if not text.startswith("->", pos[0]):
-                raise ParseError("'->' expected in type", lineno,
-                                 offset + pos[0] + 1)
-            pos[0] += 2
-            return ArrowType(u, itype())
-        m = _IDENT.match(text, pos[0])
-        if not m:
-            raise ParseError("state expected in type", lineno,
-                             offset + pos[0] + 1)
-        pos[0] = m.end()
-        return StateType(m.group(0))
-
-    def cset() -> ColoredSet:
-        assert text[pos[0]] == "{"
-        pos[0] += 1
-        pairs = []
-        while pos[0] < len(text) and text[pos[0]] != "}":
-            m = re.compile(r"(e|\d+)\.").match(text, pos[0])
-            if not m:
-                raise ParseError("'color.type' expected", lineno,
-                                 offset + pos[0] + 1)
-            c = _parse_color(m.group(1))
-            pos[0] = m.end()
-            pairs.append((c, itype()))
-            if pos[0] < len(text) and text[pos[0]] == ",":
-                pos[0] += 1
-        if pos[0] >= len(text):
-            raise ParseError("'}' expected in type", lineno,
-                             offset + pos[0])
-        pos[0] += 1
-        return colored_set(pairs)
+        tok, col = cur.take()
+        if tok == "{":
+            pairs = []
+            while cur.peek() not in ("}", None):
+                c, c_col = cur.take()
+                m = _COLOR_DOT.fullmatch(c)
+                if not m:
+                    cur.fail("'color.type' expected", c_col)
+                pairs.append((_parse_color(m.group(1)), itype()))
+                if cur.peek() == ",":
+                    cur.take()
+            if cur.take()[0] is None:
+                cur.fail("'}' expected in type")
+            if cur.peek() != "->":
+                cur.fail("'->' expected in type")
+            cur.take()
+            return ArrowType(colored_set(pairs), itype())
+        if tok is None or not _IDENT.fullmatch(tok):
+            cur.fail("state expected in type", col)
+        return StateType(tok)
 
     t = itype()
-    if pos[0] != len(text):
-        raise ParseError(f"trailing type text {text[pos[0]:]!r}", lineno,
-                         offset + pos[0] + 1)
+    tok, col = cur.take()
+    if tok is not None:
+        cur.fail(f"trailing type text {text[col - offset - 1:]!r}", col)
     return t
 
 

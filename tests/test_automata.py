@@ -120,6 +120,13 @@ class TestValidate:
                            match="color for unlisted state 'r'"):
             m.validate()
 
+    def test_transition_for_unknown_symbol_rejected(self):
+        m = Apt(states=("q",), terminals={"a": 1}, delta={("q", "b"): TRUE},
+                omega={"q": 0}, initial="q")
+        with pytest.raises(ValueError,
+                           match="transition for unknown symbol 'b'"):
+            m.validate()
+
 
 class TestRunSearch:
     def test_example_prefixes(self, ex1, ex1_apt):

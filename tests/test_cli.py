@@ -109,6 +109,16 @@ class TestStates:
         assert err == (f"{apt}:7:3: second transition for state 'q' and "
                        "symbol 'a'\n")
 
+    def test_unknown_transition_symbol_is_a_parse_error(self, files,
+                                                         tmp_path, capsys):
+        # With `Nil` misspelt, state q1 would have no transition for `Nil`
+        # and ex1 would be rejected.
+        _, scheme, _ = files
+        apt = tmp_path / "typo.apt"
+        apt.write_text(EX1_APT.replace("q1 Nil", "q1 Nill"))
+        code, out, err = run(["check", scheme, str(apt)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"{apt}:10:6: transition for unknown symbol 'Nill'\n"
 
     def test_second_rule_is_a_parse_error(self, tmp_path, capsys):
         # With the first rule kept the loop is rejected, with the second

@@ -130,6 +130,21 @@ class TestHorsFormat:
         assert (e.value.line, e.value.col) == (9, 10)
         assert e.value.msg == "unknown name 'z'"
 
+    @pytest.mark.parametrize("text", [
+        "terminals: a : 1\n  c : 0\nnonterminals: S : o\nstart: S\n"
+        "rules: S = a c\n",
+        "terminals:\n  a : 1\n  c : 0\nnonterminals:\n  S : o\nstart:\n"
+        "  S\nrules:\n  S = a c\n"], ids=["on-header", "below-header"])
+    def test_header_line_carries_first_entry(self, text):
+        assert parse_hors(text) == parse_hors(SCHEME)
+
+    def test_header_line_entry_positioned(self):
+        with pytest.raises(ParseError) as e:
+            parse_hors("terminals: a : 1\nnonterminals: S : o\nstart: S\n"
+                       "rules: S = a b\n")
+        assert (e.value.line, e.value.col) == (4, 14)
+        assert e.value.msg == "unknown name 'b'"
+
     @pytest.mark.parametrize("rule, col, msg", [
         ("  S x = a", 5, "too many binders for 'S'"),
         ("  S (x) = a", 5, "malformed rule head"),
@@ -159,7 +174,8 @@ class TestAptFormat:
 
     def test_formula_precedence(self):
         m = parse_apt("states: q\ninitial: q\ndelta:\n"
-                      "  q a -> (1,q) /\\ (2,q) \\/ (3,q)\n")
+                      "  q a -> (1,q) /\\ (2,q) \\/ (3,q)\n",
+                      terminals={"a": 3})
         f = m.delta[("q", "a")]
         # /\ binds tighter than \/
         assert format_formula(f) == "(1,q) /\\ (2,q) \\/ (3,q)"
@@ -168,25 +184,28 @@ class TestAptFormat:
 
     def test_parenthesized_group_vs_atom(self):
         m = parse_apt("states: q\ninitial: q\ndelta:\n"
-                      "  q a -> ((1,q) \\/ (2,q)) /\\ (1,q)\n")
+                      "  q a -> ((1,q) \\/ (2,q)) /\\ (1,q)\n",
+                      terminals={"a": 2})
         from horsmc import FAnd
         assert isinstance(m.delta[("q", "a")], FAnd)
 
     def test_true_false_and_missing_default(self):
-        m = parse_apt("states: q\ninitial: q\ndelta:\n  q a -> false\n")
+        m = parse_apt("states: q\ninitial: q\ndelta:\n  q a -> false\n",
+                      terminals={"a": 0})
         assert m.delta_of("q", "a") == FALSE
         assert m.delta_of("q", "unheard_of") == FALSE
 
     def test_bad_formula_positioned(self):
         with pytest.raises(ParseError) as e:
-            parse_apt("states: q\ninitial: q\ndelta:\n  q a -> (1,q) /\\\n")
+            parse_apt("states: q\ninitial: q\ndelta:\n  q a -> (1,q) /\\\n",
+                      terminals={"a": 1})
         assert e.value.line == 4
 
     def test_formula_token_positioned_past_the_head(self):
         # The formula `t` also occurs as the state of the transition.
         with pytest.raises(ParseError) as e:
             parse_apt("states: t\ninitial: t\ncolors:\n  t -> 0\ndelta:\n"
-                      "  t a -> t\n")
+                      "  t a -> t\n", terminals={"a": 0})
         assert (e.value.line, e.value.col) == (6, 10)
         assert e.value.msg == "unexpected formula token 't'"
 
@@ -194,20 +213,21 @@ class TestAptFormat:
         ("colors:\n  q -> 0, r 1\n", 4, 11), ("colors: q -> 0, r 1\n", 3, 17)])
     def test_bad_color_entry_positioned(self, colors, line, col):
         with pytest.raises(ParseError) as e:
-            parse_apt("states: q r\ninitial: q\n" + colors)
+            parse_apt("states: q r\ninitial: q\n" + colors, terminals={})
         assert (e.value.line, e.value.col) == (line, col)
         assert e.value.msg == "expected 'state -> color'"
 
     def test_repeated_state_positioned(self):
         with pytest.raises(ParseError) as e:
-            parse_apt("states: q r\n  p q\ninitial: q\n")
+            parse_apt("states: q r\n  p q\ninitial: q\n", terminals={})
         assert (e.value.line, e.value.col) == (2, 5)
         assert e.value.msg == "state 'q' listed twice"
 
     def test_repeated_transition_positioned(self):
         with pytest.raises(ParseError) as e:
             parse_apt("states: q\ninitial: q\ndelta:\n  q a -> (1,q)\n"
-                      "  q b -> true\n  q a -> false\n")
+                      "  q b -> true\n  q a -> false\n",
+                      terminals={"a": 1, "b": 0})
         assert (e.value.line, e.value.col) == (6, 3)
         assert e.value.msg == "second transition for state 'q' and symbol 'a'"
 
@@ -218,7 +238,7 @@ class TestAptFormat:
         # color 1 rejects.
         with pytest.raises(ParseError) as e:
             parse_apt("states: q\ninitial: q\ncolors:\n" + colors
-                      + "delta:\n  q a -> (1,q)\n")
+                      + "delta:\n  q a -> (1,q)\n", terminals={"a": 1})
         assert (e.value.line, e.value.col) == (line, col)
         assert e.value.msg == "second color for state 'q'"
 
@@ -229,13 +249,13 @@ class TestAptFormat:
     def test_color_for_unlisted_state_positioned(self, text, line):
         # A misspelt state in `colors:` would leave the real one at color 0.
         with pytest.raises(ParseError) as e:
-            parse_apt(text + "delta:\n  q a -> (1,q)\n")
+            parse_apt(text + "delta:\n  q a -> (1,q)\n", terminals={"a": 1})
         assert (e.value.line, e.value.col) == (line, 17)
         assert e.value.msg == "color for unlisted state 'r'"
 
     def test_colors_comma_or_newline(self):
         m = parse_apt("states: a b c\ninitial: a\ncolors:\n"
-                      "  a -> 1, b -> 2\n  c -> 3\n")
+                      "  a -> 1, b -> 2\n  c -> 3\n", terminals={})
         assert m.omega == {"a": 1, "b": 2, "c": 3}
 
 
@@ -349,7 +369,7 @@ ERROR_TABLE = [
      "second rule for nonterminal 'S'"),
     ("scheme", _edit(SCHEME, "S = a c", "S x = a c"), 8, 5,
      "too many binders for 'S'"),
-    ("scheme", _edit(SCHEME, "S = a c", "S = a ("), 8, 9,
+    ("scheme", _edit(SCHEME, "S = a c", "S = a ("), 8, 10,
      "expression expected"),
     ("scheme", _edit(SCHEME, "S = a c", "S = a (c"), 8, 9, "')' expected"),
     ("scheme", _edit(SCHEME, "S = a c", "S = )"), 8, 7, "unexpected ')'"),
@@ -376,10 +396,12 @@ ERROR_TABLE = [
      "expected 'state symbol -> formula'"),
     ("automaton", AUTOMATON + "  q a -> false\n", 8, 3,
      "second transition for state 'q' and symbol 'a'"),
+    ("automaton", _edit(AUTOMATON, "q c", "q cc"), 7, 5,
+     "transition for unknown symbol 'cc'"),
     # Formulas.
     ("automaton", _edit(AUTOMATON, "(1,q)", "!"), 6, 10,
      "bad formula character '!'"),
-    ("automaton", _edit(AUTOMATON, "(1,q)", "(1,q) /\\"), 6, 17,
+    ("automaton", _edit(AUTOMATON, "(1,q)", "(1,q) /\\"), 6, 18,
      "formula ends unexpectedly"),
     ("automaton", _edit(AUTOMATON, "(1,q)", "(1 q)"), 6, 13,
      "expected ',', found 'q'"),
@@ -403,10 +425,11 @@ ERROR_TABLE = [
     ("witness", _edit(WITNESS, "start:", "  F@{q}->q : o -> o\nstart:"),
      5, 6, "'color.type' expected"),
     ("witness", _edit(WITNESS, "start:", "  F@{e.q : o -> o\nstart:"),
-     5, 8, "'}' expected in type"),
+     5, 9, "'}' expected in type"),
     ("witness", _edit(WITNESS, "start:", "  F@q} : o\nstart:"),
      5, 6, "trailing type text '}'"),
-    ("itype", "{e.q", 0, 4, "'}' expected in type"),
+    ("itype", "{e.q", 0, 5, "'}' expected in type"),
+    ("itype", "{e.q, 0.q}->q", 0, 6, "'color.type' expected"),
 ]
 
 
