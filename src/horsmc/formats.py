@@ -7,11 +7,12 @@ grammar with terminal tokens `a@{k:c.q,...}->q` and nonterminal tokens
 `F@<type>`, where a type is a state or `{c.<type>,...}-><type>` and the
 neutral color prints as `e`.
 
-Two pieces serve every grammar.  `_sections` reads the section structure
-of a file and yields its entries, one or more to a line.  `_Tokens` is a
-cursor over the tokens of one entry's sort, rule, formula or type.  Errors
-carry the 1-based line and column of the offending token; an error at the
-end of the text points one column past its last character.
+Two pieces serve every grammar.  `_sections` reads the sections of a file
+and yields each entry line, or the rest of a header line, with its section
+and position.  `_Tokens` is a cursor over the tokens of one sort, rule,
+formula, type or list of states.  Errors carry the 1-based line and column
+of the offending token; an error at the end of the text points one column
+past its last character.
 """
 
 from __future__ import annotations
