@@ -250,7 +250,7 @@ def _parse_body(cur: _Tokens, binders: set[str], terminals: dict,
         if tok == "(":
             inner = expr()
             if cur.peek() != ")":
-                cur.fail("')' expected", col)
+                cur.fail("')' expected")
             cur.take()
             return inner
         if tok == ")":
@@ -297,7 +297,8 @@ def _parse_formula(cur: _Tokens) -> Formula:
     def take(expected=None):
         tok, col = cur.take()
         if tok is None:
-            cur.fail("formula ends unexpectedly", col)
+            cur.fail("formula ends unexpectedly" if expected is None
+                     else f"{expected!r} expected", col)
         if expected is not None and tok != expected:
             cur.fail(f"expected {expected!r}, found {tok!r}", col)
         return tok, col

@@ -8,9 +8,14 @@ corresponding Eve node.  Infinite plays thus follow infinite branches of a
 derivation tree with fixpoint unfoldings, and the parity condition encodes
 the winning condition on colors.
 
-`zielonka` solves it (attractor recursion, memoryless strategies for both
-players).  It works on integer node indices and keeps its recursion on an
-explicit stack, so Python's recursion limit bounds no game.
+`build_game` numbers the nodes as it reaches them and records the game
+over those numbers (`Numbering`) beside its node-keyed mappings.  An Adam
+node's moves depend on its assumption map alone, and the maps are one
+object per distinct map (`typecheck.Analysis`), so the Adam nodes of one
+map share one tuple of color nodes.  `zielonka` solves the game over the
+numbering (attractor recursion, memoryless strategies for both players)
+and keeps its recursion on an explicit stack, so Python's recursion limit
+bounds no game.
 `check_eve_strategy` and `check_adam_strategy` check either player's
 strategy by graph traversal alone.
 """
@@ -20,6 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress
+from typing import NamedTuple
 
 from .automata import Apt, Color, color_key, format_color
 from .itypes import (IType, SizeGuardExceeded, StateType, format_cset,
@@ -60,18 +66,43 @@ class ColorNode:
 GameNode = EveNode | AdamNode | ColorNode
 
 
+class Numbering(NamedTuple):
+    """A game over the positions of its nodes in `ParityGame.nodes`: each
+    node's successor positions, owner (0 Eve, 1 Adam) and priority."""
+
+    succ: list[tuple[int, ...]]
+    owner: list[int]
+    prio: list[int]
+
+
 @dataclass
 class ParityGame:
-    """Max-parity game; dead ends lose for their owner."""
+    """Max-parity game; dead ends lose for their owner.  `build_game` also
+    records the game's `numbering`; a game built from its mappings alone
+    has none, and `numbered` derives one each time it is asked."""
 
     nodes: tuple
     owner: dict
     priority: dict
     edges: dict
     initial: object | None = None
+    numbering: Numbering | None = field(default=None, repr=False,
+                                        compare=False)
 
     def successors(self, v):
         return self.edges.get(v, ())
+
+    def numbered(self) -> Numbering:
+        """The recorded numbering, or else one derived from the mappings on
+        this call, each node's successors in edge order without repeats."""
+        if self.numbering is not None:
+            return self.numbering
+        index = {v: i for i, v in enumerate(self.nodes)}
+        return Numbering(
+            [tuple(dict.fromkeys(index[w] for w in self.successors(v)))
+             for v in self.nodes],
+            [0 if self.owner[v] == EVE else 1 for v in self.nodes],
+            [self.priority[v] for v in self.nodes])
 
 
 @dataclass
@@ -112,44 +143,64 @@ def build_game(h: Hors, m: Apt, states=None) -> ParityGame:
     owner: dict = {}
     priority: dict = {}
     edges: dict = {}
-    seen: set = set()
+    index: dict = {}  # node -> its position in `nodes`
+    numbering = Numbering([], [], [])
     queue: deque[GameNode] = deque()
     analysis = Analysis(h, m)  # shared by all Eve nodes, dropped on return
+    # An Adam node's moves depend on its map alone, so each map's color
+    # nodes, and their positions, are made once.
+    moves: dict[AssumptionMap, tuple[tuple, tuple]] = {}
 
-    def push(v: GameNode) -> None:
-        if v in seen:
-            return
-        if len(seen) >= DEFAULT_NODE_LIMIT:
+    def push(v: GameNode) -> int:
+        i = index.get(v)
+        if i is not None:
+            return i
+        i = len(nodes)
+        if i >= DEFAULT_NODE_LIMIT:
             raise SizeGuardExceeded(
                 f"game nodes (refused {type(v).__name__} {v.nonterminal} : "
-                f"{format_itype(v.ty)})",
-                len(seen) + 1, DEFAULT_NODE_LIMIT)
-        seen.add(v)
+                f"{format_itype(v.ty)})", i + 1, DEFAULT_NODE_LIMIT)
+        index[v] = i
         nodes.append(v)
-        owner[v] = ADAM if isinstance(v, AdamNode) else EVE
+        adam = isinstance(v, AdamNode)
+        owner[v] = ADAM if adam else EVE
         priority[v] = node_priority(v)
+        numbering.owner.append(int(adam))
+        numbering.prio.append(priority[v])
         queue.append(v)
+        return i
+
+    def push_all(succs) -> tuple:
+        return tuple([push(w) for w in succs])
 
     for s in seeds:
         push(s)
+    # Nodes leave the queue in the order they were pushed, so the k-th node
+    # taken is nodes[k], and its successors' positions are succ[k].
     while queue:
         v = queue.popleft()
         if isinstance(v, EveNode):
-            succs = [AdamNode(v.nonterminal, v.ty, delta, d)
-                     for delta, d in rule_typings(analysis, v.nonterminal,
-                                                  v.ty)]
+            succs = tuple([AdamNode(v.nonterminal, v.ty, delta, d)
+                           for delta, d in rule_typings(analysis,
+                                                        v.nonterminal, v.ty)])
+            ws = push_all(succs)
         elif isinstance(v, AdamNode):
-            succs = [ColorNode(c, name, ty)
-                     for name, u in v.assumption
-                     for c, ty in u.pairs]
+            known = moves.get(v.assumption)
+            if known is None:
+                succs = tuple([ColorNode(c, name, ty)
+                               for name, u in v.assumption
+                               for c, ty in u.pairs])
+                known = moves[v.assumption] = (succs, push_all(succs))
+            succs, ws = known
         else:
-            succs = [EveNode(v.nonterminal, v.ty)]
-        edges[v] = tuple(succs)
-        for w in succs:
-            push(w)
+            succs = (EveNode(v.nonterminal, v.ty),)
+            ws = push_all(succs)
+        edges[v] = succs
+        numbering.succ.append(ws)
 
     initial = seeds[0] if seeds else None
-    return ParityGame(tuple(nodes), owner, priority, edges, initial)
+    return ParityGame(tuple(nodes), owner, priority, edges, initial,
+                      numbering)
 
 
 # ---------------------------------------------------------------------------
@@ -158,26 +209,24 @@ def build_game(h: Hors, m: Apt, states=None) -> ParityGame:
 def zielonka(g: ParityGame) -> Solution:
     """Winning regions and memoryless winning strategies of both players.
 
-    Nodes are numbered by their position in `g.nodes`, a subgame is a
-    `bytearray` mask over those numbers, and each tie is broken by the least
-    number: attractors start from their seeds in that order and search
-    predecessors in that order, and a top-priority node of the player with
-    no move yet takes its least successor in the subgame.  The second
-    recursive call of the algorithm is a loop and the first one runs on an
-    explicit stack, so no game is too deep for Python's recursion limit.
+    It reads the game's `numbered()` form, which numbers each node by its
+    position in `g.nodes`: `build_game` recorded it, and a game built from
+    its mappings alone is numbered here.  A subgame is a `bytearray` mask
+    over those numbers, and each tie is broken by the least number:
+    attractors start from their seeds in that order and search predecessors
+    in that order, and a top-priority node of the player with no move yet
+    takes its least successor in the subgame.  The second recursive call of
+    the algorithm is a loop and the first one runs on an explicit stack, so
+    no game is too deep for Python's recursion limit.
     """
     nodes = g.nodes
     n = len(nodes)
-    index = {v: i for i, v in enumerate(nodes)}
-    succ = [tuple(dict.fromkeys(index[w] for w in g.successors(v)))
-            for v in nodes]
+    # Players are 0 (Eve) and 1 (Adam), so priority p favours player p & 1.
+    succ, owner, prio = g.numbered()
     pred: list[list[int]] = [[] for _ in nodes]
     for v, ws in enumerate(succ):
         for w in ws:
             pred[w].append(v)
-    # Players are 0 (Eve) and 1 (Adam), so priority p favours player p & 1.
-    owner = [0 if g.owner[v] == EVE else 1 for v in nodes]
-    prio = [g.priority[v] for v in nodes]
     by_prio: dict[int, list[int]] = {}
     for v, p in enumerate(prio):
         by_prio.setdefault(p, []).append(v)

@@ -22,7 +22,10 @@ being the color-residuals of the subterm's free variables' sets: all the
 search reads of its environment.  Residuals are few, so `build_game` makes
 one analysis for all the Eve nodes of a game, and an Eve node whose sets
 differ only where a subterm does not look reuses that subterm's footprints
-(`_FootprintSearch` gives the argument).
+(`_FootprintSearch` gives the argument).  The analysis also keeps the
+assumption map of each requirement set the search has found, with its
+order key, so `rule_typings` builds each distinct map once and returns it
+as one object to every Eve node that has it.
 """
 
 from __future__ import annotations
@@ -399,7 +402,9 @@ def _minimal(results):
 class Analysis:
     """What the footprint search derives from one scheme and automaton,
     shared by the `rule_typings` calls on it: the colors, the type space of
-    each argument sort (`types`) and each rule's search (`searches`)."""
+    each argument sort (`types`), each rule's search (`searches`) and the
+    assumption map of each requirement set found, with its order key
+    (`maps`), so that equal maps are one object."""
 
     def __init__(self, h: Hors, m: Apt):
         self.h = h
@@ -407,6 +412,8 @@ class Analysis:
         self.cols = color_set(m)
         self.types: dict[SimpleType, list[IType]] = {}
         self.searches: dict[str, _FootprintSearch] = {}
+        self.maps: dict[frozenset[Requirement],
+                        tuple[tuple, AssumptionMap]] = {}
 
 
 def rule_typings(analysis: Analysis, name: str, theta: IType
@@ -415,8 +422,9 @@ def rule_typings(analysis: Analysis, name: str, theta: IType
     `name` derives the result state of `theta`, with derivations.
 
     `theta`'s argument sets type the rule binders positionally.  The rule's
-    footprint search is the analysis's, so calls on one analysis share it;
-    a fresh `Analysis` searches from scratch.
+    footprint search and the maps are the analysis's, so calls on one
+    analysis share them, and return equal maps as one object; a fresh
+    `Analysis` searches from scratch.
     """
     rule = analysis.h.rules[name]
     arg_sets, result = split_chain(theta)
@@ -428,7 +436,13 @@ def rule_typings(analysis: Analysis, name: str, theta: IType
         search = analysis.searches[name] = _FootprintSearch(analysis, name,
                                                             var_env)
     search.rebind(var_env)
-    found = search.search(rule.body, result, EPSILON)
-    out = [(assumptions_from(req), d) for req, d in found]
-    out.sort(key=lambda du: tuple((n, u.key) for n, u in du[0]))
-    return out
+    out = []
+    for req, d in search.search(rule.body, result, EPSILON):
+        keyed = analysis.maps.get(req)
+        if keyed is None:
+            delta = assumptions_from(req)
+            keyed = analysis.maps[req] = (
+                tuple((n, u.key) for n, u in delta), delta)
+        out.append((keyed, d))
+    out.sort(key=lambda kd: kd[0][0])
+    return [(delta, d) for (_, delta), d in out]

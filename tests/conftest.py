@@ -217,14 +217,28 @@ _solutions: dict = {}
 
 
 def solve_cached(h, m, q):
-    """Build and solve the single-seed game once per (scheme, automaton,
-    state) triple; fixtures are shared, so identity keys are stable."""
+    """Build and solve the game seeded at state q, or at every state when q
+    is None, once per (scheme, automaton, q) triple; fixtures are shared,
+    so identity keys are stable."""
     from horsmc import build_game, zielonka
     key = (id(h), id(m), q)
     if key not in _solutions:
-        g = build_game(h, m, states=[q])
+        g = build_game(h, m, states=None if q is None else [q])
         _solutions[key] = (g, zielonka(g))
     return _solutions[key]
+
+
+@pytest.fixture(scope="session")
+def fixture_games(ex1, ex1_apt):
+    """(scheme, automaton, state) of each single-seed fixture game."""
+    return [(ex1, ex1_apt, "q0"), (ex1, ex1_apt, "q1"),
+            (loop_scheme(), loop_apt(1), "q"),
+            (loop_scheme(), loop_apt(2), "q"),
+            (mutual_scheme(), mutual_apt(), "p"),
+            (mutual_scheme(), mutual_apt(), "r"),
+            (grow_scheme(), grow_apt(), "q"),
+            (order2_unary_scheme(), order2_unary_apt(0), "q"),
+            (order2_unary_scheme(), order2_unary_apt(1), "q")]
 
 
 def random_game(rng: random.Random, max_nodes: int = 8,

@@ -371,7 +371,7 @@ ERROR_TABLE = [
      "too many binders for 'S'"),
     ("scheme", _edit(SCHEME, "S = a c", "S = a ("), 8, 10,
      "expression expected"),
-    ("scheme", _edit(SCHEME, "S = a c", "S = a (c"), 8, 9, "')' expected"),
+    ("scheme", _edit(SCHEME, "S = a c", "S = a (c"), 8, 11, "')' expected"),
     ("scheme", _edit(SCHEME, "S = a c", "S = )"), 8, 7, "unexpected ')'"),
     ("scheme", _edit(SCHEME, "S = a c", "S = a b"), 8, 9,
      "unknown name 'b'"),
@@ -403,6 +403,8 @@ ERROR_TABLE = [
      "bad formula character '!'"),
     ("automaton", _edit(AUTOMATON, "(1,q)", "(1,q) /\\"), 6, 18,
      "formula ends unexpectedly"),
+    ("automaton", _edit(AUTOMATON, "(1,q)", "((1,q)"), 6, 16,
+     "')' expected"),
     ("automaton", _edit(AUTOMATON, "(1,q)", "(1 q)"), 6, 13,
      "expected ',', found 'q'"),
     ("automaton", _edit(AUTOMATON, "(1,q)", "q"), 6, 10,

@@ -7,8 +7,8 @@ import pytest
 from horsmc import (ADAM, AdamNode, Apt, ColorNode, EVE, EveNode,
                     ParityGame, Solution, SizeGuardExceeded, StateType,
                     accepted_states, build_game, check_adam_strategy,
-                    check_eve_strategy, extract_scheme, Terminal, to_dot,
-                    unfold, zielonka)
+                    check_eve_strategy, extract_scheme, subtype, Terminal,
+                    to_dot, unfold, zielonka)
 from horsmc import game
 from horsmc.formats import print_annotated
 from horsmc.oracles import run_search, solve_brute
@@ -128,6 +128,60 @@ class TestBuildGame:
                  for _ in range(50)]
         assert solution_digest([(g, zielonka(g)) for g in games]) == (
             "3c2ac2a3dfb46cfbefc52b2b384654a95cef25daeb52af6f913b5bb5513fd347")
+
+
+class TestNumbering:
+    def test_build_game_numbers_as_the_mappings_do(self, fixture_games):
+        for h, m, q in fixture_games:
+            g, _ = solve_cached(h, m, q)
+            plain = ParityGame(g.nodes, g.owner, g.priority, g.edges,
+                               g.initial)
+            assert plain.numbering is None and g.numbering is not None
+            assert g.numbering == plain.numbered(), q
+
+    def test_adam_nodes_of_one_map_share_their_moves(self, fixture_games):
+        for h, m, q in fixture_games:
+            g, _ = solve_cached(h, m, q)
+            first: dict = {}
+            for v, ws in zip(g.nodes, g.numbering.succ):
+                if isinstance(v, AdamNode):
+                    moves = first.setdefault(v.assumption, (g.edges[v], ws))
+                    assert g.edges[v] is moves[0] and ws is moves[1], v
+
+    def test_order2_unary_moves_are_made_once_per_map(self):
+        g, _ = solve_cached(*order2_unary(), "q")
+        adam = [v for v in g.nodes if isinstance(v, AdamNode)]
+        assert len(adam) == 10242
+        assert len({id(g.edges[v]) for v in adam}) == 513
+
+
+def won_lost_pairs(g, sol):
+    """(v, w) for each Eve node v Eve wins and Eve node w she loses with
+    the same nonterminal."""
+    eve = [v for v in g.nodes if isinstance(v, EveNode)]
+    lost = [w for w in eve if w not in sol.win_eve]
+    return [(v, w) for v in eve if v in sol.win_eve
+            for w in lost if v.nonterminal == w.nonterminal]
+
+
+def test_eve_region_is_closed_downward_under_subtyping(fixture_games, ex1,
+                                                       ex1_apt):
+    # If Eve wins N : t and t' <= t, she wins N : t': no node she loses
+    # lies below one she wins.
+    checked = 0
+    for h, m, q in fixture_games + [(ex1, ex1_apt, None)]:
+        g, sol = solve_cached(h, m, q)
+        pairs = won_lost_pairs(g, sol)
+        assert not [(v, w) for v, w in pairs if subtype(w.ty, v.ty)], q
+        checked += len(pairs)
+    assert checked > 0
+
+
+def test_eve_region_is_not_closed_upward_under_subtyping(ex1, ex1_apt):
+    # The converse fails: on ex1, Eve loses some nodes above ones she wins.
+    g, sol = solve_cached(ex1, ex1_apt, None)
+    pairs = won_lost_pairs(g, sol)
+    assert len([(v, w) for v, w in pairs if subtype(v.ty, w.ty)]) == 54
 
 
 def select_pins(ex1, ex1_apt):

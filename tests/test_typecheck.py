@@ -462,16 +462,8 @@ def assert_matches_powerset(h, m, g) -> int:
     return checked
 
 
-def test_head_directed_sets_match_powerset_on_fixture_games(ex1, ex1_apt):
-    games = [(ex1, ex1_apt, "q0"), (ex1, ex1_apt, "q1"),
-             (loop_scheme(), loop_apt(1), "q"),
-             (loop_scheme(), loop_apt(2), "q"),
-             (mutual_scheme(), mutual_apt(), "p"),
-             (mutual_scheme(), mutual_apt(), "r"),
-             (grow_scheme(), grow_apt(), "q"),
-             (order2_unary_scheme(), order2_unary_apt(0), "q"),
-             (order2_unary_scheme(), order2_unary_apt(1), "q")]
-    for h, m, q in games:
+def test_head_directed_sets_match_powerset_on_fixture_games(fixture_games):
+    for h, m, q in fixture_games:
         g, _ = solve_cached(h, m, q)
         assert assert_matches_powerset(h, m, g) > 0
 
@@ -537,16 +529,8 @@ def assert_shared_memo_matches_fresh(h, m, g, seed=0) -> int:
     return len(eves)
 
 
-def test_shared_memo_matches_fresh_on_fixture_games(ex1, ex1_apt):
-    games = [(ex1, ex1_apt, "q0"), (ex1, ex1_apt, "q1"),
-             (loop_scheme(), loop_apt(1), "q"),
-             (loop_scheme(), loop_apt(2), "q"),
-             (mutual_scheme(), mutual_apt(), "p"),
-             (mutual_scheme(), mutual_apt(), "r"),
-             (grow_scheme(), grow_apt(), "q"),
-             (order2_unary_scheme(), order2_unary_apt(0), "q"),
-             (order2_unary_scheme(), order2_unary_apt(1), "q")]
-    for seed, (h, m, q) in enumerate(games):
+def test_shared_memo_matches_fresh_on_fixture_games(fixture_games):
+    for seed, (h, m, q) in enumerate(fixture_games):
         g, _ = solve_cached(h, m, q)
         assert assert_shared_memo_matches_fresh(h, m, g, seed) > 0
 
@@ -581,6 +565,25 @@ def test_shared_memo_searches_each_residual_once(monkeypatch):
         if isinstance(v, EveNode):
             rule_typings(Analysis(h, m), v.nonterminal, v.ty)
     assert calls[a_f] == 256
+
+
+def test_equal_maps_are_one_object(fixture_games):
+    # Through one analysis, every call returns the one object of each map:
+    # a map found at an earlier Eve node, or found again at the same node.
+    for h, m, q in fixture_games:
+        g, _ = solve_cached(h, m, q)
+        analysis = Analysis(h, m)
+        maps: dict = {}
+        calls = 0
+        for v in g.nodes * 2:
+            if isinstance(v, EveNode):
+                for delta, _ in rule_typings(analysis, v.nonterminal, v.ty):
+                    assert maps.setdefault(delta, delta) is delta, (v, delta)
+                    calls += 1
+        assert calls == 2 * sum(len(g.successors(v)) for v in g.nodes
+                                if isinstance(v, EveNode))
+        if m is order2_unary_apt(0):
+            assert (calls, len(maps)) == (2 * 10242, 513)
 
 
 def test_build_game_adds_no_attribute(ex1, ex1_apt):
