@@ -12,10 +12,11 @@ the winning condition on colors.
 over those numbers (`Numbering`) beside its node-keyed mappings.  An Adam
 node's moves depend on its assumption map alone, and the maps are one
 object per distinct map (`typecheck.Analysis`), so the Adam nodes of one
-map share one tuple of color nodes.  `zielonka` solves the game over the
-numbering (attractor recursion, memoryless strategies for both players)
-and keeps its recursion on an explicit stack, so Python's recursion limit
-bounds no game.
+map share one tuple of color nodes.  Every edge leads to the node object
+held in `nodes`, so the game holds one object per node.  `zielonka` solves
+the game over the numbering (attractor recursion, memoryless strategies for
+both players) and keeps its recursion on an explicit stack, so Python's
+recursion limit bounds no game.
 `check_eve_strategy` and `check_adam_strategy` check either player's
 strategy by graph traversal alone.
 """
@@ -170,8 +171,10 @@ def build_game(h: Hors, m: Apt, states=None) -> ParityGame:
         queue.append(v)
         return i
 
-    def push_all(succs) -> tuple:
-        return tuple([push(w) for w in succs])
+    def push_all(succs) -> tuple[tuple, tuple]:
+        """The game's own nodes equal to `succs`, and their positions."""
+        ws = tuple([push(w) for w in succs])
+        return tuple([nodes[i] for i in ws]), ws
 
     for s in seeds:
         push(s)
@@ -180,21 +183,18 @@ def build_game(h: Hors, m: Apt, states=None) -> ParityGame:
     while queue:
         v = queue.popleft()
         if isinstance(v, EveNode):
-            succs = tuple([AdamNode(v.nonterminal, v.ty, delta, d)
-                           for delta, d in rule_typings(analysis,
-                                                        v.nonterminal, v.ty)])
-            ws = push_all(succs)
+            succs, ws = push_all([AdamNode(v.nonterminal, v.ty, delta, d)
+                                  for delta, d in rule_typings(
+                                      analysis, v.nonterminal, v.ty)])
         elif isinstance(v, AdamNode):
             known = moves.get(v.assumption)
             if known is None:
-                succs = tuple([ColorNode(c, name, ty)
-                               for name, u in v.assumption
-                               for c, ty in u.pairs])
-                known = moves[v.assumption] = (succs, push_all(succs))
+                known = moves[v.assumption] = push_all(
+                    [ColorNode(c, name, ty) for name, u in v.assumption
+                     for c, ty in u.pairs])
             succs, ws = known
         else:
-            succs = (EveNode(v.nonterminal, v.ty),)
-            ws = push_all(succs)
+            succs, ws = push_all([EveNode(v.nonterminal, v.ty)])
         edges[v] = succs
         numbering.succ.append(ws)
 

@@ -18,14 +18,17 @@ every subset of the argument's options, and `PAIR_CAP` guards only there.
 
 An `Analysis` owns what the search memoises: the type space of each sort
 and one search per rule, memoised on (subterm, type, color, view), the view
-being the color-residuals of the subterm's free variables' sets: all the
-search reads of its environment.  Residuals are few, so `build_game` makes
-one analysis for all the Eve nodes of a game, and an Eve node whose sets
-differ only where a subterm does not look reuses that subterm's footprints
-(`_FootprintSearch` gives the argument).  The analysis also keeps the
-assumption map of each requirement set the search has found, with its
-order key, so `rule_typings` builds each distinct map once and returns it
-as one object to every Eve node that has it.
+being the color-residuals of the subterm's free variables' sets at the
+colors it reads: all the search reads of its environment.  An application
+headed by a terminal reads them only at the state colors, since the
+terminal's arguments sit under boxes of those colors; at the root its view
+is the sets' residuals there, not the sets.  Residuals are few, so
+`build_game` makes one analysis for all the Eve nodes of a game, and an Eve
+node whose sets differ only where a subterm does not look reuses that
+subterm's footprints (`_FootprintSearch` gives the argument).  The analysis
+also keeps the assumption map of each requirement set the search has
+found, with its order key, so `rule_typings` builds each distinct map once
+and returns it as one object to every Eve node that has it.
 """
 
 from __future__ import annotations
@@ -184,17 +187,23 @@ class _FootprintSearch:
     One search serves every binder environment of its rule (`rebind`), and
     its memo, with the caches of free variables, sorts and residuals,
     carries over.  The memo keys `search(t, target, c)` on
-    `(t, target, c, view)`, where `view` holds `residual_set(var_env[x], c)`
-    for the variables x free in t, in sorted order; a closed term's view is
-    `()`.  The key is sound because every read of `var_env` at color c goes
-    through that residual:
+    `(t, target, c, view)`, where `view` holds, for the variables x free in
+    t in sorted order, `residual_set(var_env[x], r)` for each color r that
+    t reads at c: c itself, or, when t is an application whose spine head
+    is a terminal, each `cmax(c, d)` with d a state color, in color order.
+    A closed term's view is `()`.  The key is sound because every read of
+    `var_env` at color c goes through those residuals:
 
     - the `Var` case reads the entries of color exactly c, which are the
       residual's neutral-colored entries;
     - `_argument_options` on a bare variable reads, for each c2, the
       entries of color `cmax(c, c2)`, which are the residual's pairs at c2;
     - a sub-search at `cmax(c, c2)` reads `residual(u, cmax(c, c2))`,
-      which is `residual(residual(u, c), c2)`.
+      which is `residual(residual(u, c), c2)`;
+    - under a terminal head, `_clause_subsets` asks `_argument_options`
+      only for the pairs (Ω(q'), q') that clauses name, so the argument is
+      read, or searched, at `cmax(c, Ω(q'))` alone, and the function part
+      is terminal-headed down to the terminal, which reads nothing.
 
     Colored sets keep their pairs canonically sorted, so the options, and
     with them every derivation, come in the same order under equal views.
@@ -212,17 +221,23 @@ class _FootprintSearch:
         self.var_env = var_env
         self._memo: dict = {}
         self._views = False  # whether the memo keys carry views
-        self._free: dict = {}
+        self._free: dict = {}  # term -> (free variables, terminal-headed)
         self._sorts: dict = {}
         self._residuals: dict = {}
+        self._reads: dict = {}  # color -> the colors terminal heads read
 
     def rebind(self, var_env: TypeEnv) -> None:
         """Search on under another environment of the rule's binders.
-        Under one environment the views add nothing to the key, so they are
-        computed only once a second one arrives; the entries made so far
-        are then keyed again under the environment they were made in."""
+        Under one environment the views add nothing to the key, so they, and
+        the colors that terminal heads read, are computed only once a second
+        one arrives; the entries made so far are then keyed again under the
+        environment they were made in."""
         if var_env != self.var_env and not self._views:
             self._views = True
+            state_colors = {self.m.omega[q] for q in self.m.states}
+            self._reads = {c: tuple(sorted({cmax(c, d) for d in state_colors},
+                                           key=color_key))
+                           for c in self.cols}
             self._memo = {self._key(*key): out
                           for key, out in self._memo.items()}
         self.var_env = var_env
@@ -248,11 +263,15 @@ class _FootprintSearch:
 
     def _key(self, t: Term, target: IType, c: Color) -> tuple:
         """`(t, target, c)` followed by the view of `t` at `c`."""
-        names = self._free.get(t)
-        if names is None:
-            names = self._free[t] = tuple(sorted(free_vars(t)))
-        return (t, target, c, *[self.residual(self.var_env[x], c)
-                                for x in names])
+        free = self._free.get(t)
+        if free is None:
+            free = self._free[t] = (
+                tuple(sorted(free_vars(t))),
+                isinstance(t, App) and isinstance(spine(t)[0], Terminal))
+        names, terminal_headed = free
+        reads = self._reads[c] if terminal_headed else (c,)
+        return (t, target, c, *[self.residual(self.var_env[x], r)
+                                for x in names for r in reads])
 
     def residual(self, u: ColoredSet, c: Color) -> ColoredSet:
         """`residual_set(u, c)`, cached by the interned set and the color."""

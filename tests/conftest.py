@@ -162,6 +162,17 @@ def grow_apt() -> Apt:
 
 
 @functools.cache
+def grow_two_color_apt() -> Apt:
+    """q follows the spine's right children at color 2 and hands each left
+    child to p, which follows the b-chain down to c at color 1."""
+    return Apt(states=("q", "p"), terminals={"a": 2, "b": 1, "c": 0},
+               delta={("q", "a"): conj(Atom(1, "p"), Atom(2, "q")),
+                      ("p", "b"): Atom(1, "p"),
+                      ("p", "c"): TRUE},
+               omega={"q": 2, "p": 1}, initial="q")
+
+
+@functools.cache
 def mutual_scheme():
     """S = F; F = a G; G = b F."""
     return Hors(
@@ -284,6 +295,12 @@ def order0_instances(draw, max_arity: int = 3):
 
     rules = {x: term(3) for x in names}
     omega = {q: draw(st.integers(0, 2)) for q in ORDER0_STATES}
+    return rules, omega, draw_delta(draw, alphabet)
+
+
+def draw_delta(draw, alphabet) -> dict:
+    """A transition table over `ORDER0_STATES`, in `order0_instances`'s
+    form: at most two clauses of at most two atoms each."""
     delta = {}
     for q in ORDER0_STATES:
         for sym, arity in alphabet:
@@ -292,7 +309,7 @@ def order0_instances(draw, max_arity: int = 3):
             clause = (st.lists(atoms, max_size=2, unique=True).map(
                 lambda c: tuple(sorted(c))) if arity else st.just(()))
             delta[q, sym] = draw(st.lists(clause, max_size=2, unique=True))
-    return rules, omega, delta
+    return delta
 
 
 def order0_scheme(rules) -> Hors:
@@ -304,6 +321,68 @@ def order0_scheme(rules) -> Hors:
     return Hors(terminals=dict(ORDER0_ALPHABET),
                 nonterminals={x: GROUND for x in rules},
                 rules={x: Rule((), build(body)) for x, body in rules.items()},
+                start="S")
+
+
+@st.composite
+def order1_instances(draw):
+    """(rules, omega, delta) of an order-1 scheme over terminals of arity up
+    to 2.  S takes no argument, and its body applies F1, which takes one, a
+    binder x of sort o; F2, if any, takes none or one.  `rules` maps a name
+    to (binders, body), binders being () or ("x",); a body is ("t", symbol,
+    args), ("n", name, args) or ("x",), args being bodies.  The two states
+    have distinct colors, and delta is as in `order0_instances`.  Every
+    argument has sort o, so a nonterminal head offers at most 6 argument
+    options, under `PAIR_CAP`.
+
+    A body applies a nonterminal at most once, and not inside another
+    application of one.  Each application at a target can have up to 64
+    minimal maps, one per argument set, and two of them in one body, or
+    one inside another, multiply: `S = F (F S)` alone has more maps than a
+    test can enumerate."""
+    names = ["S", "F1", "F2"][:draw(st.integers(2, 3))]
+    arity = {"S": 0, "F1": 1, "F2": draw(st.integers(0, 1))}
+    alphabet = [(a, n) for a, n in ORDER0_ALPHABET if n <= 2]
+    leaves = ([("t", "c", ()), ("n", "S", ())]
+              + [("n", x, ()) for x in names[1:] if not arity[x]])
+    applied = [x for x in names if arity[x]]
+
+    def term(depth, bound, unapplied):
+        kinds = ["leaf"]
+        if depth > 1:
+            kinds += ["t"] + ["n"] * unapplied[0]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "leaf":
+            return draw(st.sampled_from(leaves + [("x",)] * bound))
+        if kind == "t":
+            sym, n = draw(st.sampled_from(alphabet))
+            return ("t", sym, tuple(term(depth - 1, bound, unapplied)
+                                    for _ in range(n)))
+        unapplied[0] = False
+        return ("n", draw(st.sampled_from(applied)),
+                (term(depth - 1, bound, unapplied),))
+
+    rules = {"S": ((), ("n", "F1", (term(2, 0, [False]),)))}
+    rules.update((x, (("x",) * arity[x], term(3, arity[x], [True])))
+                 for x in names[1:])
+    colors = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2,
+                           unique=True))
+    return rules, dict(zip(ORDER0_STATES, colors)), draw_delta(draw, alphabet)
+
+
+def order1_scheme(rules) -> Hors:
+    def build(t):
+        if t[0] == "x":
+            return Var("x")
+        head = Terminal(t[1]) if t[0] == "t" else NonTerminal(t[1])
+        return apply(head, *map(build, t[2]))
+
+    return Hors(terminals=dict(ORDER0_ALPHABET),
+                nonterminals={x: Arrow(GROUND, GROUND) if binders else GROUND
+                              for x, (binders, _) in rules.items()},
+                rules={x: Rule(tuple((b, GROUND) for b in binders),
+                               build(body))
+                       for x, (binders, body) in rules.items()},
                 start="S")
 
 

@@ -148,6 +148,13 @@ class TestNumbering:
                     moves = first.setdefault(v.assumption, (g.edges[v], ws))
                     assert g.edges[v] is moves[0] and ws is moves[1], v
 
+    def test_every_edge_leads_to_the_node_held_in_nodes(self, fixture_games):
+        for h, m, q in fixture_games:
+            g, _ = solve_cached(h, m, q)
+            for v, ws in zip(g.nodes, g.numbering.succ):
+                assert all(w is g.nodes[i]
+                           for w, i in zip(g.edges[v], ws, strict=True)), v
+
     def test_order2_unary_moves_are_made_once_per_map(self):
         g, _ = solve_cached(*order2_unary(), "q")
         adam = [v for v in g.nodes if isinstance(v, AdamNode)]

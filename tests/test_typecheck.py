@@ -1,19 +1,22 @@
 import copy
+import dataclasses
 import gc
 import itertools
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from horsmc import (Analysis, App, Apt, Arrow, ArrowType, Atom, EPSILON,
                     EveNode, GROUND, Hors, NonTerminal, Rule,
                     SizeGuardExceeded, StateType, TRUE, Terminal, Var,
                     apply, build_game, color_set, colored_set, conj,
                     enumerate_colored_sets, enumerate_types, extract_scheme,
-                    format_itype, format_sort, format_term, is_terminal_type,
-                    rule_typings, subtype, subtype_set, typecheck, zielonka)
+                    format_itype, format_sort, format_term, game,
+                    is_terminal_type, rule_typings, subtype, subtype_set,
+                    typecheck, zielonka)
 from horsmc.itypes import EMPTY_SET, split_chain
 from horsmc.oracles import (Deriver, box_color, check_derivation, denotation,
                             derive, residual_env)
@@ -21,10 +24,12 @@ from horsmc.syntax import ground_sort
 from horsmc.typecheck import (DApp, PAIR_CAP, _FootprintSearch,
                               _minimal, _SubsetIndex, _unions,
                               assumptions_from, requirement_key)
-from conftest import (fixture_terms, grow_apt, grow_scheme, loop_apt,
-                      loop_scheme, mutual_apt, mutual_scheme, order0_apt,
-                      order0_instances, order0_scheme, order2_unary,
-                      order2_unary_apt, order2_unary_scheme, solve_cached)
+from conftest import (fixture_terms, grow_apt, grow_scheme,
+                      grow_two_color_apt, loop_apt, loop_scheme, mutual_apt,
+                      mutual_scheme, order0_apt, order0_instances,
+                      order0_scheme, order1_instances, order1_scheme,
+                      order2_unary, order2_unary_apt, order2_unary_scheme,
+                      solve_cached)
 
 Q0, Q1 = StateType("q0"), StateType("q1")
 OO = Arrow(GROUND, GROUND)
@@ -543,12 +548,51 @@ def test_shared_memo_matches_fresh_on_order0_schemes(instance, seed):
     assert assert_shared_memo_matches_fresh(h, m, build_game(h, m), seed) > 0
 
 
+def test_shared_memo_matches_fresh_over_two_state_colors(ex1, ex1_apt):
+    # The other fixture games of order 1 or more have one state color, at
+    # which a terminal-headed subterm reads its binders.  Here it reads them
+    # at two, and a view holding only one of them shares wrong footprints.
+    cases = [(ex1, dataclasses.replace(ex1_apt, omega={"q0": 2, "q1": 1}),
+              130),
+             (grow_scheme(), grow_two_color_apt(), 18)]
+    for seed, (h, m, eves) in enumerate(cases):
+        assert assert_shared_memo_matches_fresh(h, m, build_game(h, m),
+                                                seed) == eves
+
+
+ORDER1_NODE_CAP = 3000
+
+
+@settings(max_examples=60, deadline=None)
+@given(order1_instances(), st.integers(0, 2 ** 16))
+# S = F1 c; F1 x = b x, where `b x` reads x at color 1 only: two sets of x
+# that differ only at color 1 have one residual at color 2.
+@example(({"S": ((), ("n", "F1", (("t", "c", ()),))),
+           "F1": (("x",), ("t", "b", (("x",),)))},
+          {"q0": 1, "q1": 2},
+          {("q0", "b"): [((1, "q0"),)], ("q0", "c"): [()],
+           ("q1", "c"): [()]}), 0)
+def test_shared_memo_matches_fresh_on_order1_schemes(instance, seed):
+    rules, omega, delta = instance
+    h, m = order1_scheme(rules), order0_apt(omega, delta)
+    # A clause that reads one argument in both states multiplies the maps
+    # of an application inside it; games past the cap are drawn again.
+    with mock.patch.object(game, "DEFAULT_NODE_LIMIT", ORDER1_NODE_CAP):
+        try:
+            g = build_game(h, m)
+        except SizeGuardExceeded:
+            reject()
+    assert assert_shared_memo_matches_fresh(h, m, g, seed) > 0
+
+
 def test_shared_memo_searches_each_residual_once(monkeypatch):
-    # In `A f = b (f c) (A f)` the subterm `A f` reads f's set only through
-    # its 0-residual.  The 256 Eve nodes A : U -> q hold 256 sets U but
-    # only 16 distinct residuals, so one memo per game searches `A f` 16
-    # times, where a fresh memo per node searches it 256 times.
+    # In `A f = b (f c) (A f)` the body and its subterm `A f` read f's set
+    # only through its 0-residual, the body since `b` reads both arguments
+    # under the color 0 of q.  The 256 Eve nodes A : U -> q hold 256 sets U
+    # but only 16 distinct residuals, so one memo per game searches each of
+    # them 16 times, where a fresh memo per node searches them 256 times.
     h, m = order2_unary_scheme(), order2_unary_apt(0)
+    body = h.rules["A"].body
     calls: dict = {}
     search = _FootprintSearch._search
 
@@ -559,12 +603,12 @@ def test_shared_memo_searches_each_residual_once(monkeypatch):
     monkeypatch.setattr(_FootprintSearch, "_search", counting)
     g = build_game(h, m)
     a_f = apply(NonTerminal("A"), Var("f"))
-    assert calls[a_f] == 16
+    assert (calls[body], calls[a_f]) == (16, 16)
     calls.clear()
     for v in g.nodes:
         if isinstance(v, EveNode):
             rule_typings(Analysis(h, m), v.nonterminal, v.ty)
-    assert calls[a_f] == 256
+    assert (calls[body], calls[a_f]) == (256, 256)
 
 
 def test_equal_maps_are_one_object(fixture_games):
