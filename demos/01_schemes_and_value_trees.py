@@ -8,9 +8,9 @@ listening-loop scheme, looks at finite prefixes of its tree, and round-trips
 the scheme through the lambda-calculus-with-fixpoints presentation.
 """
 
-from horsmc import check_wellformed, format_term, format_tree, unfold
+from horsmc import check_wellformed, format_tree, unfold
 from horsmc.formats import parse_hors, print_hors
-from horsmc.oracles import bohm_tree, from_lambda_y, to_lambda_y
+from horsmc.oracles import bohm_tree, format_ly, from_lambda_y, to_lambda_y
 
 SCHEME = """\
 # Main calls Listen on an empty stack; Listen either stops reading
@@ -43,7 +43,7 @@ for depth in (1, 2, 3, 4):
 # Every scheme is a closed lambda-term with fixpoints, and vice versa.
 term = to_lambda_y(h)
 print("\nas a lambda-Y term:")
-print(" ", format_term(term))
+print(" ", format_ly(term))
 
 # Head reduction of that term grows the same tree...
 assert bohm_tree(term, 5, h.terminals) == unfold(h, 5)

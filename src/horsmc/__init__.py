@@ -15,9 +15,9 @@ from .itypes import (ArrowType, ColoredSet, IType, SizeGuardExceeded,
                      is_terminal_type, subtype, subtype_set)
 from .selection import (AnnotatedHors, RunReport, extract_scheme,
                         format_report, verify_runtree)
-from .syntax import (App, Arrow, BOTTOM, Fix, GROUND, Ground, Hors,
-                     IllFormedScheme, Lam, NonTerminal, Rule, SimpleType,
-                     Term, Terminal, TreePrefix, UnresolvedWithinBudget, Var,
-                     apply, arrow, check_wellformed, format_sort,
-                     format_term, format_tree, order, unfold)
+from .syntax import (App, Arrow, BOTTOM, GROUND, Ground, Hors,
+                     IllFormedScheme, NonTerminal, Rule, SimpleType, Term,
+                     Terminal, TreePrefix, UnresolvedWithinBudget, Var, apply,
+                     arrow, check_wellformed, format_sort, format_term,
+                     format_tree, order, unfold)
 from .typecheck import Analysis, Derivation, TypeEnv, rule_typings

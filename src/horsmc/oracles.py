@@ -12,6 +12,8 @@ against; no module on the command-line path imports this one.
 - `solve_brute`: enumerates memoryless strategy pairs; checks `zielonka`.
 - `eval_formula` checks `dnf`; `run_search`, a finite run over a tree
   prefix, checks verdicts depth by depth.
+- `Lam`, `Fix` and `LambdaY`: the lambda-Y terms, which no rule body holds;
+  `ly_free_vars`, `ly_sort` and `format_ly` walk them.
 - `to_lambda_y`, `from_lambda_y` and `bohm_tree`: the lambda-Y presentation
   of schemes, whose head-reduction unfolding checks `unfold`;
   `is_prefix_of` compares tree prefixes.
@@ -29,19 +31,72 @@ from .game import ADAM, EVE, ParityGame, Solution
 from .itypes import (ArrowType, ColoredSet, IType, SizeGuardExceeded,
                      colored_set, enumerate_colored_sets, enumerate_types,
                      is_terminal_type, subtype)
-from .syntax import (App, Arrow, DEFAULT_STEP_BUDGET, Fix, GROUND, Ground,
-                     Hors, Lam, NonTerminal, Rule, SimpleType, SortError,
-                     Term, Terminal, TreePrefix, UnresolvedWithinBudget, Var,
-                     BOTTOM, apply, arrow, fresh_name, free_vars,
-                     ground_sort, infer_sort, require_wellformed, spine)
+from .syntax import (App, Arrow, DEFAULT_STEP_BUDGET, GROUND, Ground, Hors,
+                     NonTerminal, Rule, SimpleType, SortError, Term, Terminal,
+                     TreePrefix, UnresolvedWithinBudget, Var, BOTTOM, apply,
+                     arrow, format_sort, format_term, fresh_name, free_vars,
+                     ground_sort, require_wellformed, spine)
 from .typecheck import (DApp, DAx, DDelta, Derivation, TypeEnv,
                         residual_set)
 
-__all__ = ["DLam", "Deriver", "derive", "check_derivation", "residual_env",
+__all__ = ["Lam", "Fix", "LambdaY", "ly_free_vars", "ly_sort", "format_ly",
+           "DLam", "Deriver", "derive", "check_derivation", "residual_env",
            "denotation", "BRUTE_NODE_LIMIT", "solve_brute", "eval_formula",
            "run_search", "nonterminals_of", "subst_var", "subst_nonterminal",
            "is_prefix_of", "to_lambda_y", "from_lambda_y", "bohm_tree",
            "box_color"]
+
+
+# ---------------------------------------------------------------------------
+# Lambda-Y terms: applicative terms with abstractions and fixpoints
+
+@dataclass(frozen=True)
+class Lam:
+    binder: str
+    binder_sort: SimpleType
+    body: "LambdaY"
+
+
+@dataclass(frozen=True)
+class Fix:
+    """Fixpoint at a sort: Fix(s, M) stands for Y_s M and requires M : s -> s."""
+
+    sort: SimpleType
+    body: "LambdaY"
+
+
+LambdaY = Var | Terminal | NonTerminal | App | Lam | Fix
+
+
+def ly_free_vars(t: LambdaY) -> frozenset[str]:
+    if isinstance(t, Lam):
+        return ly_free_vars(t.body) - {t.binder}
+    if isinstance(t, Fix):
+        return ly_free_vars(t.body)
+    if isinstance(t, App):
+        return ly_free_vars(t.function) | ly_free_vars(t.argument)
+    return free_vars(t)
+
+
+def ly_sort(t: LambdaY, scope: dict[str, SimpleType],
+            terminals: dict[str, int]) -> SimpleType:
+    """Sort of `t` with terminal sorts fixed by their arities; `scope`
+    sorts its free variables and nonterminals."""
+    term_sorts = {a: ground_sort(n) for a, n in terminals.items()}
+    return _freeze(_infer_meta(t, scope, term_sorts, scope))
+
+
+def format_ly(t: LambdaY) -> str:
+    if isinstance(t, Lam):
+        return f"\\{t.binder}:{format_sort(t.binder_sort)}. {format_ly(t.body)}"
+    if isinstance(t, Fix):
+        return f"Y[{format_sort(t.sort)}] ({format_ly(t.body)})"
+    if not isinstance(t, App):
+        return format_term(t)
+    head, args = spine(t)
+    return " ".join([format_ly(head)] + [
+        f"({format_ly(a)})" if isinstance(a, (App, Lam, Fix)) else format_ly(a)
+        for a in args])
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +108,7 @@ def residual_env(env: TypeEnv, c: Color, cols) -> TypeEnv:
 
 @dataclass(frozen=True)
 class DLam:
-    term: Term
+    term: Lam
     target: IType
     body: "Derivation"
 
@@ -117,14 +172,15 @@ class Deriver:
         self._memo: dict = {}
         self._sorts: dict = {}
 
-    def sort_of(self, t: Term) -> SimpleType:
+    def sort_of(self, t: LambdaY) -> SimpleType:
         s = self._sorts.get(t)
         if s is None:
-            s = infer_sort(t, self.sort_env, self.sort_env, self.m.terminals)
+            s = ly_sort(t, self.sort_env, self.m.terminals)
             self._sorts[t] = s
         return s
 
-    def derive(self, env: TypeEnv, t: Term, target: IType) -> Derivation | None:
+    def derive(self, env: TypeEnv, t: LambdaY,
+               target: IType) -> Derivation | None:
         if isinstance(t, Lam):
             if not isinstance(target, ArrowType):
                 return None
@@ -181,7 +237,7 @@ class Deriver:
         return DApp(t, target, chosen, fn, args)
 
 
-def derive(env: TypeEnv, t: Term, target: IType, m: Apt,
+def derive(env: TypeEnv, t: LambdaY, target: IType, m: Apt,
            sort_env: dict[str, SimpleType]) -> Derivation | None:
     """Backward proof search; None when the sequent is not provable."""
     return Deriver(m, sort_env).derive(env, t, target)
@@ -190,7 +246,7 @@ def derive(env: TypeEnv, t: Term, target: IType, m: Apt,
 # ---------------------------------------------------------------------------
 # Bottom-up denotation (brute-force counterpart of `derive`)
 
-def denotation(t: Term, sorts: dict[str, SimpleType], m: Apt,
+def denotation(t: LambdaY, sorts: dict[str, SimpleType], m: Apt,
                spaces: dict[str, list[ColoredSet]] | None = None
                ) -> set[tuple[tuple[ColoredSet, ...], IType]]:
     """The full finite relation between environments and result types.
@@ -214,7 +270,7 @@ def denotation(t: Term, sorts: dict[str, SimpleType], m: Apt,
                           for c in cols]))
         return closed
 
-    def compute(term: Term, scope: dict[str, SimpleType]):
+    def compute(term: LambdaY, scope: dict[str, SimpleType]):
         """Returns (support names tuple, set of (support env tuple, type))."""
         if isinstance(term, Fix):
             raise ValueError("fixpoints are not admitted in denotation")
@@ -261,7 +317,7 @@ def denotation(t: Term, sorts: dict[str, SimpleType], m: Apt,
             if isinstance(theta, ArrowType):
                 by_result.setdefault((envt, theta.result), []).append(theta.argument)
         env_spaces = [var_space(x, scope[x]) for x in sup]
-        result_sort = infer_sort(term, scope, scope, m.terminals)
+        result_sort = ly_sort(term, scope, m.terminals)
         targets = enumerate_types(result_sort, m)
         entries = set()
         for envt in itertools.product(*env_spaces):
@@ -413,7 +469,7 @@ def run_search(m: Apt, t: TreePrefix, q: str) -> bool:
 # ---------------------------------------------------------------------------
 # Substitution and tree prefixes (references for `syntax`)
 
-def nonterminals_of(t: Term) -> frozenset[str]:
+def nonterminals_of(t: LambdaY) -> frozenset[str]:
     if isinstance(t, NonTerminal):
         return frozenset({t.name})
     if isinstance(t, App):
@@ -423,7 +479,7 @@ def nonterminals_of(t: Term) -> frozenset[str]:
     return frozenset()
 
 
-def _all_names(t: Term) -> set[str]:
+def _all_names(t: LambdaY) -> set[str]:
     if isinstance(t, Var):
         return {t.name}
     if isinstance(t, Terminal):
@@ -437,7 +493,7 @@ def _all_names(t: Term) -> set[str]:
     return _all_names(t.body)
 
 
-def subst_var(t: Term, name: str, value: Term) -> Term:
+def subst_var(t: LambdaY, name: str, value: LambdaY) -> LambdaY:
     """Capture-avoiding substitution of `value` for the free variable `name`."""
     if isinstance(t, Var):
         return value if t.name == name else t
@@ -451,15 +507,15 @@ def subst_var(t: Term, name: str, value: Term) -> Term:
     # Lam
     if t.binder == name:
         return t
-    if t.binder in free_vars(value) and name in free_vars(t.body):
-        taken = _all_names(t.body) | free_vars(value) | {name}
+    if t.binder in ly_free_vars(value) and name in ly_free_vars(t.body):
+        taken = _all_names(t.body) | ly_free_vars(value) | {name}
         renamed = fresh_name(t.binder, taken)
         body = subst_var(t.body, t.binder, Var(renamed))
         return Lam(renamed, t.binder_sort, subst_var(body, name, value))
     return Lam(t.binder, t.binder_sort, subst_var(t.body, name, value))
 
 
-def subst_nonterminal(t: Term, name: str, value: Term) -> Term:
+def subst_nonterminal(t: LambdaY, name: str, value: LambdaY) -> LambdaY:
     """Replace references to a nonterminal; `value` must have no free Vars
     captured here, which holds because rule right-hand sides are closed."""
     if isinstance(t, NonTerminal):
@@ -486,7 +542,7 @@ def is_prefix_of(smaller: TreePrefix, larger: TreePrefix) -> bool:
 # ---------------------------------------------------------------------------
 # Scheme -> lambda-term with fixpoints
 
-def to_lambda_y(h: Hors) -> Term:
+def to_lambda_y(h: Hors) -> LambdaY:
     """Closed ground term with the same Boehm tree as the scheme's value tree.
 
     Mutual recursion is resolved one nonterminal at a time, in declaration
@@ -500,10 +556,10 @@ def to_lambda_y(h: Hors) -> Term:
         taken |= _all_names(rule.body)
 
     names = list(h.nonterminals)
-    defs: dict[str, Term] = {}
+    defs: dict[str, LambdaY] = {}
     for name in names:
         rule = h.rules[name]
-        t: Term = rule.body
+        t: LambdaY = rule.body
         for b, bsort in reversed(rule.binders):
             t = Lam(b, bsort, t)
         defs[name] = t
@@ -592,7 +648,8 @@ def _freeze(s) -> SimpleType:
     return Arrow(_freeze(d), _freeze(c))
 
 
-def _infer_meta(t: Term, env: dict[str, object], term_sorts: dict[str, object],
+def _infer_meta(t: LambdaY, env: dict[str, object],
+                term_sorts: dict[str, object],
                 nt_sorts: dict[str, SimpleType] | None = None):
     if isinstance(t, Var):
         if t.name not in env:
@@ -630,15 +687,15 @@ def _terminal_arity(sort: SimpleType, symbol: str) -> int:
     return n
 
 
-def from_lambda_y(t: Term) -> Hors:
+def from_lambda_y(t: LambdaY) -> Hors:
     """Lambda-lift a closed ground term into an equivalent recursion scheme.
 
     Each abstraction and each fixpoint body becomes a fresh nonterminal
     abstracted over its free variables; terminal arities are recovered from
     the term's sorting.
     """
-    if free_vars(t):
-        raise SortError(f"term is not closed: free {sorted(free_vars(t))}")
+    if ly_free_vars(t):
+        raise SortError(f"term is not closed: free {sorted(ly_free_vars(t))}")
     term_sorts: dict[str, object] = {}
     top = _infer_meta(t, {}, term_sorts)
     _unify(top, GROUND)
@@ -648,11 +705,11 @@ def from_lambda_y(t: Term) -> Hors:
     rules: dict[str, Rule] = {}
     nonterminal_sorts: dict[str, SimpleType] = {}
 
-    def sort_of(term: Term, scope: dict[str, SimpleType]) -> SimpleType:
+    def sort_of(term: LambdaY, scope: dict[str, SimpleType]) -> SimpleType:
         return _freeze(_infer_meta(term, dict(scope), term_sorts,
                                    nonterminal_sorts))
 
-    def lift(term: Term, env: dict[str, SimpleType]) -> Term:
+    def lift(term: LambdaY, env: dict[str, SimpleType]) -> Term:
         """Applicative translation; hoists Lam and Fix into new rules."""
         if isinstance(term, (Var, Terminal, NonTerminal)):
             return term
@@ -660,7 +717,7 @@ def from_lambda_y(t: Term) -> Hors:
             return App(lift(term.function, env), lift(term.argument, env))
         if isinstance(term, Lam):
             binders: list[tuple[str, SimpleType]] = []
-            body: Term = term
+            body: LambdaY = term
             seen = set(env) | {b for b, _ in binders}
             while isinstance(body, Lam):
                 bname = body.binder
@@ -671,7 +728,7 @@ def from_lambda_y(t: Term) -> Hors:
                 seen.add(bname)
                 binders.append((bname, body.binder_sort))
                 body = inner_body
-            fvs = sorted(free_vars(term))
+            fvs = sorted(ly_free_vars(term))
             fv_binders = [(v, env[v]) for v in fvs]
             scope = dict(env)
             scope.update(dict(binders))
@@ -683,7 +740,7 @@ def from_lambda_y(t: Term) -> Hors:
         if not isinstance(body, Lam):
             f = fresh_name("rec", _all_names(body) | set(taken))
             body = Lam(f, sort, App(body, Var(f)))
-        fvs = sorted(free_vars(term))
+        fvs = sorted(ly_free_vars(term))
         fv_binders = [(v, env[v]) for v in fvs]
         name = fresh_name("G", taken)
         nonterminal_sorts[name] = arrow(*[s for _, s in fv_binders], sort)
@@ -693,7 +750,7 @@ def from_lambda_y(t: Term) -> Hors:
         return self_ref
 
     def make_rule(base: str, binders: list[tuple[str, SimpleType]],
-                  body: Term, scope: dict[str, SimpleType]) -> str:
+                  body: LambdaY, scope: dict[str, SimpleType]) -> str:
         name = fresh_name(base, taken)
         body_sort = sort_of(body, scope)
         nonterminal_sorts[name] = arrow(*[s for _, s in binders], body_sort)
@@ -701,7 +758,7 @@ def from_lambda_y(t: Term) -> Hors:
         return name
 
     def fill_rule(name: str, binders: list[tuple[str, SimpleType]],
-                  body: Term, env: dict[str, SimpleType]) -> None:
+                  body: LambdaY, env: dict[str, SimpleType]) -> None:
         """Eta-expand the body down to ground sort, lift it, record the rule."""
         scope = dict(env)
         scope.update(dict(binders))
@@ -730,7 +787,8 @@ def from_lambda_y(t: Term) -> Hors:
 # ---------------------------------------------------------------------------
 # Boehm-tree unfolding of lambda-terms (independent of `unfold`)
 
-def bohm_tree(t: Term, depth: int, terminal_arities: dict[str, int] | None = None,
+def bohm_tree(t: LambdaY, depth: int,
+              terminal_arities: dict[str, int] | None = None,
               budget: int = DEFAULT_STEP_BUDGET) -> TreePrefix:
     """Depth-bounded Boehm tree of a closed ground term, by head reduction.
 
@@ -738,7 +796,7 @@ def bohm_tree(t: Term, depth: int, terminal_arities: dict[str, int] | None = Non
     taken from the argument counts when not supplied.
     """
 
-    def expand(term: Term, d: int, path: tuple[int, ...]) -> TreePrefix:
+    def expand(term: LambdaY, d: int, path: tuple[int, ...]) -> TreePrefix:
         if d >= depth:
             return BOTTOM
         steps = 0

@@ -2,9 +2,8 @@
 
 A scheme is a finite family of simply-typed rewrite rules, one per
 nonterminal, generating a possibly infinite ranked tree by repeated
-outermost rewriting from the start symbol.  Terms also include
-abstractions and fixpoints, which the lambda-Y translations in `oracles`
-build; rule bodies may contain neither.
+outermost rewriting from the start symbol.  Terms are applicative; the
+lambda-Y terms, with abstractions and fixpoints, are built in `oracles`.
 """
 
 from __future__ import annotations
@@ -90,22 +89,7 @@ class App:
     argument: "Term"
 
 
-@dataclass(frozen=True)
-class Lam:
-    binder: str
-    binder_sort: SimpleType
-    body: "Term"
-
-
-@dataclass(frozen=True)
-class Fix:
-    """Fixpoint at a sort: Fix(s, M) stands for Y_s M and requires M : s -> s."""
-
-    sort: SimpleType
-    body: "Term"
-
-
-Term = Var | Terminal | NonTerminal | App | Lam | Fix
+Term = Var | Terminal | NonTerminal | App
 
 
 def apply(fn: Term, *args: Term) -> Term:
@@ -127,13 +111,9 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
 def free_vars(t: Term) -> frozenset[str]:
     if isinstance(t, Var):
         return frozenset({t.name})
-    if isinstance(t, (Terminal, NonTerminal)):
-        return frozenset()
     if isinstance(t, App):
         return free_vars(t.function) | free_vars(t.argument)
-    if isinstance(t, Lam):
-        return free_vars(t.body) - {t.binder}
-    return free_vars(t.body)
+    return frozenset()
 
 
 def fresh_name(base: str, taken: set[str]) -> str:
@@ -149,22 +129,14 @@ def fresh_name(base: str, taken: set[str]) -> str:
 
 
 def format_term(t: Term) -> str:
-    if isinstance(t, Var):
+    if isinstance(t, (Var, NonTerminal)):
         return t.name
     if isinstance(t, Terminal):
         return t.symbol
-    if isinstance(t, NonTerminal):
-        return t.name
-    if isinstance(t, App):
-        head, args = spine(t)
-        parts = [format_term(head)]
-        for a in args:
-            s = format_term(a)
-            parts.append(f"({s})" if isinstance(a, (App, Lam, Fix)) else s)
-        return " ".join(parts)
-    if isinstance(t, Lam):
-        return f"\\{t.binder}:{format_sort(t.binder_sort)}. {format_term(t.body)}"
-    return f"Y[{format_sort(t.sort)}] ({format_term(t.body)})"
+    head, args = spine(t)
+    return " ".join([format_term(head)] + [
+        f"({format_term(a)})" if isinstance(a, App) else format_term(a)
+        for a in args])
 
 
 # ---------------------------------------------------------------------------
@@ -190,28 +162,18 @@ def infer_sort(t: Term, var_sorts: dict[str, SimpleType],
         if t.name not in nonterminal_sorts:
             raise SortError(f"unknown nonterminal '{t.name}'")
         return nonterminal_sorts[t.name]
-    if isinstance(t, App):
-        fn = infer_sort(t.function, var_sorts, nonterminal_sorts, terminal_arities)
-        arg = infer_sort(t.argument, var_sorts, nonterminal_sorts, terminal_arities)
-        if not isinstance(fn, Arrow):
-            raise SortError(f"applied term of ground sort: {format_term(t)}")
-        if fn.domain != arg:
-            raise SortError(
-                f"argument sort mismatch in {format_term(t)}: expected "
-                f"{format_sort(fn.domain)}, got {format_sort(arg)}")
-        return fn.codomain
-    if isinstance(t, Lam):
-        inner = dict(var_sorts)
-        inner[t.binder] = t.binder_sort
-        body = infer_sort(t.body, inner, nonterminal_sorts, terminal_arities)
-        return Arrow(t.binder_sort, body)
-    # Fix
-    body = infer_sort(t.body, var_sorts, nonterminal_sorts, terminal_arities)
-    if body != Arrow(t.sort, t.sort):
+    if not isinstance(t, App):
+        raise SortError(f"body not abstraction-free: {t!r} is not an "
+                        "applicative term")
+    fn = infer_sort(t.function, var_sorts, nonterminal_sorts, terminal_arities)
+    arg = infer_sort(t.argument, var_sorts, nonterminal_sorts, terminal_arities)
+    if not isinstance(fn, Arrow):
+        raise SortError(f"applied term of ground sort: {format_term(t)}")
+    if fn.domain != arg:
         raise SortError(
-            f"fixpoint body has sort {format_sort(body)}, expected "
-            f"{format_sort(Arrow(t.sort, t.sort))}")
-    return t.sort
+            f"argument sort mismatch in {format_term(t)}: expected "
+            f"{format_sort(fn.domain)}, got {format_sort(arg)}")
+    return fn.codomain
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +196,6 @@ class Hors:
     nonterminals: dict[str, SimpleType]
     rules: dict[str, Rule]
     start: str
-
-
-def _contains_binding(t: Term) -> bool:
-    if isinstance(t, (Lam, Fix)):
-        return True
-    if isinstance(t, App):
-        return _contains_binding(t.function) or _contains_binding(t.argument)
-    return False
 
 
 def check_wellformed(h: Hors) -> list[str]:
@@ -290,9 +244,6 @@ def check_wellformed(h: Hors) -> list[str]:
         if expected != GROUND:
             diags.append(f"rule '{name}': body leaves sort "
                          f"{format_sort(expected)}, rules must abstract down to o")
-            continue
-        if _contains_binding(rule.body):
-            diags.append(f"rule '{name}': body not abstraction-free")
             continue
         try:
             body_sort = infer_sort(rule.body, dict(rule.binders),
@@ -404,9 +355,7 @@ def _subst_many(t: Term, mapping: dict[str, Term]) -> Term:
     # Rule bodies are abstraction-free, so no capture is possible.
     if isinstance(t, Var):
         return mapping.get(t.name, t)
-    if isinstance(t, (Terminal, NonTerminal)):
-        return t
     if isinstance(t, App):
         return App(_subst_many(t.function, mapping),
                    _subst_many(t.argument, mapping))
-    raise AssertionError("rule bodies are abstraction-free")
+    return t

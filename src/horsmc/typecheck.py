@@ -14,7 +14,7 @@ each move carries its derivation on to witness extraction.  Under a
 terminal head the search takes each argument's sets from the clauses of
 the transition formula, one per clause, as a terminal's denotation is the
 profiles covering a clause; under a variable or nonterminal head it tries
-every subset of the argument's options, and `PAIR_CAP` guards only there.
+every subset of the argument's options.  `PAIR_CAP` guards both searches.
 
 An `Analysis` owns what the search memoises: the type space of each sort
 and one search per rule, memoised on (subterm, type, color, view), the view
@@ -34,6 +34,7 @@ and returns it as one object to every Eve node that has it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .automata import Apt, Color, EPSILON, cmax, color_key, color_set, dnf
@@ -171,7 +172,7 @@ def _extend(live, emitted: _SubsetIndex, i: int,
 
 
 # The most argument options whose subsets are all tried, under a variable or
-# nonterminal head.
+# nonterminal head; 2 ** PAIR_CAP bounds the picks for one argument set.
 PAIR_CAP = 12
 
 
@@ -391,6 +392,11 @@ class _FootprintSearch:
                 continue
             by_pair = {(c2, beta): sub for c2, beta, sub in subset}
             arg_option_lists = [by_pair[p] for p in chosen.pairs]
+            picks = math.prod(map(len, arg_option_lists))
+            if picks > 2 ** PAIR_CAP:
+                raise SizeGuardExceeded(
+                    f"argument derivations at `{format_term(t)}` in the "
+                    f"rule of {self.rule}", picks, 2 ** PAIR_CAP)
             for fn_req, fn_d in fn_opts:
                 for req, arg_ds in _unions(fn_req, arg_option_lists, emitted):
                     emitted.add(req)

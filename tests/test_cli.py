@@ -341,6 +341,27 @@ class TestSizeGuard:
         assert err.startswith("size guard: type space at sort (o -> o) -> o "
                               "(argument of `B A` in the rule of S): ")
 
+    def test_nested_application_trips_the_pick_guard(self, tmp_path):
+        # Over two states of distinct colors, `F c` has 64 minimal maps at
+        # each target, and the outer `F` picks one of them for each pair of
+        # its argument set.  Unguarded, that product is never finished, so
+        # the CLI runs in a subprocess that the timeout stops.
+        scheme = tmp_path / "nested.hors"
+        scheme.write_text("terminals:\n  c : 0\nnonterminals:\n  S : o\n"
+                          "  F : o -> o\nstart: S\nrules:\n"
+                          "  S = F (F c)\n  F x = c\n")
+        apt = tmp_path / "two.apt"
+        apt.write_text("states: q0 q1\ninitial: q0\n"
+                       "colors:\n  q0 -> 1, q1 -> 3\n"
+                       "delta:\n  q0 c -> true\n  q1 c -> true\n")
+        r = subprocess.run([sys.executable, "-m", "horsmc.cli", "check",
+                            str(scheme), str(apt)], capture_output=True,
+                           text=True, env=cli_env(0), timeout=60)
+        assert (r.returncode, r.stdout) == (3, "")
+        assert r.stderr == ("size guard: argument derivations at `F (F c)` "
+                            "in the rule of S: 262144 candidates exceed the "
+                            "limit 4096\n")
+
     def test_node_guard_names_the_refused_node(self, files, capsys,
                                                monkeypatch):
         _, scheme, apt = files
@@ -389,6 +410,15 @@ class TestImportPath:
             capture_output=True, text=True, env=cli_env(0))
         assert (r.returncode, r.stdout) == (0, "['horsmc.automata.dnf']\n"), \
             r.stderr
+
+    def test_the_term_language_is_closed(self):
+        import typing
+        import horsmc
+        from horsmc import App, NonTerminal, Terminal, Var, syntax
+        assert typing.get_args(syntax.Term) == (Var, Terminal, NonTerminal,
+                                                App)
+        for module in (horsmc, syntax):
+            assert not hasattr(module, "Lam") and not hasattr(module, "Fix")
 
     def test_oracles_are_not_reexported(self):
         import horsmc

@@ -1,10 +1,14 @@
 import pytest
+from hypothesis import assume, given, settings
 
-from horsmc import (Arrow, BOTTOM, Fix, GROUND, Hors, Lam, NonTerminal, Rule,
-                    Terminal, TreePrefix, UnresolvedWithinBudget, Var, apply,
+from horsmc import (Arrow, BOTTOM, GROUND, Hors, NonTerminal, Rule, Terminal,
+                    TreePrefix, UnresolvedWithinBudget, Var, apply,
                     check_wellformed, format_tree, order, unfold)
-from horsmc.oracles import bohm_tree, from_lambda_y, is_prefix_of, to_lambda_y
-from conftest import const_scheme, loop_scheme, mutual_scheme, order2_scheme
+from horsmc.oracles import (Fix, Lam, bohm_tree, from_lambda_y, is_prefix_of,
+                            to_lambda_y)
+from conftest import (const_scheme, loop_scheme, mutual_scheme,
+                      order0_instances, order0_scheme, order1_instances,
+                      order1_scheme, order2_scheme)
 
 
 def test_order():
@@ -28,13 +32,16 @@ class TestCheckWellformed:
         assert len(diags) == 1 and "not ground" in diags[0]
 
     def test_body_with_abstraction(self):
-        h = Hors(terminals={"a": 1},
-                 nonterminals={"S": GROUND},
-                 rules={"S": Rule((), apply(Lam("x", GROUND, Var("x")),
-                                            Terminal("a")))},
-                 start="S")
-        diags = check_wellformed(h)
-        assert any("abstraction-free" in d for d in diags)
+        # an abstraction, or any other object that is not a term, is
+        # reported as a diagnostic, not raised
+        for body in (apply(Lam("x", GROUND, Var("x")), Terminal("a")),
+                     apply(Terminal("a"), object())):
+            h = Hors(terminals={"a": 1},
+                     nonterminals={"S": GROUND},
+                     rules={"S": Rule((), body)},
+                     start="S")
+            diags = check_wellformed(h)
+            assert any("abstraction-free" in d for d in diags)
 
     def test_terminal_and_nonterminal_name_rejected(self):
         h = Hors(terminals={"a": 0},
@@ -139,6 +146,33 @@ class TestFromLambdaY:
         h = from_lambda_y(t)
         assert check_wellformed(h) == []
         assert format_tree(unfold(h, 3)) == "(a (c))"
+
+
+# Drawn schemes go through both translations to this depth; one whose
+# unfolding leaves a head unresolved within LY_BUDGET steps is drawn again.
+LY_DEPTH, LY_BUDGET = 4, 200
+
+
+def assert_lambda_y_agrees(h: Hors) -> None:
+    try:
+        want = unfold(h, LY_DEPTH, budget=LY_BUDGET)
+    except UnresolvedWithinBudget:
+        assume(False)
+    t = to_lambda_y(h)
+    assert bohm_tree(t, LY_DEPTH, h.terminals) == want
+    assert unfold(from_lambda_y(t), LY_DEPTH) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(order0_instances())
+def test_lambda_y_translations_on_order0_schemes(instance):
+    assert_lambda_y_agrees(order0_scheme(instance[0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(order1_instances())
+def test_lambda_y_translations_on_order1_schemes(instance):
+    assert_lambda_y_agrees(order1_scheme(instance[0]))
 
 
 def test_tree_prefix_child_counts(ex1):

@@ -168,7 +168,7 @@ class TestDerive:
 
     def test_lambda_body_sits_in_the_extended_environment(self, ex1_apt):
         from dataclasses import replace
-        from horsmc import Lam
+        from horsmc.oracles import Lam
         lam = Lam("x", GROUND, Var("x"))
         d = derive({}, lam, ArrowType(colored_set([(EPSILON, Q0)]), Q0),
                    ex1_apt, {})
@@ -193,7 +193,7 @@ class TestDenotation:
         assert rel == expected
 
     def test_lambda_body_matches_derive(self, ex1, ex1_apt):
-        from horsmc import Lam
+        from horsmc.oracles import Lam
         body = ex1.rules["L"].body
         lam = Lam("x", GROUND, body)
         sorts = {"L": OO}
@@ -211,7 +211,7 @@ class TestDenotation:
                 assert got == (((ul,), theta) in rel)
 
     def test_fixpoint_rejected(self, ex1_apt):
-        from horsmc import Fix, Lam
+        from horsmc.oracles import Fix, Lam
         t = Fix(GROUND, Lam("s", GROUND, Var("s")))
         with pytest.raises(ValueError):
             denotation(t, {}, ex1_apt)
