@@ -505,20 +505,26 @@ def print_tree(t: TreePrefix) -> str:
 
 
 def tree_to_dot(t: TreePrefix) -> str:
+    """One DOT node per position of the tree, numbered in preorder; a
+    node's edge to its parent follows the lines of its subtree."""
     lines = ["digraph tree {", "  node [fontname=\"monospace\"];"]
-    counter = [0]
-
-    def visit(node: TreePrefix) -> str:
-        me = f"n{counter[0]}"
-        counter[0] += 1
+    counter = 0
+    # A tree with its parent's DOT name, or the parent's edge line, which is
+    # emitted once the whole subtree below it has been.
+    work: list[tuple[TreePrefix, str | None] | str] = [(t, None)]
+    while work:
+        item = work.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        node, parent = item
+        me = f"n{counter}"
+        counter += 1
         label = "_|_" if node.is_bottom else node.label.replace("\"", "'")
         shape = "plaintext" if node.is_bottom else "box"
         lines.append(f"  {me} [label=\"{label}\", shape={shape}];")
-        for child in node.children:
-            cid = visit(child)
-            lines.append(f"  {me} -> {cid};")
-        return me
-
-    visit(t)
+        if parent is not None:
+            work.append(f"  {parent} -> {me};")
+        work.extend((child, me) for child in reversed(node.children))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -17,9 +17,10 @@ from .automata import Apt, Color, EPSILON, cmax, format_color, satisfies
 from .game import AdamNode, EveNode, Solution
 from .itypes import (ColoredSet, IType, StateType, format_itype,
                      split_chain, subtype)
-from .syntax import (App, GROUND, Hors, NonTerminal, Rule, SimpleType, Term,
-                     Terminal, TreePrefix, Var, apply, arrow,
-                     check_wellformed, fresh_name, require_wellformed, unfold)
+from .syntax import (App, DEFAULT_STEP_BUDGET, GROUND, Hors, NonTerminal,
+                     Rule, SimpleType, Term, Terminal, UnresolvedWithinBudget,
+                     Var, apply, arrow, check_wellformed, fresh_name,
+                     head_normal, require_wellformed, unfold)
 from .typecheck import DAx, DApp, DDelta, Derivation
 
 # Per-direction colored profile over ground states.
@@ -249,47 +250,75 @@ def verify_runtree(g: AnnotatedHors, h: Hors, m: Apt, q: str,
     satisfy the automaton's formula at its state, and children must carry
     the states and colors the profile announces.  Parity itself is not
     decidable at finite depth; the maximal color per branch is reported.
+
+    The original tree is checked only where the run reads it: the walk
+    carries the original's term beside each run node and rewrites its head
+    when it reaches the node.  A head the run reaches that does not rewrite
+    to a terminal within the step budget raises UnresolvedWithinBudget,
+    with the node's path in the original tree; a divergent subtree that the
+    run never reads is not an error.  Paths in the report are positions in
+    the run tree.  The walk keeps its own stack, so no recursion limit
+    applies.
     """
     report = RunReport(depth=depth)
     run = unfold(g.hors, depth)
-    orig = unfold(h, depth)
 
-    def walk(node: TreePrefix, original: TreePrefix, state: str,
-             path: tuple[int, ...], max_color: int | None) -> None:
+    # A node's link is (parent's link, position in the run, direction in the
+    # original), or None at the root; paths are rebuilt only when reported.
+    def path_of(link, part: int) -> tuple[int, ...]:
+        steps = []
+        while link is not None:
+            steps.append(link[part])
+            link = link[0]
+        return tuple(reversed(steps))
+
+    # (run node, original term at that node, state, max color above it,
+    # link, profile color announced for the node or None at the root)
+    work: list[tuple] = [(run, NonTerminal(h.start), q, None, None, None)]
+    while work:
+        node, term, state, max_color, link, color = work.pop()
+        if color is not None and color != m.omega[state]:
+            report.transition_violations.append(
+                (path_of(link, 1),
+                 f"profile color {format_color(color)} differs from the "
+                 f"color of {state}"))
         if node.is_bottom:
-            report.branch_max_colors.append((path, max_color))
-            return
+            report.branch_max_colors.append((path_of(link, 1), max_color))
+            continue
         info = g.terminal_info.get(node.label)
         if info is None:
             report.transition_violations.append(
-                (path, f"unknown annotated symbol '{node.label}'"))
-            return
+                (path_of(link, 1), f"unknown annotated symbol '{node.label}'"))
+            continue
         a, profile, annotated_state = info
         if a not in m.terminals:
             report.transition_violations.append(
-                (path, f"symbol '{a}' not in the automaton's alphabet"))
-            return
+                (path_of(link, 1),
+                 f"symbol '{a}' not in the automaton's alphabet"))
+            continue
         announced = [q2 for comp in profile for _, q2 in comp]
         if annotated_state not in m.omega or \
                 any(q2 not in m.omega for q2 in announced):
             report.transition_violations.append(
-                (path, f"'{node.label}' mentions states unknown to the "
-                       "automaton"))
-            return
+                (path_of(link, 1), f"'{node.label}' mentions states unknown "
+                                   "to the automaton"))
+            continue
         if len(profile) < m.terminals[a]:
             # trailing erased directions are not spelled out in the symbol
             profile = profile + ((),) * (m.terminals[a] - len(profile))
         if annotated_state != state:
             report.transition_violations.append(
-                (path, f"node carries state {annotated_state}, "
-                       f"expected {state}"))
-        if original.is_bottom:
-            report.branch_max_colors.append((path, max_color))
-            return
-        if original.label != a:
+                (path_of(link, 1), f"node carries state {annotated_state}, "
+                                   f"expected {state}"))
+        normal = head_normal(h, term, DEFAULT_STEP_BUDGET)
+        if normal is None:
+            raise UnresolvedWithinBudget(path_of(link, 2),
+                                         DEFAULT_STEP_BUDGET + 1)
+        original, args = normal
+        if original != a:
             report.projection_mismatches.append(
-                (path, original.label, a))
-            return
+                (path_of(link, 1), original, a))
+            continue
         try:
             ok = satisfies(tuple(frozenset(comp) for comp in profile),
                            annotated_state, a, m)
@@ -297,29 +326,21 @@ def verify_runtree(g: AnnotatedHors, h: Hors, m: Apt, q: str,
             ok = False
         if not ok:
             report.transition_violations.append(
-                (path, f"profile of '{node.label}' does not satisfy the "
-                       f"transition at {annotated_state}"))
+                (path_of(link, 1), f"profile of '{node.label}' does not "
+                                   f"satisfy the transition at "
+                                   f"{annotated_state}"))
         here = m.omega[annotated_state]
         max_here = here if max_color is None else max(max_color, here)
-        if not profile:
-            report.branch_max_colors.append((path, max_here))
-            return
-        pos = 0
+        if not announced:
+            report.branch_max_colors.append((path_of(link, 1), max_here))
+            continue
+        children = []
         for k, component in enumerate(profile, start=1):
             for c, q2 in component:
-                child = node.children[pos]
-                if c != m.omega[q2]:
-                    report.transition_violations.append(
-                        (path + (pos + 1,),
-                         f"profile color {format_color(c)} differs from the "
-                         f"color of {q2}"))
-                walk(child, original.children[k - 1], q2,
-                     path + (pos + 1,), max_here)
-                pos += 1
-        if pos == 0:
-            report.branch_max_colors.append((path, max_here))
-
-    walk(run, orig, q, (), None)
+                pos = len(children)
+                children.append((node.children[pos], args[k - 1], q2,
+                                 max_here, (link, pos + 1, k), c))
+        work.extend(reversed(children))
     return report
 
 

@@ -291,12 +291,38 @@ BOTTOM = TreePrefix(None)
 
 
 def format_tree(t: TreePrefix) -> str:
-    if t.is_bottom:
-        return "_|_"
-    if not t.children:
-        return f"({t.label})"
-    inner = " ".join(format_tree(c) for c in t.children)
-    return f"({t.label} {inner})"
+    """`(a t1 ... tn)`, `(c)` for a leaf and `_|_` for the unresolved marker.
+
+    One pass over an explicit stack of trees and pieces of text; the pieces
+    are joined once, so no subtree's text is copied into its parent's.  A
+    label's pieces are made once and shared by all of its positions.
+    """
+    out: list[str] = []
+    leaf: dict[str, str] = {}
+    opening: dict[str, str] = {}
+    work: list[TreePrefix | str] = [t]
+    while work:
+        item = work.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item.is_bottom:
+            out.append("_|_")
+        elif not item.children:
+            piece = leaf.get(item.label)
+            if piece is None:
+                piece = leaf[item.label] = f"({item.label})"
+            out.append(piece)
+        else:
+            piece = opening.get(item.label)
+            if piece is None:
+                piece = opening[item.label] = f"({item.label} "
+            out.append(piece)
+            work.append(")")
+            for c in reversed(item.children[1:]):
+                work.append(c)
+                work.append(" ")
+            work.append(item.children[0])
+    return "".join(out)
 
 
 class UnresolvedWithinBudget(Exception):
@@ -316,39 +342,68 @@ class UnresolvedWithinBudget(Exception):
 DEFAULT_STEP_BUDGET = 10_000
 
 
+def head_normal(h: Hors, t: Term,
+                budget: int) -> tuple[str, list[Term]] | None:
+    """Rewrite the head of `t` until it is a terminal: its symbol and
+    arguments, or None when that takes more than `budget` steps."""
+    steps = 0
+    while True:
+        head, args = spine(t)
+        if isinstance(head, Terminal):
+            return head.symbol, args
+        assert isinstance(head, NonTerminal), f"stuck head {head!r}"
+        if steps == budget:
+            return None
+        rule = h.rules[head.name]
+        assert len(args) == len(rule.binders)
+        t = _subst_many(rule.body,
+                        {b: a for (b, _), a in zip(rule.binders, args)})
+        steps += 1
+
+
 def unfold(h: Hors, depth: int, budget: int = DEFAULT_STEP_BUDGET) -> TreePrefix:
     """Depth-bounded prefix of the scheme's value tree.
 
     Outermost (head) rewriting per node; nodes at the depth bound become
     unresolved leaves.  Heads that do not produce a terminal within `budget`
-    steps raise UnresolvedWithinBudget.
+    steps raise UnresolvedWithinBudget, naming the first such node in
+    depth-first, left-to-right order.
+
+    Nodes are expanded on an explicit stack, so no recursion limit applies.
+    Equal subtrees are one object, so the prefix takes memory in the number
+    of distinct subtrees, not of positions.
     """
     require_wellformed(h)
-
-    def expand(t: Term, d: int, path: tuple[int, ...]) -> TreePrefix:
-        if d >= depth:
-            return BOTTOM
-        steps = 0
+    if depth <= 0:
+        return BOTTOM
+    # (label, argument terms, subtrees built so far) per node on the current
+    # path; the node being expanded is argument `len(built)` of the one below.
+    stack: list[tuple[str, list[Term], list[TreePrefix]]] = []
+    shared: dict[tuple, TreePrefix] = {}
+    t: Term = NonTerminal(h.start)
+    while True:
+        normal = head_normal(h, t, budget)
+        if normal is None:
+            path = tuple(len(built) + 1 for _, _, built in stack)
+            raise UnresolvedWithinBudget(path, budget + 1)
+        stack.append((*normal, []))
+        # Close every node whose children are all built, then descend into
+        # the next unbuilt child.
         while True:
-            head, args = spine(t)
-            if isinstance(head, Terminal):
+            label, args, built = stack[-1]
+            if len(stack) >= depth:
+                built.extend([BOTTOM] * (len(args) - len(built)))
+            if len(built) < len(args):
+                t = args[len(built)]
                 break
-            assert isinstance(head, NonTerminal), f"stuck head {head!r}"
-            rule = h.rules[head.name]
-            assert len(args) == len(rule.binders)
-            body = rule.body
-            mapping = {b: a for (b, _), a in zip(rule.binders, args)}
-            t = _subst_many(body, mapping)
-            steps += 1
-            if steps > budget:
-                raise UnresolvedWithinBudget(path, steps)
-        arity = h.terminals[head.symbol]
-        assert len(args) == arity
-        return TreePrefix(head.symbol,
-                          tuple(expand(a, d + 1, path + (i + 1,))
-                                for i, a in enumerate(args)))
-
-    return expand(NonTerminal(h.start), 0, ())
+            stack.pop()
+            key = (label, *map(id, built))
+            tree = shared.get(key)
+            if tree is None:
+                tree = shared[key] = TreePrefix(label, tuple(built))
+            if not stack:
+                return tree
+            stack[-1][2].append(tree)
 
 
 def _subst_many(t: Term, mapping: dict[str, Term]) -> Term:

@@ -226,13 +226,33 @@ class TestUnfold:
         code, _, err = run(["unfold", str(scheme), "-d", "1"], capsys)
         assert code == 3 and "budget" in err
 
-    def test_recursion_limit_exit_three(self, tmp_path, capsys):
-        # a limit stopped the computation: not a negative verdict (exit 1)
+    def test_deep_prefix_is_its_closed_form(self, tmp_path, capsys):
+        # unfolding and printing keep their own stacks: no recursion limit
         scheme = tmp_path / "l.hors"
         scheme.write_text(LOOP_HORS)
-        code, out, err = run(["unfold", str(scheme), "-d", "3000"], capsys)
+        d = 10000
+        code, out, err = run(["unfold", str(scheme), "-d", str(d)], capsys)
+        assert (code, out, err) == (0, "(a " * d + "_|_" + ")" * d + "\n", "")
+        code, out, err = run(["unfold", str(scheme), "-d", str(d), "--dot"],
+                             capsys)
+        assert (code, err) == (0, "")
+        # node lines in preorder, then each edge once its subtree is out
+        lines = out.splitlines()
+        assert len(lines) == 3 + d + 1 + d
+        assert lines[d + 2:d + 4] == [
+            f"  n{d} [label=\"_|_\", shape=plaintext];", f"  n{d - 1} -> n{d};"]
+        assert lines[-2:] == ["  n0 -> n1;", "}"]
+
+    def test_recursion_limit_exit_three(self, files, capsys, monkeypatch):
+        # a limit stopped the computation: not a negative verdict (exit 1)
+        def fail(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        _, scheme, _ = files
+        monkeypatch.setattr(cli, "unfold", fail)
+        code, out, err = run(["unfold", scheme], capsys)
         assert (code, out) == (3, "")
-        assert err.startswith("recursion limit:") and err.count("\n") == 1
+        assert err == "recursion limit: maximum recursion depth exceeded\n"
 
 
 class TestSelectVerify:
@@ -281,6 +301,33 @@ class TestSelectVerify:
         assert (code, out) == (2, "")
         assert err == (f"{bad}:2:3: profile arity mismatch for "
                        "'a@{1:e.q0}->q0'\n")
+
+    def test_deep_verify(self, tmp_path, capsys):
+        scheme = tmp_path / "l.hors"
+        scheme.write_text(LOOP_HORS)
+        apt = tmp_path / "l.apt"
+        apt.write_text(loop_apt_text(2))
+        code, out, err = run(["verify", str(scheme), str(apt), "-d", "3000"],
+                             capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("depth checked: 3000\n")
+        assert out.endswith("verdict: consistent\n")
+
+    def test_divergence_off_the_run_is_not_checked(self, tmp_path, capsys):
+        # the run reads direction 1 only; every direction-2 child diverges
+        scheme = tmp_path / "off.hors"
+        scheme.write_text("terminals:\n  a : 2\nnonterminals:\n  S : o\n"
+                          "  D : o\nstart: S\nrules:\n  S = a S D\n"
+                          "  D = D\n")
+        apt = tmp_path / "l.apt"
+        apt.write_text(loop_apt_text(2))
+        code, out, err = run(["verify", str(scheme), str(apt), "-d", "5"],
+                             capsys)
+        assert (code, err) == (0, "")
+        assert out == ("depth checked: 5\nprojection mismatches: 0\n"
+                       "transition violations: 0\n"
+                       "max colors seen on branches: [2]\n"
+                       "verdict: consistent\n")
 
     def test_verify_detects_corruption(self, files, capsys):
         tmp, scheme, apt = files

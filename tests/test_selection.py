@@ -1,9 +1,11 @@
 import pytest
 
-from horsmc import (ADAM, AdamNode, ArrowType, EVE, EveNode, GROUND,
-                    ParityGame, StateType, Terminal, accepted_states,
-                    check_wellformed, colored_set, extract_scheme,
-                    format_tree, unfold, verify_runtree, zielonka)
+from horsmc import (ADAM, AdamNode, Apt, ArrowType, Atom, EVE, EveNode,
+                    GROUND, Hors, NonTerminal, ParityGame, Rule, StateType,
+                    TRUE, Terminal, UnresolvedWithinBudget, accepted_states,
+                    apply, build_game, check_wellformed, colored_set, conj,
+                    extract_scheme, format_tree, unfold, verify_runtree,
+                    zielonka)
 from horsmc.selection import (LosingStart, ReconstructionError,
                               annotated_sort, terminal_symbol)
 from horsmc.syntax import Arrow, arrow
@@ -113,7 +115,26 @@ class TestVerifyRuntree:
         w.terminal_info[victim] = ("data", (((0, "q0"),),), "q1")
         report = verify_runtree(w, ex1, ex1_apt, "q0", 3)
         assert not report.passed
-        assert len(report.transition_violations) == 1
+        assert report.transition_violations == [
+            ((2, 1), "profile of 'data@{1:0.q1}->q1' does not satisfy the "
+                     "transition at q1")]
+        assert report.projection_mismatches == []
+        assert report.branch_max_colors == [
+            ((1, 1, 1), 0), ((1, 1, 2), 0), ((1, 2, 1), 0), ((1, 2, 2), 0),
+            ((2, 1, 1), 0), ((2, 2, 1), 0), ((2, 2, 2), 0)]
+
+    def test_fault_injection_color(self, ex1, ex1_apt):
+        # a child's announced color is checked as the walk enters the child,
+        # after its parent's own checks
+        sol = solve(ex1, ex1_apt, "q0")
+        w = extract_scheme(ex1, ex1_apt, sol, "q0")
+        victim = "data@{1:0.q1}->q1"
+        w.terminal_info[victim] = ("data", (((2, "q1"),),), "q1")
+        report = verify_runtree(w, ex1, ex1_apt, "q0", 3)
+        assert report.transition_violations == [
+            ((2, 1), "profile of 'data@{1:0.q1}->q1' does not satisfy the "
+                     "transition at q1"),
+            ((2, 1, 1), "profile color 2 differs from the color of q1")]
         assert report.projection_mismatches == []
 
     def test_corrupted_projection_detected(self, ex1, ex1_apt):
@@ -123,7 +144,56 @@ class TestVerifyRuntree:
         orig, profile, state = w.terminal_info[victim]
         w.terminal_info[victim] = ("Nil", profile, state)
         report = verify_runtree(w, ex1, ex1_apt, "q0", 4)
-        assert report.projection_mismatches
+        assert report.projection_mismatches == [((1, 2, 1), "data", "Nil"),
+                                                ((2, 1), "data", "Nil")]
+        assert report.transition_violations == []
+        assert report.branch_max_colors == [
+            ((1, 1, 1, 1), 0), ((1, 1, 1, 2), 0), ((1, 1, 2, 1), 0),
+            ((1, 1, 2, 2), 0), ((1, 2, 2, 1), 0), ((1, 2, 2, 2), 0),
+            ((2, 2, 1, 1), 0), ((2, 2, 1, 2), 0), ((2, 2, 2, 1), 0),
+            ((2, 2, 2, 2), 0)]
+
+    def test_divergence_on_the_run_is_reported(self):
+        # The witness of `S = a D S; D = c` reads both directions of every
+        # a; against `D = D`, the first D it reads diverges.  The path is
+        # the node's position in the original tree.
+        h = Hors({"a": 2, "c": 0}, {"S": GROUND, "D": GROUND},
+                 {"S": Rule((), apply(Terminal("a"), NonTerminal("D"),
+                                      NonTerminal("S"))),
+                  "D": Rule((), Terminal("c"))}, "S")
+        m = Apt(states=("q",), initial="q", omega={"q": 2},
+                terminals={"a": 2, "c": 0},
+                delta={("q", "a"): conj(Atom(1, "q"), Atom(2, "q")),
+                       ("q", "c"): TRUE})
+        w = extract_scheme(h, m, zielonka(build_game(h, m, states=["q"])),
+                           "q")
+        diverging = Hors(h.terminals, h.nonterminals,
+                         {**h.rules, "D": Rule((), NonTerminal("D"))}, "S")
+        with pytest.raises(UnresolvedWithinBudget) as e:
+            verify_runtree(w, diverging, m, "q", 5)
+        assert (e.value.path, e.value.steps) == ((1,), 10_001)
+        assert verify_runtree(w, diverging, m, "q", 1).passed
+
+    def test_divergence_path_is_in_the_original_tree(self):
+        # The run reads direction 2 of the root and direction 1 below it:
+        # its node (1, 1) sits at (2, 1) in the original tree.
+        h = Hors({"a": 2, "b": 1, "c": 0},
+                 {"S": GROUND, "D": GROUND},
+                 {"S": Rule((), apply(Terminal("a"), NonTerminal("D"),
+                                      apply(Terminal("b"),
+                                            NonTerminal("D")))),
+                  "D": Rule((), Terminal("c"))}, "S")
+        m = Apt(states=("q",), initial="q", omega={"q": 0},
+                terminals={"a": 2, "b": 1, "c": 0},
+                delta={("q", "a"): Atom(2, "q"), ("q", "b"): Atom(1, "q"),
+                       ("q", "c"): TRUE})
+        w = extract_scheme(h, m, zielonka(build_game(h, m, states=["q"])),
+                           "q")
+        diverging = Hors(h.terminals, h.nonterminals,
+                         {**h.rules, "D": Rule((), NonTerminal("D"))}, "S")
+        with pytest.raises(UnresolvedWithinBudget) as e:
+            verify_runtree(w, diverging, m, "q", 5)
+        assert e.value.path == (2, 1)
 
     def test_depth_zero_report_is_empty(self, ex1, ex1_apt):
         sol = solve(ex1, ex1_apt, "q0")

@@ -1,12 +1,12 @@
 import pytest
 from hypothesis import assume, given, settings
 
-from horsmc import (Arrow, BOTTOM, GROUND, Hors, NonTerminal, Rule, Terminal,
-                    TreePrefix, UnresolvedWithinBudget, Var, apply,
+from horsmc import (App, Arrow, BOTTOM, GROUND, Hors, NonTerminal, Rule,
+                    Terminal, TreePrefix, UnresolvedWithinBudget, Var, apply,
                     check_wellformed, format_tree, order, unfold)
 from horsmc.oracles import (Fix, Lam, bohm_tree, from_lambda_y, is_prefix_of,
-                            to_lambda_y)
-from conftest import (const_scheme, loop_scheme, mutual_scheme,
+                            subst_var, to_lambda_y)
+from conftest import (const_scheme, grow_scheme, loop_scheme, mutual_scheme,
                       order0_instances, order0_scheme, order1_instances,
                       order1_scheme, order2_scheme)
 
@@ -88,6 +88,33 @@ class TestUnfold:
         with pytest.raises(UnresolvedWithinBudget):
             unfold(h, 1, budget=100)
 
+    def test_first_unresolved_head_is_depth_first(self):
+        # every direction-2 child diverges; the first one met depth first,
+        # left to right, sits under the leftmost branch
+        h = Hors(terminals={"a": 2}, nonterminals={"S": GROUND, "D": GROUND},
+                 rules={"S": Rule((), apply(Terminal("a"), NonTerminal("S"),
+                                            NonTerminal("D"))),
+                        "D": Rule((), NonTerminal("D"))}, start="S")
+        with pytest.raises(UnresolvedWithinBudget) as e:
+            unfold(h, 5)
+        assert (e.value.path, e.value.steps) == ((1, 1, 1, 2), 10_001)
+        with pytest.raises(UnresolvedWithinBudget) as e:
+            unfold(h, 5, budget=1)
+        assert (e.value.path, e.value.steps) == ((1, 1, 1, 2), 2)
+
+    def test_equal_subtrees_are_one_object(self):
+        # 22,951 positions at depth 300, but below the spine the left
+        # children form one chain of b's ending in c and one ending in the
+        # cutoff
+        depth = 300
+        seen, work = set(), [unfold(grow_scheme(), depth)]
+        while work:
+            node = work.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                work.extend(node.children)
+        assert len(seen) <= 2 * depth
+
 
 class TestToLambdaY:
     def test_single_nonterminal_becomes_fixpoint(self):
@@ -146,6 +173,26 @@ class TestFromLambdaY:
         h = from_lambda_y(t)
         assert check_wellformed(h) == []
         assert format_tree(unfold(h, 3)) == "(a (c))"
+
+    def test_lifted_abstraction_takes_its_free_variables_in_order(self):
+        # λz. a x y z sits under λx. λy. and becomes a rule over x, y, z,
+        # applied to x and y in that order at the call site
+        inner = Lam("z", GROUND, apply(Terminal("a"), Var("x"), Var("y"),
+                                       Var("z")))
+        t = apply(Lam("x", GROUND, Lam("y", GROUND,
+                                       App(inner, Terminal("c")))),
+                  Terminal("d"), Terminal("e"))
+        h = from_lambda_y(t)
+        assert check_wellformed(h) == []
+        assert format_tree(unfold(h, 3)) == "(a (d) (e) (c))"
+        assert unfold(h, 3) == bohm_tree(t, 3)
+
+
+def test_substitution_under_a_binder_renames_it():
+    # y is free in the value, so the binder y is renamed apart
+    t = Lam("y", GROUND, apply(Terminal("a"), Var("x"), Var("y")))
+    assert subst_var(t, "x", Var("y")) == Lam(
+        "y_0", GROUND, apply(Terminal("a"), Var("y"), Var("y_0")))
 
 
 # Drawn schemes go through both translations to this depth; one whose
