@@ -9,45 +9,22 @@ between colored profiles and transition formulas.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 
 # ---------------------------------------------------------------------------
 # Colors
 
-class _Epsilon:
-    """The neutral color: minimal for max, distinct from every natural."""
+# Colors are ints.  The neutral color sits below every natural, so `max`
+# joins colors and `sorted` orders them.
+EPSILON = -1
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "e"
-
-    def __reduce__(self):
-        return (_Epsilon, ())
-
-
-EPSILON = _Epsilon()
-
-Color = int | _Epsilon
-
-
-def color_key(c: Color) -> int:
-    """Total order on colors: the neutral color below every natural."""
-    return -1 if isinstance(c, _Epsilon) else c
-
-
-def cmax(a: Color, b: Color) -> Color:
-    return a if color_key(a) >= color_key(b) else b
+Color = int
 
 
 def format_color(c: Color) -> str:
-    return "e" if isinstance(c, _Epsilon) else str(c)
+    return "e" if c == EPSILON else str(c)
 
 
 # ---------------------------------------------------------------------------
@@ -132,17 +109,42 @@ def atoms_of(f: Formula) -> frozenset[tuple[int, str]]:
     return frozenset()
 
 
+class Antichain:
+    """Sets none of which contains another, each with the value it came with.
+
+    Sets offered in turn, each added unless `has_subset_of` it, leave their
+    inclusion-minimal ones, each with the value of its first offer.  A set
+    contains an offered set exactly when it contains a stored one, since a
+    dropped set contains the set that dropped it.
+    """
+
+    def __init__(self):
+        self.sets: dict[frozenset, object] = {}
+        self.sizes: set[int] = set()  # the sizes of the stored sets
+
+    def has_subset_of(self, s: frozenset) -> bool:
+        """Whether some stored set is a subset of (or equals) `s`: by a scan,
+        or, when `s` has fewer subsets (2**len) than there are stored sets,
+        by hashing its subsets of the stored sizes."""
+        if 2 ** len(s) > len(self.sets):
+            return any(k <= s for k in self.sets)
+        items = tuple(s)
+        return any(frozenset(sub) in self.sets
+                   for r in self.sizes if r <= len(items)
+                   for sub in itertools.combinations(items, r))
+
+    def add(self, s: frozenset, value=None) -> None:
+        """Store `s`, which contains no stored set, with `value`, and drop
+        the stored sets that strictly contain it."""
+        if any(r > len(s) for r in self.sizes):
+            for k in [k for k in self.sets if s < k]:
+                del self.sets[k]
+            self.sizes = {len(k) for k in self.sets}
+        self.sets[s] = value
+        self.sizes.add(len(s))
+
+
 Clause = frozenset[tuple[int, str]]
-
-
-def _reduce_antichain(clauses: set[Clause]) -> frozenset[Clause]:
-    """Drop clauses that contain another clause: supersets are subsumed in
-    an existential acceptance check."""
-    keep = []
-    for c in sorted(clauses, key=len):
-        if not any(k <= c for k in keep):
-            keep.append(c)
-    return frozenset(keep)
 
 
 @functools.lru_cache(maxsize=None)
@@ -158,9 +160,14 @@ def dnf(f: Formula) -> frozenset[Clause]:
     if isinstance(f, Atom):
         return frozenset({frozenset({(f.direction, f.state)})})
     if isinstance(f, FOr):
-        return _reduce_antichain(set(dnf(f.left)) | set(dnf(f.right)))
-    left, right = dnf(f.left), dnf(f.right)
-    return _reduce_antichain({a | b for a in left for b in right})
+        clauses = itertools.chain(dnf(f.left), dnf(f.right))
+    else:
+        clauses = (a | b for a in dnf(f.left) for b in dnf(f.right))
+    kept = Antichain()
+    for c in clauses:
+        if not kept.has_subset_of(c):
+            kept.add(c)
+    return frozenset(kept.sets)
 
 
 def sorted_dnf(f: Formula) -> list[list[tuple[int, str]]]:
@@ -198,6 +205,9 @@ class Apt:
                 raise ValueError(f"state '{q}' is listed twice")
             if q not in self.omega:
                 raise ValueError(f"state '{q}' has no color")
+            if self.omega[q] < 0:
+                raise ValueError(f"state '{q}' has the negative color "
+                                 f"{self.omega[q]}")
         for q in self.omega:
             if q not in self.states:
                 raise ValueError(f"color for unlisted state '{q}'")
@@ -219,7 +229,7 @@ def color_set(m: Apt) -> tuple[Color, ...]:
     """The image of the coloring plus the neutral color, in color order."""
     cols: set[Color] = {EPSILON}
     cols.update(m.omega[q] for q in m.states)
-    return tuple(sorted(cols, key=color_key))
+    return tuple(sorted(cols))
 
 
 # A colored profile for an arity-n symbol: one set of (color, state) pairs

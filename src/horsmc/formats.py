@@ -5,7 +5,9 @@ Scheme files have sections `terminals:`, `nonterminals:`, `start:` and
 `delta:`.  `#` starts a comment.  Annotated schemes reuse the scheme
 grammar with terminal tokens `a@{k:c.q,...}->q` and nonterminal tokens
 `F@<type>`, where a type is a state or `{c.<type>,...}-><type>` and the
-neutral color prints as `e`.
+neutral color prints as `e`.  Both token forms are written and read here
+(`terminal_symbol`, `nonterminal_symbol`, `decode_terminal_symbol`,
+`parse_itype`), with the `AnnotatedHors` they name.
 
 Two pieces serve every grammar.  `_sections` reads the sections of a file
 and yields each entry line, or the rest of a header line, with its section
@@ -18,12 +20,12 @@ past its last character.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from typing import NoReturn
 
-from .automata import (Apt, Atom, EPSILON, FALSE, Formula, TRUE, FAnd, FOr,
-                       format_formula)
-from .itypes import ArrowType, IType, StateType, colored_set
-from .selection import AnnotatedHors, Profile
+from .automata import (Apt, Atom, Color, EPSILON, FALSE, Formula, TRUE, FAnd,
+                       FOr, format_color, format_formula)
+from .itypes import ArrowType, IType, StateType, colored_set, format_itype
 from .syntax import (App, Arrow, GROUND, Hors, NonTerminal, Rule, SimpleType,
                      Term, Terminal, TreePrefix, Var, format_sort,
                      format_term, format_tree)
@@ -412,6 +414,37 @@ def print_apt(m: Apt) -> str:
 
 # ---------------------------------------------------------------------------
 # Annotated schemes
+
+# Per-direction colored profile over ground states.
+Profile = tuple[tuple[tuple[Color, str], ...], ...]
+
+
+@dataclass
+class AnnotatedHors:
+    """A scheme over the annotated alphabet, plus decoding tables.
+
+    `terminal_info` maps an annotated symbol to (original symbol, profile,
+    state); `nonterminal_info` maps an annotated nonterminal to (original
+    nonterminal, intersection type).  Coercion helpers introduced while
+    rebuilding rule bodies carry no entry.
+    """
+
+    hors: Hors
+    terminal_info: dict[str, tuple[str, Profile, str]]
+    nonterminal_info: dict[str, tuple[str, IType]]
+
+
+def terminal_symbol(a: str, profile: Profile, q: str) -> str:
+    entries = []
+    for k, component in enumerate(profile, start=1):
+        for c, q2 in component:
+            entries.append(f"{k}:{format_color(c)}.{q2}")
+    return f"{a}@{{{','.join(entries)}}}->{q}"
+
+
+def nonterminal_symbol(name: str, ty: IType) -> str:
+    return f"{name}@{format_itype(ty)}"
+
 
 def _parse_color(text: str):
     """A color token the caller matched as `e` or digits."""

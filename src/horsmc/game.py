@@ -28,14 +28,14 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import NamedTuple
 
-from .automata import Apt, Color, color_key, format_color
+from .automata import Apt, Color, format_color
 from .itypes import (IType, SizeGuardExceeded, StateType, format_cset,
                      format_itype)
 from .syntax import Hors, require_wellformed
 from .typecheck import Analysis, AssumptionMap, Derivation, rule_typings
 
-EVE = "eve"
-ADAM = "adam"
+# The players are numbered as `Numbering.owner` stores them.
+EVE, ADAM = 0, 1
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ class ParityGame:
         return Numbering(
             [tuple(dict.fromkeys(index[w] for w in self.successors(v)))
              for v in self.nodes],
-            [0 if self.owner[v] == EVE else 1 for v in self.nodes],
+            [self.owner[v] for v in self.nodes],
             [self.priority[v] for v in self.nodes])
 
 
@@ -120,13 +120,13 @@ DEFAULT_NODE_LIMIT = 200_000
 def node_priority(v: GameNode) -> int:
     """Color nodes carry the shifted color; everything else is 1.
 
-    The shift c -> c + 2 (neutral -> 1) preserves parity and strict order,
-    so a branch whose maximal recurring color is even becomes a play whose
-    maximal recurring priority is even; cycles seeing only neutral colors
-    get odd maximum 1 and lose.
+    The shift c -> c + 2, which takes the neutral color -1 to 1, preserves
+    parity and strict order, so a branch whose maximal recurring color is
+    even becomes a play whose maximal recurring priority is even; cycles
+    seeing only neutral colors get odd maximum 1 and lose.
     """
     if isinstance(v, ColorNode):
-        return 1 if color_key(v.color) < 0 else v.color + 2
+        return v.color + 2
     return 1
 
 
@@ -163,10 +163,9 @@ def build_game(h: Hors, m: Apt, states=None) -> ParityGame:
                 f"{format_itype(v.ty)})", i + 1, DEFAULT_NODE_LIMIT)
         index[v] = i
         nodes.append(v)
-        adam = isinstance(v, AdamNode)
-        owner[v] = ADAM if adam else EVE
+        owner[v] = ADAM if isinstance(v, AdamNode) else EVE
         priority[v] = node_priority(v)
-        numbering.owner.append(int(adam))
+        numbering.owner.append(owner[v])
         numbering.prio.append(priority[v])
         queue.append(v)
         return i
@@ -370,13 +369,12 @@ def _sccs(vertices: list, succs) -> list[list]:
 
 
 def _strategy_wins(g: ParityGame, region, strategy: dict,
-                   player: str) -> bool:
+                   player: int) -> bool:
     """`strategy` wins every play from `region` for `player`: each of the
     player's nodes there moves along one of its edges and stays inside, the
     opponent cannot leave, and every cycle the strategy allows has a maximal
     priority of the player's parity.  Pure graph traversal, no game
-    semantics."""
-    losing = 1 if player == EVE else 0
+    semantics.  Priority p favours player p & 1."""
     moves: dict = {}
     for v in region:
         if g.owner[v] == player:
@@ -404,7 +402,7 @@ def _strategy_wins(g: ParityGame, region, strategy: dict,
             if len(comp) == 1 and comp[0] not in succs(comp[0]):
                 continue
             top = max(g.priority[v] for v in comp)
-            if top % 2 == losing:
+            if top % 2 != player:
                 return False
             rest = [v for v in comp if g.priority[v] != top]
             if rest:

@@ -13,8 +13,7 @@ game, are the objects the game's construction made.
 
 from __future__ import annotations
 
-from .automata import (Apt, Color, color_key, color_set, format_color,
-                       satisfies)
+from .automata import Apt, Color, color_set, format_color, satisfies
 from .syntax import Ground, SimpleType, format_sort
 
 
@@ -77,7 +76,7 @@ class ColoredSet:
     _cache: dict = {}
 
     def __new__(cls, pairs: tuple):
-        ids = tuple((color_key(c), id(t)) for c, t in pairs)
+        ids = tuple((c, id(t)) for c, t in pairs)
         u = cls._cache.get(ids)
         if u is None:
             u = object.__new__(cls)
@@ -103,7 +102,7 @@ class ColoredSet:
 
 
 def pair_key(pair: tuple[Color, IType]):
-    return (color_key(pair[0]), pair[1].key)
+    return (pair[0], pair[1].key)
 
 
 def colored_set(pairs) -> ColoredSet:

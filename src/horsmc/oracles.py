@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 
 from .automata import (Apt, Color, EPSILON, Formula, FTrue, FFalse, Atom,
-                       FAnd, color_set, cmax, dnf)
+                       FAnd, color_set, dnf)
 from .game import ADAM, EVE, ParityGame, Solution
 from .itypes import (ArrowType, ColoredSet, IType, SizeGuardExceeded,
                      colored_set, enumerate_colored_sets, enumerate_types,
@@ -212,7 +212,7 @@ class Deriver:
         if isinstance(t, (Var, NonTerminal)):
             u = env[t.name]
             for c, alpha in u.pairs:
-                if isinstance(c, type(EPSILON)) and subtype(target, alpha):
+                if c == EPSILON and subtype(target, alpha):
                     return DAx(t, target, alpha)
             return None
         if isinstance(t, Terminal):
@@ -281,7 +281,7 @@ def denotation(t: LambdaY, sorts: dict[str, SimpleType], m: Apt,
             entries = set()
             for u in var_space(x, scope[x]):
                 for alpha in enumerate_types(scope[x], m):
-                    if any(isinstance(c, type(EPSILON)) and subtype(alpha, a2)
+                    if any(c == EPSILON and subtype(alpha, a2)
                            for c, a2 in u):
                         entries.add(((u,), alpha))
             return (x,), entries
@@ -829,4 +829,4 @@ def bohm_tree(t: LambdaY, depth: int,
 
 def box_color(c: Color, u: ColoredSet) -> ColoredSet:
     """Raise every pair's color to at least c (the context coloring)."""
-    return colored_set((cmax(c, ci), t) for ci, t in u)
+    return colored_set((max(c, ci), t) for ci, t in u)

@@ -13,33 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .automata import Apt, Color, EPSILON, cmax, format_color, satisfies
+from .automata import Apt, Color, EPSILON, format_color, satisfies
+from .formats import (AnnotatedHors, Profile, nonterminal_symbol,
+                      terminal_symbol)
 from .game import AdamNode, EveNode, Solution
-from .itypes import (ColoredSet, IType, StateType, format_itype,
-                     split_chain, subtype)
+from .itypes import ColoredSet, IType, StateType, split_chain, subtype
 from .syntax import (App, DEFAULT_STEP_BUDGET, GROUND, Hors, NonTerminal,
                      Rule, SimpleType, Term, Terminal, UnresolvedWithinBudget,
                      Var, apply, arrow, check_wellformed, fresh_name,
                      head_normal, require_wellformed, unfold)
 from .typecheck import DAx, DApp, DDelta, Derivation
-
-# Per-direction colored profile over ground states.
-Profile = tuple[tuple[tuple[Color, str], ...], ...]
-
-
-@dataclass
-class AnnotatedHors:
-    """A scheme over the annotated alphabet, plus decoding tables.
-
-    `terminal_info` maps an annotated symbol to (original symbol, profile,
-    state); `nonterminal_info` maps an annotated nonterminal to (original
-    nonterminal, intersection type).  Coercion helpers introduced while
-    rebuilding rule bodies carry no entry.
-    """
-
-    hors: Hors
-    terminal_info: dict[str, tuple[str, Profile, str]]
-    nonterminal_info: dict[str, tuple[str, IType]]
 
 
 @dataclass
@@ -68,18 +51,6 @@ def annotated_sort(t: IType) -> SimpleType:
         return GROUND
     parts = [annotated_sort(ty) for _, ty in t.argument.pairs]
     return arrow(*parts, annotated_sort(t.result))
-
-
-def terminal_symbol(a: str, profile: Profile, q: str) -> str:
-    entries = []
-    for k, component in enumerate(profile, start=1):
-        for c, q2 in component:
-            entries.append(f"{k}:{format_color(c)}.{q2}")
-    return f"{a}@{{{','.join(entries)}}}->{q}"
-
-
-def nonterminal_symbol(name: str, ty: IType) -> str:
-    return f"{name}@{format_itype(ty)}"
 
 
 def _profile_of(chain_sets: list[ColoredSet]) -> Profile:
@@ -218,7 +189,7 @@ def extract_scheme(h: Hors, m: Apt, s: Solution, q: str) -> AnnotatedHors:
                 return Terminal(register_terminal(d.term.symbol, d.target))
             if isinstance(d, DApp):
                 fn = term_of(d.function, c)
-                args = [term_of(arg, cmax(c, ci))
+                args = [term_of(arg, max(c, ci))
                         for (ci, _), arg in zip(d.chosen.pairs, d.arguments)]
                 return apply(fn, *args)
             raise ReconstructionError(f"unexpected derivation node {d!r}")

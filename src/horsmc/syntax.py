@@ -272,15 +272,41 @@ def require_wellformed(h: Hors) -> None:
 # ---------------------------------------------------------------------------
 # Finite tree prefixes
 
-@dataclass(frozen=True)
 class TreePrefix:
     """Finite ordered tree over the ranked alphabet, with unresolved leaves.
 
-    `label` is a terminal symbol, or None for the unresolved marker.
+    `label` is a terminal symbol, or None for the unresolved marker.  A tree
+    is not changed once built.  Its hash is made at construction from the
+    label and the children's hashes, and equality walks both trees on an
+    explicit stack, so neither recurses.
     """
 
-    label: str | None
-    children: tuple["TreePrefix", ...] = ()
+    __slots__ = ("label", "children", "_hash")
+
+    def __init__(self, label: str | None,
+                 children: tuple[TreePrefix, ...] = ()):
+        self.label = label
+        self.children = children
+        self._hash = hash((label, *[c._hash for c in children]))
+
+    def __repr__(self):
+        return f"TreePrefix({self.label!r}, {self.children!r})"
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if not isinstance(other, TreePrefix):
+            return NotImplemented
+        work = [(self, other)]
+        while work:
+            a, b = work.pop()
+            if a is not b:
+                if (a._hash != b._hash or a.label != b.label
+                        or len(a.children) != len(b.children)):
+                    return False
+                work.extend(zip(a.children, b.children))
+        return True
 
     @property
     def is_bottom(self) -> bool:

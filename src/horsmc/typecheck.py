@@ -37,7 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .automata import Apt, Color, EPSILON, cmax, color_key, color_set, dnf
+from .automata import Antichain, Apt, Color, EPSILON, color_set, dnf
 from .itypes import (ArrowType, ColoredSet, IType, SizeGuardExceeded,
                      StateType, colored_set, enumerate_types,
                      is_terminal_type, split_chain, subtype)
@@ -50,14 +50,9 @@ TypeEnv = dict[str, ColoredSet]
 def residual_set(u: ColoredSet, c: Color, cols) -> ColoredSet:
     """Pairs that survive peeling a box of color c off the context:
     (c', t) such that (max(c, c'), t) is present."""
-    if isinstance(c, type(EPSILON)) or color_key(c) < 0:
+    if c < 0:
         return u
-    out = []
-    for d, t in u:
-        for c2 in cols:
-            if cmax(c, c2) == d:
-                out.append((c2, t))
-    return colored_set(out)
+    return colored_set((c2, t) for d, t in u for c2 in cols if max(c, c2) == d)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +92,7 @@ AssumptionMap = tuple[tuple[str, ColoredSet], ...]
 
 
 def requirement_key(r: Requirement):
-    return (r[0], color_key(r[1]), r[2].key)
+    return (r[0], r[1], r[2].key)
 
 
 def assumptions_from(reqs: frozenset[Requirement]) -> AssumptionMap:
@@ -107,68 +102,42 @@ def assumptions_from(reqs: frozenset[Requirement]) -> AssumptionMap:
     return tuple((name, colored_set(grouped[name])) for name in sorted(grouped))
 
 
-class _SubsetIndex:
-    """Requirement sets stored so far, answering whether a query set
-    contains one of them.
-
-    The query hashes its subsets of the stored sizes against the stored
-    sets, unless it has more subsets (2**len) than there are stored sets;
-    then it scans the stored sets.
-    """
-
-    def __init__(self):
-        self.sets: set[frozenset[Requirement]] = set()
-        self.sizes: set[int] = set()
-
-    def add(self, reqs: frozenset[Requirement]) -> None:
-        self.sets.add(reqs)
-        self.sizes.add(len(reqs))
-
-    def has_subset_of(self, reqs: frozenset[Requirement]) -> bool:
-        """Whether some stored set is a subset of (or equals) `reqs`."""
-        if 2 ** len(reqs) > len(self.sets):
-            return any(k <= reqs for k in self.sets)
-        items = tuple(reqs)
-        return any(frozenset(sub) in self.sets
-                   for r in self.sizes if r <= len(items)
-                   for sub in itertools.combinations(items, r))
-
-
-def _unions(base: frozenset[Requirement], option_lists, emitted: _SubsetIndex):
+def _unions(base: frozenset[Requirement], option_lists, found: Antichain):
     """(union, derivations) for each pick of one (requirements, derivation)
     pair per list, added to `base`, in `itertools.product` order.
 
-    A branch stops as soon as its partial union contains a set in `emitted`:
+    A branch stops as soon as its partial union contains a set in `found`:
     each of its picks would repeat that set or strictly contain it, and
-    neither is ever kept.  The caller adds what it takes to `emitted`, so
-    the first occurrence of every minimal union is still produced.
+    neither is ever kept.  The caller adds what it takes to `found`, so the
+    first occurrence of every minimal union is still produced.
     """
-    if emitted.has_subset_of(base):
+    if found.has_subset_of(base):
         return ()
     # The common case: every argument has one option, so there is one pick.
     if all(len(options) == 1 for options in option_lists):
         acc = base.union(*(options[0][0] for options in option_lists))
-        if emitted.has_subset_of(acc):
+        if found.has_subset_of(acc):
             return ()
         return ((acc, tuple(options[0][1] for options in option_lists)),)
 
-    # `emitted` only grows, so an option dead next to `base` now stays dead.
+    # A set that contains one in `found` always will, so an option dead next
+    # to `base` now stays dead.
     live = [[(req, d) for req, d in options
-             if not emitted.has_subset_of(base | req)]
+             if not found.has_subset_of(base | req)]
             for options in option_lists]
-    return _extend(live, emitted, 0, base, ())
+    return _extend(live, found, 0, base, ())
 
 
-def _extend(live, emitted: _SubsetIndex, i: int,
-            acc: frozenset[Requirement], derivs: tuple):
+def _extend(live, found: Antichain, i: int, acc: frozenset[Requirement],
+            derivs: tuple):
     """The picks of `_unions` from the i-th list of `live` on."""
-    if emitted.has_subset_of(acc):
+    if found.has_subset_of(acc):
         return
     if i == len(live):
         yield acc, derivs
         return
     for req, d in live[i]:
-        yield from _extend(live, emitted, i + 1, acc | req, derivs + (d,))
+        yield from _extend(live, found, i + 1, acc | req, derivs + (d,))
 
 
 # The most argument options whose subsets are all tried, under a variable or
@@ -191,19 +160,19 @@ class _FootprintSearch:
     `(t, target, c, view)`, where `view` holds, for the variables x free in
     t in sorted order, `residual_set(var_env[x], r)` for each color r that
     t reads at c: c itself, or, when t is an application whose spine head
-    is a terminal, each `cmax(c, d)` with d a state color, in color order.
+    is a terminal, each `max(c, d)` with d a state color, in color order.
     A closed term's view is `()`.  The key is sound because every read of
     `var_env` at color c goes through those residuals:
 
     - the `Var` case reads the entries of color exactly c, which are the
       residual's neutral-colored entries;
     - `_argument_options` on a bare variable reads, for each c2, the
-      entries of color `cmax(c, c2)`, which are the residual's pairs at c2;
-    - a sub-search at `cmax(c, c2)` reads `residual(u, cmax(c, c2))`,
+      entries of color `max(c, c2)`, which are the residual's pairs at c2;
+    - a sub-search at `max(c, c2)` reads `residual(u, max(c, c2))`,
       which is `residual(residual(u, c), c2)`;
     - under a terminal head, `_clause_subsets` asks `_argument_options`
       only for the pairs (Ω(q'), q') that clauses name, so the argument is
-      read, or searched, at `cmax(c, Ω(q'))` alone, and the function part
+      read, or searched, at `max(c, Ω(q'))` alone, and the function part
       is terminal-headed down to the terminal, which reads nothing.
 
     Colored sets keep their pairs canonically sorted, so the options, and
@@ -236,8 +205,7 @@ class _FootprintSearch:
         if var_env != self.var_env and not self._views:
             self._views = True
             state_colors = {self.m.omega[q] for q in self.m.states}
-            self._reads = {c: tuple(sorted({cmax(c, d) for d in state_colors},
-                                           key=color_key))
+            self._reads = {c: tuple(sorted({max(c, d) for d in state_colors}))
                            for c in self.cols}
             self._memo = {self._key(*key): out
                           for key, out in self._memo.items()}
@@ -296,7 +264,7 @@ class _FootprintSearch:
             u = self.var_env[arg.name]
             options = []
             for c2 in self.cols:
-                want = cmax(c, c2)
+                want = max(c, c2)
                 for centry, alpha in u.pairs:
                     if centry == want and (named is None
                                            or (c2, alpha) in named):
@@ -318,7 +286,7 @@ class _FootprintSearch:
             for beta in types:
                 if named is not None and (c2, beta) not in named:
                     continue
-                sub = self.search(arg, beta, cmax(c, c2))
+                sub = self.search(arg, beta, max(c, c2))
                 if sub:
                     options.append((c2, beta, sub))
         return options
@@ -334,7 +302,7 @@ class _FootprintSearch:
         A terminal's profile is typed exactly when it covers a clause.  Any
         other subset of the options either covers no projection, and then
         the head is untypable, or strictly contains one that comes earlier,
-        and then each union it yields contains one already emitted.  The
+        and then each union it yields contains one already found.  The
         subsets come in the order `itertools.combinations` reaches them,
         size first, then option indices, so the first occurrence of every
         minimal set, and its derivation, is unchanged.
@@ -383,8 +351,7 @@ class _FootprintSearch:
                     2 ** len(options), 2 ** PAIR_CAP)
             subsets = (subset for n in range(len(options) + 1)
                        for subset in itertools.combinations(options, n))
-        results = []
-        emitted = _SubsetIndex()
+        found = Antichain()
         for subset in subsets:
             chosen = colored_set((c2, beta) for c2, beta, _ in subset)
             fn_opts = self.search(t.function, ArrowType(chosen, target), c)
@@ -398,30 +365,14 @@ class _FootprintSearch:
                     f"argument derivations at `{format_term(t)}` in the "
                     f"rule of {self.rule}", picks, 2 ** PAIR_CAP)
             for fn_req, fn_d in fn_opts:
-                for req, arg_ds in _unions(fn_req, arg_option_lists, emitted):
-                    emitted.add(req)
-                    results.append((req, DApp(t, target, chosen, fn_d,
-                                              arg_ds)))
-        return _minimal(results)
+                for req, arg_ds in _unions(fn_req, arg_option_lists, found):
+                    found.add(req, DApp(t, target, chosen, fn_d, arg_ds))
+        return sorted(found.sets.items(), key=requirement_order)
 
 
-def _minimal(results):
-    """Keep one representative per inclusion-minimal requirement set, its
-    first occurrence; ordered by size, then by requirement keys."""
-    first: dict = {}
-    for req, d in results:
-        first.setdefault(req, d)
-    # A set can only contain a strictly smaller one, so testing the distinct
-    # sets in order of size against the survivors so far decides each one.
-    kept = _SubsetIndex()
-    minimal = []
-    for req in sorted(first, key=len):
-        if not kept.has_subset_of(req):
-            kept.add(req)
-            minimal.append(req)
-    minimal.sort(key=lambda req: (len(req),
-                                  tuple(sorted(map(requirement_key, req)))))
-    return [(req, first[req]) for req in minimal]
+def requirement_order(item) -> tuple:
+    """A (requirements, derivation) pair by size, then requirement keys."""
+    return (len(item[0]), tuple(sorted(map(requirement_key, item[0]))))
 
 
 class Analysis:

@@ -1,0 +1,150 @@
+"""Committed mutants of `src/horsmc` and the tests that must kill them.
+
+Each mutant replaces one exact snippet of one source file.  The runner
+copies `src/` to a temporary directory, first runs every listed test id on
+the unmodified copy (an id that fails there is reported, since a mutant it
+"kills" proves nothing), then applies one mutant at a time and runs only
+that mutant's ids against the copy.  A mutant that all of its ids pass
+survives.  Run from the root of a checkout:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+
+It exits 1 when a mutant survives or a listed id fails unmutated.  pytest
+does not collect this file; `test_mutants.py` checks, in tier-1, that every
+snippet occurs exactly once in the current source and every id exists.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/horsmc
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the checkout
+
+
+MUTANTS = [
+    Mutant("antichain-add-keeps-supersets", "automata.py",
+           "for k in [k for k in self.sets if s < k]:",
+           "for k in []:",
+           ("tests/test_automata.py::TestAntichain::"
+            "test_add_drops_strict_supersets_only",
+            "tests/test_typecheck.py::"
+            "test_minimal_matches_quadratic_reference")),
+    Mutant("antichain-scan-strict-subset", "automata.py",
+           "return any(k <= s for k in self.sets)",
+           "return any(k < s for k in self.sets)",
+           ("tests/test_automata.py::TestAntichain::"
+            "test_subset_query_by_scan_and_by_hashing",
+            "tests/test_typecheck.py::"
+            "test_minimal_matches_quadratic_reference")),
+    Mutant("neutral-color-at-priority-2", "game.py",
+           "return v.color + 2",
+           "return max(v.color, 0) + 2",
+           ("tests/test_game.py::TestPriorityEncoding::"
+            "test_shift_preserves_parity_and_order",
+            "tests/test_game.py::TestBuildGame::"
+            "test_order2_unary_game_is_pinned")),
+    Mutant("players-swapped", "game.py",
+           "EVE, ADAM = 0, 1",
+           "EVE, ADAM = 1, 0",
+           ("tests/test_game.py::TestBuildGame::test_solutions_are_pinned",
+            "tests/test_game.py::TestZielonka::test_even_self_loop_eve_wins")),
+    Mutant("negative-color-accepted", "automata.py",
+           "if self.omega[q] < 0:",
+           "if self.omega[q] < -1:",
+           ("tests/test_automata.py::TestValidate::"
+            "test_negative_color_rejected",)),
+    Mutant("fresh-color-tuples-per-adam-node", "game.py",
+           "known = moves.get(v.assumption)",
+           "known = None",
+           ("tests/test_game.py::TestNumbering::"
+            "test_adam_nodes_of_one_map_share_their_moves",
+            "tests/test_game.py::TestNumbering::"
+            "test_order2_unary_moves_are_made_once_per_map")),
+    Mutant("zielonka-predecessors-reversed", "game.py",
+           "for v in pred[u]:",
+           "for v in reversed(pred[u]):",
+           ("tests/test_game.py::TestBuildGame::test_solutions_are_pinned",)),
+    Mutant("lift-free-variables-reversed", "oracles.py",
+           "return apply(NonTerminal(name), *[Var(v) for v in fvs])",
+           "return apply(NonTerminal(name), "
+           "*[Var(v) for v in reversed(fvs)])",
+           ("tests/test_syntax.py::TestFromLambdaY::"
+            "test_lifted_abstraction_takes_its_free_variables_in_order",)),
+    Mutant("unfold-without-sharing", "syntax.py",
+           "tree = shared.get(key)",
+           "tree = None",
+           ("tests/test_syntax.py::TestUnfold::"
+            "test_equal_subtrees_are_one_object",)),
+]
+
+
+def run_tests(src: Path, ids) -> tuple[int, str]:
+    """pytest's exit code and last line on `ids`, with `src` as the import
+    path of `horsmc`."""
+    r = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "-o", f"pythonpath={src}", *ids],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": str(src),
+                       # A mutant of the same size as its snippet must not
+                       # reuse bytecode cached for the other text.
+                       "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True)
+    lines = (r.stdout + r.stderr).strip().splitlines()
+    return r.returncode, lines[-1] if lines else ""
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}")
+        return 2
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        ids = sorted({t for m in chosen for t in m.tests})
+        for t in ids:
+            code, last = run_tests(src, [t])
+            if code != 0:
+                bad += 1
+                print(f"FAILS UNMUTATED {t}: {last}")
+        for m in chosen:
+            path = src / "horsmc" / m.file
+            text = path.read_text()
+            if text.count(m.snippet) != 1:
+                bad += 1
+                print(f"STALE {m.name}: snippet occurs "
+                      f"{text.count(m.snippet)} times in {m.file}")
+                continue
+            path.write_text(text.replace(m.snippet, m.replacement))
+            try:
+                code, last = run_tests(src, m.tests)
+            finally:
+                path.write_text(text)
+            if code == 0:
+                bad += 1
+                print(f"SURVIVED {m.name}")
+            else:
+                print(f"killed {m.name} (pytest exit {code}: {last})")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

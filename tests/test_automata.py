@@ -4,18 +4,22 @@ import random
 import pytest
 
 from horsmc import (Apt, Atom, BOTTOM, EPSILON, FALSE, FAnd, FOr, TRUE,
-                    TreePrefix, cmax, color_key, color_set, conj, disj, dnf,
+                    TreePrefix, color_set, conj, disj, dnf, format_color,
                     satisfies, unfold)
+from horsmc.automata import Antichain
 from horsmc.oracles import eval_formula, run_search
 from conftest import loop_apt
 
 
 def test_epsilon_is_minimal_and_distinct():
-    assert color_key(EPSILON) < color_key(0)
-    assert EPSILON != 0 and EPSILON != -1
-    assert cmax(EPSILON, 3) == 3
-    assert cmax(EPSILON, EPSILON) is EPSILON
-    assert cmax(2, 1) == 2
+    # Colors are ints: the neutral color is below every natural, so `max`
+    # joins colors and `sorted` orders them.
+    assert EPSILON < 0
+    assert max(EPSILON, 3) == 3
+    assert max(EPSILON, EPSILON) == EPSILON
+    assert max(2, 1) == 2
+    assert sorted([2, EPSILON, 0]) == [EPSILON, 0, 2]
+    assert format_color(EPSILON) == "e" and format_color(0) == "0"
 
 
 class TestDnf:
@@ -51,11 +55,38 @@ class TestDnf:
         for _ in range(150):
             f = self._random_formula(rng, atoms, 4)
             clauses = dnf(f)
+            assert not any(a < b for a in clauses for b in clauses), f
             for bits in itertools.product([False, True], repeat=len(atoms)):
                 truth = frozenset(a for a, b in zip(atoms, bits) if b)
                 want = eval_formula(f, truth)
                 got = any(c <= truth for c in clauses)
                 assert want == got, (f, truth)
+
+
+class TestAntichain:
+    def test_add_drops_strict_supersets_only(self):
+        ab, ac, a, d = (frozenset(s) for s in ("ab", "ac", "a", "d"))
+        found = Antichain()
+        found.add(ab, 1)
+        found.add(ac, 2)
+        found.add(d, 3)
+        assert found.sets == {ab: 1, ac: 2, d: 3}
+        found.add(a, 4)
+        assert found.sets == {d: 3, a: 4}
+        assert found.sizes == {1}
+
+    @pytest.mark.parametrize("stored", [1, 40])
+    def test_subset_query_by_scan_and_by_hashing(self, stored):
+        # One stored set makes a 3-element query scan (2**3 > 1); forty make
+        # it hash its subsets.
+        found = Antichain()
+        for i in range(stored):
+            found.add(frozenset({"x", i}))
+        abc = frozenset({"x", 0, "y"})
+        assert found.has_subset_of(abc)
+        assert found.has_subset_of(frozenset({"x", 0}))
+        assert not found.has_subset_of(frozenset({"x", "y", "z"}))
+        assert not found.has_subset_of(frozenset({0}))
 
 
 class TestSatisfies:
@@ -125,6 +156,14 @@ class TestValidate:
                 omega={"q": 0}, initial="q")
         with pytest.raises(ValueError,
                            match="transition for unknown symbol 'b'"):
+            m.validate()
+
+    def test_negative_color_rejected(self):
+        # The neutral color is -1, so no state may carry a negative color.
+        m = Apt(states=("q",), terminals={}, delta={}, omega={"q": -1},
+                initial="q")
+        with pytest.raises(ValueError,
+                           match="state 'q' has the negative color -1"):
             m.validate()
 
 

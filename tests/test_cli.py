@@ -473,6 +473,16 @@ class TestImportPath:
         assert all(hasattr(oracles, name) for name in oracles.__all__)
         assert set(oracles.__all__).isdisjoint(dir(horsmc))
 
+    def test_formats_imports_no_pipeline_module(self):
+        # The witness format is written and read in `formats` alone, so it
+        # needs the data modules only, not the search, game or extraction.
+        import ast
+        from horsmc import formats
+        tree = ast.parse(open(formats.__file__).read())
+        assert {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1} \
+            == {"automata", "itypes", "syntax"}
+
 
 class TestDeterminism:
     def test_byte_identical_across_hash_seeds(self, files):

@@ -282,7 +282,7 @@ def check_claim(player, edges, good, region, moves) -> bool:
 
 
 class TestStrategyChecks:
-    @pytest.mark.parametrize("player", [EVE, ADAM])
+    @pytest.mark.parametrize("player", [EVE, ADAM], ids=["eve", "adam"])
     @pytest.mark.parametrize("edges, good, region, moves, valid", [
         # the move is no edge and leaves the region
         ({"v": ("v",), "w": ("w",)}, (), {"v"}, {"v": "w"}, False),

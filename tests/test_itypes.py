@@ -4,7 +4,7 @@ import random
 import pytest
 
 from horsmc import (Arrow, ArrowType, EPSILON, GROUND, SizeGuardExceeded,
-                    StateType, cmax, colored_set, count_types,
+                    StateType, colored_set, count_types,
                     enumerate_colored_sets, enumerate_types,
                     is_terminal_type, subtype, subtype_set)
 from horsmc.itypes import EMPTY_SET
@@ -131,7 +131,7 @@ class TestBoxColor:
             for c1 in colors:
                 for c2 in colors:
                     assert box_color(c1, box_color(c2, u)) == \
-                        box_color(cmax(c1, c2), u)
+                        box_color(max(c1, c2), u)
 
     def test_monotone_wrt_subtype_set(self, ex1_apt):
         sets = enumerate_colored_sets(GROUND, ex1_apt)

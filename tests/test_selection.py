@@ -6,8 +6,9 @@ from horsmc import (ADAM, AdamNode, Apt, ArrowType, Atom, EVE, EveNode,
                     apply, build_game, check_wellformed, colored_set, conj,
                     extract_scheme, format_tree, unfold, verify_runtree,
                     zielonka)
+from horsmc.formats import terminal_symbol
 from horsmc.selection import (LosingStart, ReconstructionError,
-                              annotated_sort, terminal_symbol)
+                              annotated_sort)
 from horsmc.syntax import Arrow, arrow
 from conftest import (const_scheme, loop_apt, loop_scheme, order2_unary,
                       solve_cached)

@@ -115,6 +115,19 @@ class TestUnfold:
                 work.extend(node.children)
         assert len(seen) <= 2 * depth
 
+    def test_deep_trees_compare_and_hash_without_recursion(self):
+        def chain(leaf, n):
+            for _ in range(n):
+                leaf = TreePrefix("a", (leaf,))
+            return leaf
+
+        one, two = unfold(loop_scheme(), 5000), unfold(loop_scheme(), 5000)
+        assert one is not two
+        assert one == two and hash(one) == hash(two)
+        assert one == chain(BOTTOM, 5000)
+        assert one != chain(TreePrefix("c"), 5000)
+        assert len({one, two, chain(TreePrefix("c"), 5000)}) == 2
+
 
 class TestToLambdaY:
     def test_single_nonterminal_becomes_fixpoint(self):

@@ -17,13 +17,14 @@ from horsmc import (Analysis, App, Apt, Arrow, ArrowType, Atom, EPSILON,
                     format_itype, format_sort, format_term, game,
                     is_terminal_type, rule_typings, subtype, subtype_set,
                     typecheck, zielonka)
+from horsmc.automata import Antichain
 from horsmc.itypes import EMPTY_SET, split_chain
 from horsmc.oracles import (Deriver, box_color, check_derivation, denotation,
                             derive, residual_env)
 from horsmc.syntax import ground_sort
-from horsmc.typecheck import (DApp, PAIR_CAP, _FootprintSearch,
-                              _minimal, _SubsetIndex, _unions,
-                              assumptions_from, requirement_key)
+from horsmc.typecheck import (DApp, PAIR_CAP, _FootprintSearch, _unions,
+                              assumptions_from, requirement_key,
+                              requirement_order)
 from conftest import (fixture_terms, grow_apt, grow_scheme,
                       grow_two_color_apt, loop_apt, loop_scheme, mutual_apt,
                       mutual_scheme, order0_apt, order0_instances,
@@ -59,7 +60,7 @@ def literal_relation(t, names, scope, m):
             out = set()
             for u in enumerate_colored_sets(scope[x], m):
                 for alpha in enumerate_types(scope[x], m):
-                    if any(c is EPSILON and subtype(alpha, a2)
+                    if any(c == EPSILON and subtype(alpha, a2)
                            for c, a2 in u):
                         env = tuple(u if j == i else EMPTY_SET
                                     for j in range(len(names)))
@@ -188,7 +189,7 @@ class TestDenotation:
         expected = set()
         for u in enumerate_colored_sets(GROUND, ex1_apt):
             for q in (Q0, Q1):
-                if any(c is EPSILON and t == q for c, t in u):
+                if any(c == EPSILON and t == q for c, t in u):
                     expected.add(((u,), q))
         assert rel == expected
 
@@ -336,14 +337,13 @@ def test_residual_env_composition(ex1_apt):
     for c1 in cols:
         for c2 in cols:
             twice = residual_env(residual_env(env, c1, cols), c2, cols)
-            from horsmc import cmax
-            once = residual_env(env, cmax(c1, c2), cols)
+            once = residual_env(env, max(c1, c2), cols)
             assert twice == once
 
 
 # ---------------------------------------------------------------------------
-# The minimality filter and the pruned union search, against the quadratic
-# filter they replaced.
+# The antichain and the pruned union search, against the quadratic filter
+# they replaced.
 
 def reference_minimal(results):
     """Keep one representative per inclusion-minimal requirement set."""
@@ -375,11 +375,19 @@ PAIRS = [R[0] | R[1], R[2] | R[3], R[4] | R[5], R[6] | R[7]]
 @example(R + [R[0] | R[1] | R[2], R[0] | R[1] | R[2]])
 @example(PAIRS + [R[0] | R[2], R[1] | R[3] | R[5]])
 @example([R[0], frozenset(), R[0], frozenset()])
+# A repeat that the query finds by scanning, and a set that drops two.
+@example([R[0] | R[1] | R[2], R[0] | R[1] | R[2]])
+@example([R[0] | R[1], R[0] | R[2], R[0]])
 def test_minimal_matches_quadratic_reference(sets):
     # The tag is the position, so the representative kept for a set shows
     # which of its occurrences won.
     results = [(req, i) for i, req in enumerate(sets)]
-    assert _minimal(results) == reference_minimal(results)
+    found = Antichain()
+    for req, i in results:
+        if not found.has_subset_of(req):
+            found.add(req, i)
+    assert (sorted(found.sets.items(), key=requirement_order)
+            == reference_minimal(results))
 
 
 products = st.lists(st.tuples(
@@ -390,21 +398,21 @@ products = st.lists(st.tuples(
 
 @given(products)
 def test_pruned_unions_keep_every_minimal_union(prods):
-    # Several products share one `emitted` index, as the fn options and
+    # Several products share one antichain, as the fn options and
     # argument subsets of one application do.
-    full, pruned = [], []
-    emitted = _SubsetIndex()
+    full = []
+    found = Antichain()
     for p, (base, lists) in enumerate(prods):
         tagged = [[(req, (p, i, j)) for j, req in enumerate(options)]
                   for i, options in enumerate(lists)]
         for picks in itertools.product(*tagged):
             req = base.union(*(r for r, _ in picks))
             full.append((req, (p, tuple(s for _, s in picks))))
-        for req, skels in _unions(base, tagged, emitted):
-            emitted.add(req)
-            pruned.append((req, (p, skels)))
-    assert len(set(r for r, _ in pruned)) == len(pruned)
-    assert _minimal(pruned) == reference_minimal(full)
+        for req, skels in _unions(base, tagged, found):
+            assert not found.has_subset_of(req)
+            found.add(req, (p, skels))
+    assert (sorted(found.sets.items(), key=requirement_order)
+            == reference_minimal(full))
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +432,7 @@ class PowersetSearch(_FootprintSearch):
                 f"rule of {self.rule}, argument sort "
                 f"{format_sort(self.sort_of(t.argument))}",
                 2 ** len(options), 2 ** PAIR_CAP)
-        results = []
-        emitted = _SubsetIndex()
+        found = Antichain()
         for k in range(len(options) + 1):
             for subset in itertools.combinations(options, k):
                 chosen = colored_set((c2, beta) for c2, beta, _ in subset)
@@ -436,11 +443,9 @@ class PowersetSearch(_FootprintSearch):
                 arg_option_lists = [by_pair[p] for p in chosen.pairs]
                 for fn_req, fn_d in fn_opts:
                     for req, arg_ds in _unions(fn_req, arg_option_lists,
-                                               emitted):
-                        emitted.add(req)
-                        results.append((req, DApp(t, target, chosen, fn_d,
-                                                  arg_ds)))
-        return _minimal(results)
+                                               found):
+                        found.add(req, DApp(t, target, chosen, fn_d, arg_ds))
+        return sorted(found.sets.items(), key=requirement_order)
 
 
 def reference_rule_typings(h, m, name, theta):
