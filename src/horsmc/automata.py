@@ -31,18 +31,6 @@ def format_color(c: Color) -> str:
 # Transition formulas
 
 @dataclass(frozen=True)
-class FTrue:
-    def __repr__(self):
-        return "true"
-
-
-@dataclass(frozen=True)
-class FFalse:
-    def __repr__(self):
-        return "false"
-
-
-@dataclass(frozen=True)
 class Atom:
     direction: int
     state: str
@@ -51,62 +39,63 @@ class Atom:
         return f"({self.direction},{self.state})"
 
 
+# A run of one connective is one node; `true` and `false` are the empty
+# conjunction and disjunction.
 @dataclass(frozen=True)
 class FAnd:
-    left: "Formula"
-    right: "Formula"
+    parts: tuple["Formula", ...]
 
 
 @dataclass(frozen=True)
 class FOr:
-    left: "Formula"
-    right: "Formula"
+    parts: tuple["Formula", ...]
 
 
-Formula = FTrue | FFalse | Atom | FAnd | FOr
+Formula = Atom | FAnd | FOr
 
-TRUE = FTrue()
-FALSE = FFalse()
+TRUE = FAnd(())
+FALSE = FOr(())
+
+
+def _flat(kind, fs: tuple[Formula, ...]) -> Formula:
+    """`kind` over `fs`, whose parts of the same connective are spliced in;
+    a single part stands for itself."""
+    parts = []
+    for f in fs:
+        parts.extend(f.parts if isinstance(f, kind) else (f,))
+    return parts[0] if len(parts) == 1 else kind(tuple(parts))
 
 
 def conj(*fs: Formula) -> Formula:
-    if not fs:
-        return TRUE
-    out = fs[0]
-    for f in fs[1:]:
-        out = FAnd(out, f)
-    return out
+    return _flat(FAnd, fs)
 
 
 def disj(*fs: Formula) -> Formula:
-    if not fs:
-        return FALSE
-    out = fs[0]
-    for f in fs[1:]:
-        out = FOr(out, f)
-    return out
+    return _flat(FOr, fs)
 
 
-def format_formula(f: Formula, _level: int = 0) -> str:
-    if isinstance(f, FTrue):
-        return "true"
-    if isinstance(f, FFalse):
-        return "false"
+def format_formula(f: Formula, _in_and: bool = False) -> str:
+    """`/\\` binds tighter than `\\/`; a disjunction inside a conjunction is
+    parenthesised."""
     if isinstance(f, Atom):
         return f"({f.direction},{f.state})"
+    if not f.parts:
+        return "true" if isinstance(f, FAnd) else "false"
     if isinstance(f, FAnd):
-        s = f"{format_formula(f.left, 1)} /\\ {format_formula(f.right, 1)}"
-        return f"({s})" if _level > 1 else s
-    s = f"{format_formula(f.left, 0)} \\/ {format_formula(f.right, 0)}"
-    return f"({s})" if _level > 0 else s
+        return " /\\ ".join(format_formula(p, True) for p in f.parts)
+    s = " \\/ ".join(format_formula(p) for p in f.parts)
+    return f"({s})" if _in_and else s
 
 
 def atoms_of(f: Formula) -> frozenset[tuple[int, str]]:
-    if isinstance(f, Atom):
-        return frozenset({(f.direction, f.state)})
-    if isinstance(f, (FAnd, FOr)):
-        return atoms_of(f.left) | atoms_of(f.right)
-    return frozenset()
+    atoms, work = set(), [f]
+    while work:
+        f = work.pop()
+        if isinstance(f, Atom):
+            atoms.add((f.direction, f.state))
+        else:
+            work.extend(f.parts)
+    return frozenset(atoms)
 
 
 class Antichain:
@@ -147,27 +136,30 @@ class Antichain:
 Clause = frozenset[tuple[int, str]]
 
 
-@functools.lru_cache(maxsize=None)
-def dnf(f: Formula) -> frozenset[Clause]:
-    """Clauses of the disjunctive normal form, antichain-reduced.
-
-    true yields the singleton empty clause, false yields no clause at all.
-    """
-    if isinstance(f, FTrue):
-        return frozenset({frozenset()})
-    if isinstance(f, FFalse):
-        return frozenset()
-    if isinstance(f, Atom):
-        return frozenset({frozenset({(f.direction, f.state)})})
-    if isinstance(f, FOr):
-        clauses = itertools.chain(dnf(f.left), dnf(f.right))
-    else:
-        clauses = (a | b for a in dnf(f.left) for b in dnf(f.right))
+def _reduce(clauses) -> frozenset[Clause]:
+    """The inclusion-minimal ones among `clauses`."""
     kept = Antichain()
     for c in clauses:
         if not kept.has_subset_of(c):
             kept.add(c)
     return frozenset(kept.sets)
+
+
+@functools.lru_cache(maxsize=None)
+def dnf(f: Formula) -> frozenset[Clause]:
+    """Clauses of the disjunctive normal form, antichain-reduced.
+
+    true yields the singleton empty clause, false yields no clause at all.
+    A conjunction multiplies in one part at a time and reduces each product.
+    """
+    if isinstance(f, Atom):
+        return frozenset({frozenset({(f.direction, f.state)})})
+    if isinstance(f, FOr):
+        return _reduce(c for part in f.parts for c in dnf(part))
+    clauses = frozenset({frozenset()})
+    for part in f.parts:
+        clauses = _reduce(a | b for a in clauses for b in dnf(part))
+    return clauses
 
 
 def sorted_dnf(f: Formula) -> list[list[tuple[int, str]]]:

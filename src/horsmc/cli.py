@@ -77,8 +77,11 @@ def _emit(args, text: str) -> None:
 
 def _write_out(args, text: str) -> None:
     if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise CliError(f"{args.output}: {e.strerror or e}", 2)
     else:
         _emit(args, text)
 

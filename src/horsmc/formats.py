@@ -23,11 +23,11 @@ import re
 from dataclasses import dataclass
 from typing import NoReturn
 
-from .automata import (Apt, Atom, Color, EPSILON, FALSE, Formula, TRUE, FAnd,
-                       FOr, format_color, format_formula)
+from .automata import (Apt, Atom, Color, EPSILON, FALSE, Formula, TRUE, conj,
+                       disj, format_color, format_formula)
 from .itypes import ArrowType, IType, StateType, colored_set, format_itype
-from .syntax import (App, Arrow, GROUND, Hors, NonTerminal, Rule, SimpleType,
-                     Term, Terminal, TreePrefix, Var, format_sort,
+from .syntax import (Arrow, GROUND, Hors, NonTerminal, Rule, SimpleType, Term,
+                     Terminal, TreePrefix, Var, apply, format_sort,
                      format_term, format_tree)
 
 
@@ -245,36 +245,36 @@ def _parse_hors(text: str) -> tuple[Hors, dict[str, tuple[int, int]]]:
 
 def _parse_body(cur: _Tokens, binders: set[str], terminals: dict,
                 nonterminals: dict) -> Term:
-    def atom() -> Term:
+    """Application associates to the left.  Each open parenthesis, the whole
+    body first, holds the operands read in it so far."""
+    groups: list[list[Term]] = [[]]
+    while True:
         tok, col = cur.take()
         if tok is None:
             cur.fail("expression expected", col)
         if tok == "(":
-            inner = expr()
-            if cur.peek() != ")":
-                cur.fail("')' expected")
-            cur.take()
-            return inner
+            groups.append([])
+            continue
         if tok == ")":
             cur.fail("unexpected ')'", col)
         if tok in binders:
-            return Var(tok)
-        if tok in terminals:
-            return Terminal(tok)
-        if tok in nonterminals:
-            return NonTerminal(tok)
-        cur.fail(f"unknown name '{tok}'", col)
-
-    def expr() -> Term:
-        t = atom()
-        while cur.peek() not in (None, ")"):
-            t = App(t, atom())
-        return t
-
-    result = expr()
-    if cur.peek() is not None:
-        cur.fail(f"trailing token {cur.peek()!r}")
-    return result
+            groups[-1].append(Var(tok))
+        elif tok in terminals:
+            groups[-1].append(Terminal(tok))
+        elif tok in nonterminals:
+            groups[-1].append(NonTerminal(tok))
+        else:
+            cur.fail(f"unknown name '{tok}'", col)
+        while cur.peek() in (None, ")"):
+            t = apply(*groups.pop())
+            if not groups:
+                if cur.peek() is not None:
+                    cur.fail(f"trailing token {cur.peek()!r}")
+                return t
+            if cur.peek() is None:
+                cur.fail("')' expected")
+            cur.take()
+            groups[-1].append(t)
 
 
 def print_hors(h: Hors) -> str:
@@ -296,6 +296,8 @@ def print_hors(h: Hors) -> str:
 # Automaton files
 
 def _parse_formula(cur: _Tokens) -> Formula:
+    """`/\\` binds tighter than `\\/`.  Each open group, the whole formula
+    first, holds the conjuncts of each of its disjuncts read so far."""
     def take(expected=None):
         tok, col = cur.take()
         if tok is None:
@@ -305,42 +307,32 @@ def _parse_formula(cur: _Tokens) -> Formula:
             cur.fail(f"expected {expected!r}, found {tok!r}", col)
         return tok, col
 
-    def atom() -> Formula:
+    groups: list[list[list[Formula]]] = [[[]]]
+    while True:
         tok, col = take()
-        if tok == "true":
-            return TRUE
-        if tok == "false":
-            return FALSE
-        if tok == "(":
-            if cur.peek() is not None and cur.peek().isdigit():
-                d, _ = take()
-                take(",")
-                q, _ = take()
-                take(")")
-                return Atom(int(d), q)
-            inner = disjunction()
+        if tok == "(" and not (cur.peek() or "").isdigit():
+            groups.append([[]])
+            continue
+        if tok in ("true", "false"):
+            groups[-1][-1].append(TRUE if tok == "true" else FALSE)
+        elif tok == "(":
+            d, _ = take()
+            take(",")
+            q, _ = take()
             take(")")
-            return inner
-        cur.fail(f"unexpected formula token {tok!r}", col)
-
-    def conjunction() -> Formula:
-        left = atom()
-        while cur.peek() == "/\\":
-            take()
-            left = FAnd(left, atom())
-        return left
-
-    def disjunction() -> Formula:
-        left = conjunction()
-        while cur.peek() == "\\/":
-            take()
-            left = FOr(left, conjunction())
-        return left
-
-    f = disjunction()
-    if cur.peek() is not None:
-        cur.fail(f"trailing formula token {cur.peek()!r}")
-    return f
+            groups[-1][-1].append(Atom(int(d), q))
+        else:
+            cur.fail(f"unexpected formula token {tok!r}", col)
+        while cur.peek() not in ("/\\", "\\/"):
+            f = disj(*(conj(*c) for c in groups.pop()))
+            if not groups:
+                if cur.peek() is not None:
+                    cur.fail(f"trailing formula token {cur.peek()!r}")
+                return f
+            take(")")
+            groups[-1][-1].append(f)
+        if take()[0] == "\\/":
+            groups[-1].append([])
 
 
 def parse_apt(text: str, terminals: dict[str, int]) -> Apt:

@@ -25,8 +25,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .automata import (Apt, Color, EPSILON, Formula, FTrue, FFalse, Atom,
-                       FAnd, color_set, dnf)
+from .automata import (Apt, Atom, Color, EPSILON, FAnd, Formula, color_set,
+                       dnf)
 from .game import ADAM, EVE, ParityGame, Solution
 from .itypes import (ArrowType, ColoredSet, IType, SizeGuardExceeded,
                      colored_set, enumerate_colored_sets, enumerate_types,
@@ -428,15 +428,10 @@ def solve_brute(g: ParityGame) -> Solution:
 
 def eval_formula(f: Formula, truth: frozenset[tuple[int, str]]) -> bool:
     """Evaluate under a set of atoms taken to be true."""
-    if isinstance(f, FTrue):
-        return True
-    if isinstance(f, FFalse):
-        return False
     if isinstance(f, Atom):
         return (f.direction, f.state) in truth
-    if isinstance(f, FAnd):
-        return eval_formula(f.left, truth) and eval_formula(f.right, truth)
-    return eval_formula(f.left, truth) or eval_formula(f.right, truth)
+    holds = all if isinstance(f, FAnd) else any
+    return holds(eval_formula(p, truth) for p in f.parts)
 
 
 def run_search(m: Apt, t: TreePrefix, q: str) -> bool:

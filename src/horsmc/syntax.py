@@ -277,8 +277,9 @@ class TreePrefix:
 
     `label` is a terminal symbol, or None for the unresolved marker.  A tree
     is not changed once built.  Its hash is made at construction from the
-    label and the children's hashes, and equality walks both trees on an
-    explicit stack, so neither recurses.
+    label and the children's hashes, equality walks both trees on an
+    explicit stack, and the repr is `format_tree`'s text, so none of them
+    recurses.
     """
 
     __slots__ = ("label", "children", "_hash")
@@ -290,7 +291,7 @@ class TreePrefix:
         self._hash = hash((label, *[c._hash for c in children]))
 
     def __repr__(self):
-        return f"TreePrefix({self.label!r}, {self.children!r})"
+        return f"<TreePrefix {format_tree(self)}>"
 
     def __hash__(self):
         return self._hash

@@ -90,6 +90,46 @@ MUTANTS = [
            "tree = None",
            ("tests/test_syntax.py::TestUnfold::"
             "test_equal_subtrees_are_one_object",)),
+    Mutant("conjunction-dnf-starts-empty", "automata.py",
+           "clauses = frozenset({frozenset()})",
+           "clauses = frozenset()",
+           ("tests/test_automata.py::TestDnf::"
+            "test_true_is_the_empty_clause",
+            "tests/test_automata.py::TestDnf::"
+            "test_soundness_completeness_over_assignments")),
+    Mutant("atoms-of-skips-groups", "automata.py",
+           "work.extend(f.parts)",
+           "work.extend(p for p in f.parts if isinstance(p, Atom))",
+           ("tests/test_automata.py::TestValidate::"
+            "test_direction_inside_a_group_is_checked",)),
+    Mutant("builders-without-splicing", "automata.py",
+           "parts.extend(f.parts if isinstance(f, kind) else (f,))",
+           "parts.append(f)",
+           ("tests/test_automata.py::TestDnf::test_builders_are_flat",
+            "tests/test_formats.py::TestAptFormat::"
+            "test_groups_of_one_connective_read_flat")),
+    Mutant("memo-key-reads-one-color", "typecheck.py",
+           "reads = self._reads[c] if terminal_headed else (c,)",
+           "reads = self._reads[c][-1:] if terminal_headed else (c,)",
+           ("tests/test_typecheck.py::"
+            "test_shared_memo_matches_fresh_over_two_state_colors",
+            "tests/test_typecheck.py::"
+            "test_shared_memo_matches_fresh_on_order1_schemes")),
+    Mutant("epsilon-colored-clause-pairs", "typecheck.py",
+           "projections.add(frozenset(\n"
+           "                    (self.m.omega[q2], StateType(q2))",
+           "projections.add(frozenset(\n"
+           "                    (EPSILON, StateType(q2))",
+           ("tests/test_typecheck.py::"
+            "test_head_directed_sets_match_powerset_on_order0_schemes",
+            "tests/test_game.py::TestBuildGame::"
+            "test_select_output_is_pinned")),
+    Mutant("substitution-without-rename", "oracles.py",
+           "if t.binder in ly_free_vars(value) and name in ly_free_vars("
+           "t.body):",
+           "if False:",
+           ("tests/test_syntax.py::"
+            "test_substitution_under_a_binder_renames_it",)),
 ]
 
 

@@ -31,8 +31,21 @@ class TestDnf:
         assert dnf(TRUE) == frozenset({frozenset()})
         assert dnf(FALSE) == frozenset()
 
+    def test_builders_are_flat(self):
+        a, b, c = Atom(1, "q"), Atom(2, "q"), Atom(3, "q")
+        assert conj() == TRUE and disj() == FALSE
+        assert conj(a) is a and disj(a) is a
+        assert conj(conj(a, b), TRUE, c) == FAnd((a, b, c))
+        assert disj(a, disj(b, c), FALSE) == FOr((a, b, c))
+        assert conj(disj(a, b), c) == FAnd((FOr((a, b)), c))
+
+    def test_wide_conjunction(self):
+        f = conj(*(Atom(d, "q") for d in range(1, 3001)))
+        assert f == FAnd(tuple(Atom(d, "q") for d in range(1, 3001)))
+        assert dnf(f) == {frozenset((d, "q") for d in range(1, 3001))}
+
     def test_antichain_reduction(self):
-        f = FAnd(FOr(Atom(1, "q"), Atom(2, "q")), Atom(1, "q"))
+        f = FAnd((FOr((Atom(1, "q"), Atom(2, "q"))), Atom(1, "q")))
         # evaluation oracle: identical satisfying sets over all assignments
         assert dnf(f) == frozenset({frozenset({(1, "q")})})
 
@@ -45,8 +58,8 @@ class TestDnf:
                 return FALSE
             return Atom(*rng.choice(atoms))
         ctor = FAnd if rng.random() < 0.5 else FOr
-        return ctor(self._random_formula(rng, atoms, depth - 1),
-                    self._random_formula(rng, atoms, depth - 1))
+        return ctor((self._random_formula(rng, atoms, depth - 1),
+                     self._random_formula(rng, atoms, depth - 1)))
 
     def test_soundness_completeness_over_assignments(self):
         atoms = [(1, "q0"), (1, "q1"), (2, "q0"), (2, "q1"), (3, "q0"),
@@ -157,6 +170,21 @@ class TestValidate:
         with pytest.raises(ValueError,
                            match="transition for unknown symbol 'b'"):
             m.validate()
+
+    def test_direction_inside_a_group_is_checked(self):
+        f = conj(Atom(1, "q"), disj(Atom(1, "q"), conj(Atom(2, "q"),
+                                                        Atom(1, "q"))))
+        m = Apt(states=("q",), terminals={"a": 1}, delta={("q", "a"): f},
+                omega={"q": 0}, initial="q")
+        with pytest.raises(ValueError, match="direction 2 out of range"):
+            m.validate()
+
+    def test_wide_conjunction_validates(self):
+        f = conj(*[Atom(1, "q")] * 1000)
+        m = Apt(states=("q",), terminals={"a": 1}, delta={("q", "a"): f},
+                omega={"q": 0}, initial="q")
+        m.validate()
+        assert dnf(f) == {frozenset({(1, "q")})}
 
     def test_negative_color_rejected(self):
         # The neutral color is -1, so no state may carry a negative color.

@@ -255,6 +255,53 @@ class TestUnfold:
         assert err == "recursion limit: maximum recursion depth exceeded\n"
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["select", "unfold"])
+    def test_exit_two(self, files, capsys, command):
+        tmp, scheme, apt = files
+        target = tmp / "missing" / "out.txt"
+        argv = [command, scheme] + ([apt] if command == "select" else [])
+        code, out, err = run(argv + ["-o", str(target)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"{target}: No such file or directory\n"
+
+
+DEEP_BODY_HORS = """\
+terminals:
+  a : 1
+  c : 0
+nonterminals:
+  S : o
+start: S
+rules:
+  S = """ + "a (" * 600 + "c" + ")" * 600 + "\n"
+
+
+def flat_formula(n: int) -> str:
+    return " /\\ ".join(["(1,q)"] * n)
+
+
+class TestNoRecursionLimit:
+    """Inputs that once reached Python's recursion limit end normally."""
+
+    @pytest.mark.parametrize("argv, text, want", [
+        (["check"], flat_formula(3000), "ACCEPT\n"),
+        (["check"], "(" * 600 + flat_formula(2) + ")" * 600, "ACCEPT\n"),
+        (["unfold", "-d", "3"], None, "(a (a (a _|_)))\n"),
+    ], ids=["flat-conjunction-3000", "formula-in-600-parentheses",
+            "body-600-parentheses-deep"])
+    def test_ends_normally(self, tmp_path, capsys, argv, text, want):
+        scheme = tmp_path / "s.hors"
+        scheme.write_text(LOOP_HORS if text else DEEP_BODY_HORS)
+        paths = [str(scheme)]
+        if text:
+            apt = tmp_path / "s.apt"
+            apt.write_text(loop_apt_text(0).replace("(1,q)", text))
+            paths.append(str(apt))
+        code, out, err = run([argv[0], *paths, *argv[1:]], capsys)
+        assert (code, out, err) == (0, want, "")
+
+
 class TestSelectVerify:
     def test_select_writes_parseable_witness(self, files, capsys):
         tmp, scheme, apt = files

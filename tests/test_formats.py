@@ -1,6 +1,9 @@
 import pytest
 
-from horsmc import (FALSE, GROUND, check_wellformed, extract_scheme,
+import random
+
+from horsmc import (Atom, FALSE, FAnd, FOr, GROUND, TRUE, Terminal,
+                    check_wellformed, conj, disj, extract_scheme,
                     format_formula, unfold)
 from horsmc.formats import (ParseError, parse_annotated, parse_apt,
                             parse_hors, parse_itype, parse_sort,
@@ -47,6 +50,17 @@ class TestHorsFormat:
     def test_round_trip(self, ex1):
         for h in (ex1, loop_scheme(), order2_unary()[0]):
             assert parse_hors(print_hors(h)) == h
+
+    def test_deep_body(self):
+        text = EX1_HORS.replace("S = L Nil",
+                                "S = L " + "(data " * 600 + "Nil" + ")" * 600)
+        body = parse_hors(text).rules["S"].body.argument
+        for _ in range(600):
+            assert body.function == Terminal("data")
+            body = body.argument
+        assert body == Terminal("Nil")
+        assert parse_hors(EX1_HORS.replace("S = L Nil", "S = ((L) (Nil))")) \
+            == parse_hors(EX1_HORS)
 
     def test_sort_parsing(self):
         assert parse_sort("o") == GROUND
@@ -157,6 +171,11 @@ class TestHorsFormat:
         assert (e.value.line, e.value.col, e.value.msg) == (7, col, msg)
 
 
+def parse_formula(text: str, states: str = "q"):
+    return parse_apt(f"states: {states}\ninitial: q\ndelta:\n  q a -> {text}\n",
+                     terminals={"a": 3}).delta[("q", "a")]
+
+
 class TestAptFormat:
     def test_parse_example(self, ex1, ex1_apt):
         m = parse_apt(EX1_APT, terminals=ex1.terminals)
@@ -188,6 +207,33 @@ class TestAptFormat:
                       terminals={"a": 2})
         from horsmc import FAnd
         assert isinstance(m.delta[("q", "a")], FAnd)
+
+    def test_groups_of_one_connective_read_flat(self):
+        a, b, c = Atom(1, "q"), Atom(2, "q"), Atom(3, "q")
+        assert parse_formula("((1,q) /\\ (2,q)) /\\ (3,q)") == FAnd((a, b, c))
+        assert parse_formula("(1,q) \\/ ((2,q) \\/ (3,q))") == FOr((a, b, c))
+        assert parse_formula("true /\\ (1,q) /\\ true") == a
+        assert parse_formula("(" * 600 + "(1,q) \\/ (2,q)" + ")" * 600) \
+            == FOr((a, b))
+
+    def test_printed_formulas_read_back(self):
+        atoms = [Atom(d, q) for d in (1, 2, 3) for q in ("q", "r")]
+
+        def draw(rng, depth):
+            if depth == 0 or rng.random() < 0.3:
+                return rng.choice(atoms + [TRUE, FALSE])
+            build = conj if rng.random() < 0.5 else disj
+            return build(*(draw(rng, depth - 1)
+                           for _ in range(rng.randrange(4))))
+
+        rng = random.Random(11)
+        for _ in range(300):
+            f = draw(rng, 4)
+            assert parse_formula(format_formula(f), "q r") == f, f
+        assert format_formula(conj(disj(atoms[0], atoms[1]), atoms[2])) \
+            == "((1,q) \\/ (1,r)) /\\ (2,q)"
+        assert format_formula(disj(TRUE, conj(FALSE, atoms[0]))) \
+            == "true \\/ false /\\ (1,q)"
 
     def test_true_false_and_missing_default(self):
         m = parse_apt("states: q\ninitial: q\ndelta:\n  q a -> false\n",

@@ -128,6 +128,11 @@ class TestUnfold:
         assert one != chain(TreePrefix("c"), 5000)
         assert len({one, two, chain(TreePrefix("c"), 5000)}) == 2
 
+    def test_deep_tree_repr_is_its_text(self):
+        deep = unfold(loop_scheme(), 5000)
+        assert repr(deep) == f"<TreePrefix {format_tree(deep)}>"
+        assert repr(deep).endswith("_|_" + ")" * 5000 + ">")
+
 
 class TestToLambdaY:
     def test_single_nonterminal_becomes_fixpoint(self):
