@@ -12,6 +12,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+from .syntax import Interned
+
 
 # ---------------------------------------------------------------------------
 # Colors
@@ -30,10 +32,8 @@ def format_color(c: Color) -> str:
 # ---------------------------------------------------------------------------
 # Transition formulas
 
-@dataclass(frozen=True)
-class Atom:
-    direction: int
-    state: str
+class Atom(Interned):
+    __slots__ = fields = ("direction", "state")
 
     def __repr__(self):
         return f"({self.direction},{self.state})"
@@ -41,14 +41,12 @@ class Atom:
 
 # A run of one connective is one node; `true` and `false` are the empty
 # conjunction and disjunction.
-@dataclass(frozen=True)
-class FAnd:
-    parts: tuple["Formula", ...]
+class FAnd(Interned):
+    __slots__ = fields = ("parts",)
 
 
-@dataclass(frozen=True)
-class FOr:
-    parts: tuple["Formula", ...]
+class FOr(Interned):
+    __slots__ = fields = ("parts",)
 
 
 Formula = Atom | FAnd | FOr
@@ -151,15 +149,31 @@ def dnf(f: Formula) -> frozenset[Clause]:
 
     true yields the singleton empty clause, false yields no clause at all.
     A conjunction multiplies in one part at a time and reduces each product.
+    One pass on an explicit stack reduces each distinct part once.
     """
-    if isinstance(f, Atom):
-        return frozenset({frozenset({(f.direction, f.state)})})
-    if isinstance(f, FOr):
-        return _reduce(c for part in f.parts for c in dnf(part))
-    clauses = frozenset({frozenset()})
-    for part in f.parts:
-        clauses = _reduce(a | b for a in clauses for b in dnf(part))
-    return clauses
+    done: dict[Formula, frozenset[Clause]] = {}
+    work = [f]
+    while work:
+        g = work[-1]
+        if g in done:
+            work.pop()
+            continue
+        todo = [] if isinstance(g, Atom) else [
+            p for p in g.parts if p not in done]
+        if todo:
+            work.extend(todo)
+            continue
+        work.pop()
+        if isinstance(g, Atom):
+            done[g] = frozenset({frozenset({(g.direction, g.state)})})
+        elif isinstance(g, FOr):
+            done[g] = _reduce(c for part in g.parts for c in done[part])
+        else:
+            clauses = frozenset({frozenset()})
+            for part in g.parts:
+                clauses = _reduce(a | b for a in clauses for b in done[part])
+            done[g] = clauses
+    return done[f]
 
 
 def sorted_dnf(f: Formula) -> list[list[tuple[int, str]]]:

@@ -162,6 +162,12 @@ def cmd_dump_game(args) -> int:
     return 0
 
 
+def _depth(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"negative depth {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="horsmc",
@@ -183,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("-q", "--state", default=None,
                            help="state to test (default: the initial state)")
         if depth is not None:
-            p.add_argument("-d", "--depth", type=int, default=depth,
+            p.add_argument("-d", "--depth", type=_depth, default=depth,
                            help=f"unfolding depth (default {depth})")
         if output:
             p.add_argument("-o", "--output", default=None,

@@ -23,7 +23,6 @@ strategy by graph traversal alone.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import NamedTuple
@@ -141,12 +140,9 @@ def build_game(h: Hors, m: Apt, states=None) -> ParityGame:
     seeds = [EveNode(h.start, StateType(q)) for q in states]
 
     nodes: list[GameNode] = []
-    owner: dict = {}
-    priority: dict = {}
     edges: dict = {}
     index: dict = {}  # node -> its position in `nodes`
-    numbering = Numbering([], [], [])
-    queue: deque[GameNode] = deque()
+    succ: list[tuple[int, ...]] = []
     analysis = Analysis(h, m)  # shared by all Eve nodes, dropped on return
     # An Adam node's moves depend on its map alone, so each map's color
     # nodes, and their positions, are made once.
@@ -163,11 +159,6 @@ def build_game(h: Hors, m: Apt, states=None) -> ParityGame:
                 f"{format_itype(v.ty)})", i + 1, DEFAULT_NODE_LIMIT)
         index[v] = i
         nodes.append(v)
-        owner[v] = ADAM if isinstance(v, AdamNode) else EVE
-        priority[v] = node_priority(v)
-        numbering.owner.append(owner[v])
-        numbering.prio.append(priority[v])
-        queue.append(v)
         return i
 
     def push_all(succs) -> tuple[tuple, tuple]:
@@ -177,10 +168,9 @@ def build_game(h: Hors, m: Apt, states=None) -> ParityGame:
 
     for s in seeds:
         push(s)
-    # Nodes leave the queue in the order they were pushed, so the k-th node
-    # taken is nodes[k], and its successors' positions are succ[k].
-    while queue:
-        v = queue.popleft()
+    # `push` appends to `nodes` as the loop walks it, so nodes are expanded
+    # in the order they are numbered, and succ[k] belongs to nodes[k].
+    for v in nodes:
         if isinstance(v, EveNode):
             succs, ws = push_all([AdamNode(v.nonterminal, v.ty, delta, d)
                                   for delta, d in rule_typings(
@@ -195,11 +185,13 @@ def build_game(h: Hors, m: Apt, states=None) -> ParityGame:
         else:
             succs, ws = push_all([EveNode(v.nonterminal, v.ty)])
         edges[v] = succs
-        numbering.succ.append(ws)
+        succ.append(ws)
 
-    initial = seeds[0] if seeds else None
-    return ParityGame(tuple(nodes), owner, priority, edges, initial,
-                      numbering)
+    owner = [ADAM if isinstance(v, AdamNode) else EVE for v in nodes]
+    prio = [node_priority(v) for v in nodes]
+    return ParityGame(tuple(nodes), dict(zip(nodes, owner)),
+                      dict(zip(nodes, prio)), edges,
+                      seeds[0] if seeds else None, Numbering(succ, owner, prio))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Ground types are automaton states; an arrow type consumes a finite set of
 (color, type) pairs.  Everything is kept in a canonical sorted form so that
 enumeration order, hashing and printed output are deterministic.
 
-Types and colored sets are hash-consed in class-level intern tables, so
+Types and colored sets are interned, as sorts, terms and formulas are, so
 identity is equality.  This is how types are represented, not a memo of an
 analysis (`typecheck.Analysis`), and types cross analyses: a parsed
 witness's, and the `EveNode(h.start, StateType(q))` a caller looks up in a
@@ -14,76 +14,42 @@ game, are the objects the game's construction made.
 from __future__ import annotations
 
 from .automata import Apt, Color, color_set, format_color, satisfies
-from .syntax import Ground, SimpleType, format_sort
+from .syntax import Ground, Interned, SimpleType, format_sort
 
 
 # ---------------------------------------------------------------------------
-# Types and colored sets.  Instances are interned: equal values are the
-# same object, so comparisons and hashing are cheap even for deep types.
-# Each computes its order key, `key`, once, when it is interned.
+# Types and colored sets.  Instances are interned (`syntax.Interned`), and
+# each computes its order key, `key`, once, when it is made.
 
-class StateType:
+class StateType(Interned):
     """Ground intersection type: one automaton state."""
 
-    __slots__ = ("state", "key")
-    _cache: dict = {}
+    fields = ("state",)
+    __slots__ = fields + ("key",)
 
-    def __new__(cls, state: str):
-        t = cls._cache.get(state)
-        if t is None:
-            t = object.__new__(cls)
-            t.state = state
-            t.key = (0, state)
-            cls._cache[state] = t
-        return t
-
-    def __repr__(self):
-        return f"StateType({self.state!r})"
-
-    def __reduce__(self):
-        return (StateType, (self.state,))
+    def _facts(self):
+        self.key = (0, self.state)
 
 
-class ArrowType:
-    __slots__ = ("argument", "result", "key")
-    _cache: dict = {}
+class ArrowType(Interned):
+    fields = ("argument", "result")
+    __slots__ = fields + ("key",)
 
-    def __new__(cls, argument: "ColoredSet", result: "IType"):
-        ids = (id(argument), id(result))
-        t = cls._cache.get(ids)
-        if t is None:
-            t = object.__new__(cls)
-            t.argument = argument
-            t.result = result
-            t.key = (1, argument.key, result.key)
-            cls._cache[ids] = t
-        return t
-
-    def __repr__(self):
-        return f"ArrowType({self.argument!r}, {self.result!r})"
-
-    def __reduce__(self):
-        return (ArrowType, (self.argument, self.result))
+    def _facts(self):
+        self.key = (1, self.argument.key, self.result.key)
 
 
 IType = StateType | ArrowType
 
 
-class ColoredSet:
+class ColoredSet(Interned):
     """Canonical finite set of (color, type) pairs of one common sort."""
 
-    __slots__ = ("pairs", "key")
-    _cache: dict = {}
+    fields = ("pairs",)
+    __slots__ = fields + ("key",)
 
-    def __new__(cls, pairs: tuple):
-        ids = tuple((c, id(t)) for c, t in pairs)
-        u = cls._cache.get(ids)
-        if u is None:
-            u = object.__new__(cls)
-            u.pairs = pairs
-            u.key = tuple(map(pair_key, pairs))
-            cls._cache[ids] = u
-        return u
+    def _facts(self):
+        self.key = tuple(map(pair_key, self.pairs))
 
     def __iter__(self):
         return iter(self.pairs)
@@ -93,12 +59,6 @@ class ColoredSet:
 
     def __contains__(self, pair):
         return pair in self.pairs
-
-    def __repr__(self):
-        return f"ColoredSet({self.pairs!r})"
-
-    def __reduce__(self):
-        return (ColoredSet, (self.pairs,))
 
 
 def pair_key(pair: tuple[Color, IType]):

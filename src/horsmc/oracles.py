@@ -13,7 +13,7 @@ against; no module on the command-line path imports this one.
 - `eval_formula` checks `dnf`; `run_search`, a finite run over a tree
   prefix, checks verdicts depth by depth.
 - `Lam`, `Fix` and `LambdaY`: the lambda-Y terms, which no rule body holds;
-  `ly_free_vars`, `ly_sort` and `format_ly` walk them.
+  `ly_sort` and `format_ly` walk them.
 - `to_lambda_y`, `from_lambda_y` and `bohm_tree`: the lambda-Y presentation
   of schemes, whose head-reduction unfolding checks `unfold`;
   `is_prefix_of` compares tree prefixes.
@@ -32,14 +32,14 @@ from .itypes import (ArrowType, ColoredSet, IType, SizeGuardExceeded,
                      colored_set, enumerate_colored_sets, enumerate_types,
                      is_terminal_type, subtype)
 from .syntax import (App, Arrow, DEFAULT_STEP_BUDGET, GROUND, Ground, Hors,
-                     NonTerminal, Rule, SimpleType, SortError, Term, Terminal,
-                     TreePrefix, UnresolvedWithinBudget, Var, BOTTOM, apply,
-                     arrow, format_sort, format_term, fresh_name, free_vars,
+                     Interned, NonTerminal, Rule, SimpleType, SortError, Term,
+                     Terminal, TreePrefix, UnresolvedWithinBudget, Var, BOTTOM,
+                     apply, arrow, format_sort, format_term, fresh_name,
                      ground_sort, require_wellformed, spine)
 from .typecheck import (DApp, DAx, DDelta, Derivation, TypeEnv,
                         residual_set)
 
-__all__ = ["Lam", "Fix", "LambdaY", "ly_free_vars", "ly_sort", "format_ly",
+__all__ = ["Lam", "Fix", "LambdaY", "ly_sort", "format_ly",
            "DLam", "Deriver", "derive", "check_derivation", "residual_env",
            "denotation", "BRUTE_NODE_LIMIT", "solve_brute", "eval_formula",
            "run_search", "nonterminals_of", "subst_var", "subst_nonterminal",
@@ -50,32 +50,28 @@ __all__ = ["Lam", "Fix", "LambdaY", "ly_free_vars", "ly_sort", "format_ly",
 # ---------------------------------------------------------------------------
 # Lambda-Y terms: applicative terms with abstractions and fixpoints
 
-@dataclass(frozen=True)
-class Lam:
-    binder: str
-    binder_sort: SimpleType
-    body: "LambdaY"
+class Lam(Interned):
+    """`\\binder:binder_sort. body`; `free` holds its free variables in
+    name order."""
+
+    fields = ("binder", "binder_sort", "body")
+    __slots__ = fields + ("free",)
+
+    def _facts(self):
+        self.free = tuple(x for x in self.body.free if x != self.binder)
 
 
-@dataclass(frozen=True)
-class Fix:
+class Fix(Interned):
     """Fixpoint at a sort: Fix(s, M) stands for Y_s M and requires M : s -> s."""
 
-    sort: SimpleType
-    body: "LambdaY"
+    fields = ("sort", "body")
+    __slots__ = fields + ("free",)
+
+    def _facts(self):
+        self.free = self.body.free
 
 
 LambdaY = Var | Terminal | NonTerminal | App | Lam | Fix
-
-
-def ly_free_vars(t: LambdaY) -> frozenset[str]:
-    if isinstance(t, Lam):
-        return ly_free_vars(t.body) - {t.binder}
-    if isinstance(t, Fix):
-        return ly_free_vars(t.body)
-    if isinstance(t, App):
-        return ly_free_vars(t.function) | ly_free_vars(t.argument)
-    return free_vars(t)
 
 
 def ly_sort(t: LambdaY, scope: dict[str, SimpleType],
@@ -196,7 +192,7 @@ class Deriver:
         return self._derive(env, t, target)
 
     def _derive(self, env: TypeEnv, t: Term, target: IType) -> Derivation | None:
-        needed = sorted(free_vars(t) | nonterminals_of(t))
+        needed = sorted(nonterminals_of(t).union(t.free))
         for x in needed:
             if x not in env:
                 raise KeyError(f"free name '{x}' not covered by the environment")
@@ -502,8 +498,8 @@ def subst_var(t: LambdaY, name: str, value: LambdaY) -> LambdaY:
     # Lam
     if t.binder == name:
         return t
-    if t.binder in ly_free_vars(value) and name in ly_free_vars(t.body):
-        taken = _all_names(t.body) | ly_free_vars(value) | {name}
+    if t.binder in value.free and name in t.body.free:
+        taken = _all_names(t.body) | {*value.free, name}
         renamed = fresh_name(t.binder, taken)
         body = subst_var(t.body, t.binder, Var(renamed))
         return Lam(renamed, t.binder_sort, subst_var(body, name, value))
@@ -689,8 +685,8 @@ def from_lambda_y(t: LambdaY) -> Hors:
     abstracted over its free variables; terminal arities are recovered from
     the term's sorting.
     """
-    if ly_free_vars(t):
-        raise SortError(f"term is not closed: free {sorted(ly_free_vars(t))}")
+    if t.free:
+        raise SortError(f"term is not closed: free {list(t.free)}")
     term_sorts: dict[str, object] = {}
     top = _infer_meta(t, {}, term_sorts)
     _unify(top, GROUND)
@@ -723,7 +719,7 @@ def from_lambda_y(t: LambdaY) -> Hors:
                 seen.add(bname)
                 binders.append((bname, body.binder_sort))
                 body = inner_body
-            fvs = sorted(ly_free_vars(term))
+            fvs = term.free
             fv_binders = [(v, env[v]) for v in fvs]
             scope = dict(env)
             scope.update(dict(binders))
@@ -735,7 +731,7 @@ def from_lambda_y(t: LambdaY) -> Hors:
         if not isinstance(body, Lam):
             f = fresh_name("rec", _all_names(body) | set(taken))
             body = Lam(f, sort, App(body, Var(f)))
-        fvs = sorted(ly_free_vars(term))
+        fvs = term.free
         fv_binders = [(v, env[v]) for v in fvs]
         name = fresh_name("G", taken)
         nonterminal_sorts[name] = arrow(*[s for _, s in fv_binders], sort)

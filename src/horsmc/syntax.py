@@ -12,18 +12,56 @@ from dataclasses import dataclass
 
 
 # ---------------------------------------------------------------------------
+# Interned values
+
+class Interned:
+    """A value made once: a subclass called with the fields of an existing
+    instance returns that instance, so equality is identity and hashing
+    takes constant time at any depth.  A subclass names its fields, in
+    constructor order, in `fields`, and lists them in `__slots__` with the
+    values that `_facts` derives once when a value is made.  Each subclass
+    has its own table; values are not changed once made."""
+
+    __slots__ = ()
+    fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._table = {}
+
+    def __new__(cls, *values):
+        v = cls._table.get(values)
+        if v is None:
+            v = object.__new__(cls)
+            for name, x in zip(cls.fields, values):
+                setattr(v, name, x)
+            v._facts()
+            # setdefault, so that threads racing on one value keep one.
+            v = cls._table.setdefault(values, v)
+        return v
+
+    def _facts(self) -> None:
+        pass
+
+    def __repr__(self):
+        values = ", ".join(map(repr, self.__reduce__()[1]))
+        return f"{type(self).__name__}({values})"
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, n) for n in self.fields))
+
+
+# ---------------------------------------------------------------------------
 # Simple types (sorts)
 
-@dataclass(frozen=True)
-class Ground:
+class Ground(Interned):
+    __slots__ = ()
+
     def __repr__(self):
         return "o"
 
 
-@dataclass(frozen=True)
-class Arrow:
-    domain: "SimpleType"
-    codomain: "SimpleType"
+class Arrow(Interned):
+    __slots__ = fields = ("domain", "codomain")
 
     def __repr__(self):
         return f"({self.domain!r} -> {self.codomain!r})"
@@ -68,25 +106,36 @@ def format_sort(sort: SimpleType) -> str:
 # ---------------------------------------------------------------------------
 # Terms
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Interned):
+    fields = ("name",)
+    __slots__ = fields + ("free",)
+
+    def _facts(self):
+        self.free = (self.name,)
 
 
-@dataclass(frozen=True)
-class Terminal:
-    symbol: str
+class Terminal(Interned):
+    __slots__ = fields = ("symbol",)
+    free = ()
 
 
-@dataclass(frozen=True)
-class NonTerminal:
-    name: str
+class NonTerminal(Interned):
+    __slots__ = fields = ("name",)
+    free = ()
 
 
-@dataclass(frozen=True)
-class App:
-    function: "Term"
-    argument: "Term"
+class App(Interned):
+    """`free`: the free variables in name order; `head`: the spine's head.
+    A non-term argument counts as closed, so `check_wellformed` reports it."""
+
+    fields = ("function", "argument")
+    __slots__ = fields + ("free", "head")
+
+    def _facts(self):
+        fn = self.function
+        self.head = fn.head if isinstance(fn, App) else fn
+        f, a = getattr(fn, "free", ()), getattr(self.argument, "free", ())
+        self.free = f if a == f or not a else tuple(sorted({*f, *a}))
 
 
 Term = Var | Terminal | NonTerminal | App
@@ -106,14 +155,6 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
         t = t.function
     args.reverse()
     return t, args
-
-
-def free_vars(t: Term) -> frozenset[str]:
-    if isinstance(t, Var):
-        return frozenset({t.name})
-    if isinstance(t, App):
-        return free_vars(t.function) | free_vars(t.argument)
-    return frozenset()
 
 
 def fresh_name(base: str, taken: set[str]) -> str:
@@ -435,9 +476,9 @@ def unfold(h: Hors, depth: int, budget: int = DEFAULT_STEP_BUDGET) -> TreePrefix
 
 def _subst_many(t: Term, mapping: dict[str, Term]) -> Term:
     # Rule bodies are abstraction-free, so no capture is possible.
+    if not t.free:
+        return t
     if isinstance(t, Var):
         return mapping.get(t.name, t)
-    if isinstance(t, App):
-        return App(_subst_many(t.function, mapping),
-                   _subst_many(t.argument, mapping))
-    return t
+    return App(_subst_many(t.function, mapping),
+               _subst_many(t.argument, mapping))

@@ -42,7 +42,7 @@ from .itypes import (ArrowType, ColoredSet, IType, SizeGuardExceeded,
                      StateType, colored_set, enumerate_types,
                      is_terminal_type, split_chain, subtype)
 from .syntax import (App, Hors, NonTerminal, SimpleType, Term, Terminal, Var,
-                     format_sort, format_term, free_vars, infer_sort, spine)
+                     format_sort, format_term, infer_sort, spine)
 
 TypeEnv = dict[str, ColoredSet]
 
@@ -155,14 +155,14 @@ class _FootprintSearch:
     `PAIR_CAP` bounds the number of options.
 
     One search serves every binder environment of its rule (`rebind`), and
-    its memo, with the caches of free variables, sorts and residuals,
-    carries over.  The memo keys `search(t, target, c)` on
-    `(t, target, c, view)`, where `view` holds, for the variables x free in
-    t in sorted order, `residual_set(var_env[x], r)` for each color r that
-    t reads at c: c itself, or, when t is an application whose spine head
-    is a terminal, each `max(c, d)` with d a state color, in color order.
-    A closed term's view is `()`.  The key is sound because every read of
-    `var_env` at color c goes through those residuals:
+    its memo, with the caches of sorts and residuals, carries over.  The
+    memo keys `search(t, target, c)` on `(t, target, c, view)`, where
+    `view` holds, for the variables x free in t (`t.free`), in name order,
+    `residual_set(var_env[x], r)` for each color r that t reads at c: c
+    itself, or, when t is an application whose spine head is a terminal,
+    each `max(c, d)` with d a state color, in color order.  A closed
+    term's view is `()`.  The key is sound because every read of `var_env`
+    at color c goes through those residuals:
 
     - the `Var` case reads the entries of color exactly c, which are the
       residual's neutral-colored entries;
@@ -191,7 +191,6 @@ class _FootprintSearch:
         self.var_env = var_env
         self._memo: dict = {}
         self._views = False  # whether the memo keys carry views
-        self._free: dict = {}  # term -> (free variables, terminal-headed)
         self._sorts: dict = {}
         self._residuals: dict = {}
         self._reads: dict = {}  # color -> the colors terminal heads read
@@ -232,15 +231,10 @@ class _FootprintSearch:
 
     def _key(self, t: Term, target: IType, c: Color) -> tuple:
         """`(t, target, c)` followed by the view of `t` at `c`."""
-        free = self._free.get(t)
-        if free is None:
-            free = self._free[t] = (
-                tuple(sorted(free_vars(t))),
-                isinstance(t, App) and isinstance(spine(t)[0], Terminal))
-        names, terminal_headed = free
+        terminal_headed = isinstance(t, App) and isinstance(t.head, Terminal)
         reads = self._reads[c] if terminal_headed else (c,)
         return (t, target, c, *[self.residual(self.var_env[x], r)
-                                for x in names for r in reads])
+                                for x in t.free for r in reads])
 
     def residual(self, u: ColoredSet, c: Color) -> ColoredSet:
         """`residual_set(u, c)`, cached by the interned set and the color."""

@@ -125,11 +125,28 @@ MUTANTS = [
             "tests/test_game.py::TestBuildGame::"
             "test_select_output_is_pinned")),
     Mutant("substitution-without-rename", "oracles.py",
-           "if t.binder in ly_free_vars(value) and name in ly_free_vars("
-           "t.body):",
+           "if t.binder in value.free and name in t.body.free:",
            "if False:",
            ("tests/test_syntax.py::"
             "test_substitution_under_a_binder_renames_it",)),
+    Mutant("interned-values-never-stored", "syntax.py",
+           "v = cls._table.setdefault(values, v)",
+           "pass",
+           ("tests/test_syntax.py::TestInterned::"
+            "test_deep_values_hash_and_compare_without_recursion",
+            "tests/test_syntax.py::TestInterned::test_reprs_are_pinned")),
+    Mutant("application-free-from-function-only", "syntax.py",
+           "self.free = f if a == f or not a else",
+           "self.free = f if True else",
+           ("tests/test_syntax.py::TestInterned::"
+            "test_terms_carry_their_free_variables_in_name_order",
+            "tests/test_syntax.py::TestUnfold::test_depth_four_prefix")),
+    Mutant("substitution-skips-open-subterms", "syntax.py",
+           "if not t.free:\n        return t",
+           "if t.free:\n        return t",
+           ("tests/test_syntax.py::TestUnfold::test_depth_four_prefix",
+            "tests/test_syntax.py::TestToLambdaY::"
+            "test_boehm_tree_agrees_with_unfold")),
 ]
 
 

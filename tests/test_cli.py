@@ -72,6 +72,15 @@ class TestCheck:
     def test_usage_error_exit_two(self, capsys):
         assert main(["check"]) == 2
 
+    @pytest.mark.parametrize("command, depth", [("unfold", "-3"),
+                                                ("verify", "-1")])
+    def test_negative_depth_exit_two(self, files, capsys, command, depth):
+        _, scheme, apt = files
+        argv = [command, scheme] + ([apt] if command == "verify" else [])
+        code, out, err = run(argv + ["-d", depth], capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"argument -d/--depth: negative depth {depth}\n")
+
     def test_unknown_state_exit_two(self, files, capsys):
         _, scheme, apt = files
         code, _, err = run(["check", scheme, apt, "-q", "zz"], capsys)
@@ -281,15 +290,25 @@ def flat_formula(n: int) -> str:
     return " /\\ ".join(["(1,q)"] * n)
 
 
+def alternating_formula(n: int) -> str:
+    """`((((1,q) \\/ (1,q)) /\\ (1,q)) \\/ ...)`: n groups, each of the other
+    connective than the group inside it."""
+    f, connectives = "(1,q)", ("\\/", "/\\")
+    for i in range(n):
+        f = f"({f} {connectives[i % 2]} (1,q))"
+    return f
+
+
 class TestNoRecursionLimit:
     """Inputs that once reached Python's recursion limit end normally."""
 
     @pytest.mark.parametrize("argv, text, want", [
         (["check"], flat_formula(3000), "ACCEPT\n"),
         (["check"], "(" * 600 + flat_formula(2) + ")" * 600, "ACCEPT\n"),
+        (["check"], alternating_formula(600), "ACCEPT\n"),
         (["unfold", "-d", "3"], None, "(a (a (a _|_)))\n"),
     ], ids=["flat-conjunction-3000", "formula-in-600-parentheses",
-            "body-600-parentheses-deep"])
+            "formula-of-600-alternating-groups", "body-600-parentheses-deep"])
     def test_ends_normally(self, tmp_path, capsys, argv, text, want):
         scheme = tmp_path / "s.hors"
         scheme.write_text(LOOP_HORS if text else DEEP_BODY_HORS)

@@ -1,9 +1,12 @@
+import pickle
+
 import pytest
 from hypothesis import assume, given, settings
 
-from horsmc import (App, Arrow, BOTTOM, GROUND, Hors, NonTerminal, Rule,
-                    Terminal, TreePrefix, UnresolvedWithinBudget, Var, apply,
-                    check_wellformed, format_tree, order, unfold)
+from horsmc import (App, Arrow, ArrowType, Atom, BOTTOM, ColoredSet, GROUND,
+                    Hors, NonTerminal, Rule, StateType, Terminal, TreePrefix,
+                    UnresolvedWithinBudget, Var, apply, check_wellformed,
+                    colored_set, format_tree, order, unfold)
 from horsmc.oracles import (Fix, Lam, bohm_tree, from_lambda_y, is_prefix_of,
                             subst_var, to_lambda_y)
 from conftest import (const_scheme, grow_scheme, loop_scheme, mutual_scheme,
@@ -17,6 +20,58 @@ def test_order():
     assert order(oo) == 1
     assert order(Arrow(GROUND, oo)) == 1
     assert order(Arrow(oo, GROUND)) == 2
+
+
+class TestInterned:
+    def test_reprs_are_pinned(self):
+        q, p = StateType("q"), StateType("p")
+        one = colored_set([(0, q)])
+        pinned = [
+            (q, "StateType('q')"),
+            (ColoredSet(()), "ColoredSet(())"),
+            (one, "ColoredSet(((0, StateType('q')),))"),
+            (colored_set([(0, q), (-1, p)]),
+             "ColoredSet(((-1, StateType('p')), (0, StateType('q'))))"),
+            (ArrowType(one, q),
+             "ArrowType(ColoredSet(((0, StateType('q')),)), StateType('q'))"),
+            (Arrow(GROUND, Arrow(Arrow(GROUND, GROUND), GROUND)),
+             "(o -> ((o -> o) -> o))"),
+            (Atom(1, "q"), "(1,q)"),
+            (App(Terminal("a"), Var("x")), "App(Terminal('a'), Var('x'))"),
+        ]
+        for value, text in pinned:
+            assert repr(value) == text
+            assert pickle.loads(pickle.dumps(value)) is value
+
+    def test_deep_values_hash_and_compare_without_recursion(self):
+        def deep_term():
+            t = Terminal("c")
+            for _ in range(5000):
+                t = App(Terminal("a"), t)
+            return t
+
+        def deep_sort():
+            s = GROUND
+            for _ in range(5000):
+                s = Arrow(s, GROUND)
+            return s
+
+        def long_spine():
+            return apply(Terminal("a"), *[Terminal("c")] * 5000)
+
+        for build in (deep_term, deep_sort, long_spine):
+            one, two = build(), build()
+            assert hash(one) == hash(two) and one == two
+        f, a = Terminal("a"), Var("x")
+        assert App(f, a) is App(f, a)
+        assert long_spine().head is Terminal("a")
+
+    def test_terms_carry_their_free_variables_in_name_order(self):
+        t = apply(Var("y"), Terminal("c"), apply(Var("x"), Var("y")))
+        assert t.free == ("x", "y") and t.head is Var("y")
+        assert apply(Terminal("a"), NonTerminal("S")).free == ()
+        assert Lam("y", GROUND, t).free == ("x",)
+        assert Fix(GROUND, Lam("x", GROUND, t)).free == ("y",)
 
 
 class TestCheckWellformed:
