@@ -135,32 +135,32 @@ def parse_sort(text: str, lineno: int = 0, offset: int = 0) -> SimpleType:
     """`offset` is the index of `text` in its line: errors carry the 1-based
     column of the offending token, or one past the end of `text`."""
     cur = _Tokens(text, _SORT_TOKEN, lineno, offset)
-
-    def atom() -> SimpleType:
+    # The domains read so far of each open group's arrow chain: the text,
+    # then one group per open parenthesis.
+    groups: list[list[SimpleType]] = [[]]
+    while True:
         t, col = cur.take()
         if t is None:
             cur.fail("sort expected", col)
-        if t == "o":
-            return GROUND
         if t == "(":
-            inner = sort()
+            groups.append([])
+            continue
+        if t != "o":
+            cur.fail(f"bad sort token {t!r}", col)
+        sort: SimpleType = GROUND
+        while cur.peek() != "->":
+            # The group's chain ends here; arrows associate to the right.
+            for domain in reversed(groups.pop()):
+                sort = Arrow(domain, sort)
+            if not groups:
+                if cur.peek() is not None:
+                    cur.fail(f"trailing sort token {cur.peek()!r}")
+                return sort
             if cur.peek() != ")":
                 cur.fail("')' expected in sort")
             cur.take()
-            return inner
-        cur.fail(f"bad sort token {t!r}", col)
-
-    def sort() -> SimpleType:
-        left = atom()
-        if cur.peek() == "->":
-            cur.take()
-            return Arrow(left, sort())
-        return left
-
-    result = sort()
-    if cur.peek() is not None:
-        cur.fail(f"trailing sort token {cur.peek()!r}")
-    return result
+        cur.take()
+        groups[-1].append(sort)
 
 
 # ---------------------------------------------------------------------------

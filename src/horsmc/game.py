@@ -8,9 +8,15 @@ corresponding Eve node.  Infinite plays thus follow infinite branches of a
 derivation tree with fixpoint unfoldings, and the parity condition encodes
 the winning condition on colors.
 
-`build_game` numbers the nodes as it reaches them and records the game
-over those numbers (`Numbering`) beside its node-keyed mappings.  An Adam
-node's moves depend on its assumption map alone, and the maps are one
+A node is one tuple that holds its hash, computed once when the node is
+made, and its fields (`_Node`): making it is one allocation, and hashing
+it reads the stored value.  `build_game` numbers the nodes as it reaches
+them and records the game over those numbers (`Numbering`) beside its
+node-keyed mappings.  An Eve node's moves come from `rule_typings`, which
+turns each distinct result of the footprint search into moves once per
+analysis.  Each Eve node is expanded once and its maps are distinct, so its
+Adam nodes are new: they are appended in one step, without a lookup.  An
+Adam node's moves depend on its assumption map alone, and the maps are one
 object per distinct map (`typecheck.Analysis`), so the Adam nodes of one
 map share one tuple of color nodes.  Every edge leads to the node object
 held in `nodes`, so the game holds one object per node.  `zielonka` solves
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
+from operator import itemgetter
 from typing import NamedTuple
 
 from .automata import Apt, Color, format_color
@@ -37,30 +44,71 @@ from .typecheck import Analysis, AssumptionMap, Derivation, rule_typings
 EVE, ADAM = 0, 1
 
 
-@dataclass(frozen=True)
-class EveNode:
-    nonterminal: str
-    ty: IType
+class _Node(tuple):
+    """A game node is one tuple: its hash, computed once when the node is
+    made, then its fields in constructor order.  A field is read through a
+    property and cannot be assigned.  Equal nodes are of one class and have
+    equal fields; the repr is `Class(field=value, ...)`."""
+
+    __slots__ = ()
+    fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        for i, name in enumerate(cls.fields, 1):
+            setattr(cls, name, property(itemgetter(i)))
+        cls._compared = len(cls.fields) + 1
+
+    def __hash__(self):
+        return self[0]
+
+    def __eq__(self, other):
+        n = self._compared
+        return type(other) is type(self) and self[:n] == other[:n]
+
+    def __ne__(self, other):
+        # Not tuple's, which would compare with any tuple.
+        return not self == other
+
+    def __repr__(self):
+        values = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.fields, self[1:]))
+        return f"{type(self).__name__}({values})"
+
+    def __getnewargs__(self):
+        return self[1:]
 
 
-@dataclass(frozen=True)
-class AdamNode:
+class EveNode(_Node):
+    __slots__ = ()
+    fields = ("nonterminal", "ty")
+
+    def __new__(cls, nonterminal: str, ty: IType):
+        return tuple.__new__(cls, (hash((nonterminal, ty)), nonterminal, ty))
+
+
+class AdamNode(_Node):
     """Eve's move at `nonterminal : ty`: the assumption map, and the rule
     body's derivation under it, which witness extraction reads.  The
-    derivation takes no part in equality, hashing or printing."""
+    derivation, held after the fields, takes no part in equality, hashing
+    or printing."""
 
-    nonterminal: str
-    ty: IType
-    assumption: AssumptionMap
-    derivation: Derivation | None = field(default=None, compare=False,
-                                          repr=False)
+    __slots__ = ()
+    fields = ("nonterminal", "ty", "assumption")
+    derivation = property(itemgetter(4))
+
+    def __new__(cls, nonterminal: str, ty: IType, assumption: AssumptionMap,
+                derivation: Derivation | None = None):
+        return tuple.__new__(cls, (hash((nonterminal, ty, assumption)),
+                                   nonterminal, ty, assumption, derivation))
 
 
-@dataclass(frozen=True)
-class ColorNode:
-    color: Color
-    nonterminal: str
-    ty: IType
+class ColorNode(_Node):
+    __slots__ = ()
+    fields = ("color", "nonterminal", "ty")
+
+    def __new__(cls, color: Color, nonterminal: str, ty: IType):
+        return tuple.__new__(cls, (hash((color, nonterminal, ty)), color,
+                                   nonterminal, ty))
 
 
 GameNode = EveNode | AdamNode | ColorNode
@@ -97,12 +145,13 @@ class ParityGame:
         this call, each node's successors in edge order without repeats."""
         if self.numbering is not None:
             return self.numbering
-        index = {v: i for i, v in enumerate(self.nodes)}
+        nodes, edges = self.nodes, self.edges.get
+        position = dict(zip(nodes, range(len(nodes))))
         return Numbering(
-            [tuple(dict.fromkeys(index[w] for w in self.successors(v)))
-             for v in self.nodes],
-            [self.owner[v] for v in self.nodes],
-            [self.priority[v] for v in self.nodes])
+            [tuple(dict.fromkeys(map(position.__getitem__, edges(v, ()))))
+             for v in nodes],
+            list(map(self.owner.__getitem__, nodes)),
+            list(map(self.priority.__getitem__, nodes)))
 
 
 @dataclass
@@ -148,15 +197,18 @@ def build_game(h: Hors, m: Apt, states=None) -> ParityGame:
     # nodes, and their positions, are made once.
     moves: dict[AssumptionMap, tuple[tuple, tuple]] = {}
 
+    def refuse(v: GameNode, i: int):
+        raise SizeGuardExceeded(
+            f"game nodes (refused {type(v).__name__} {v.nonterminal} : "
+            f"{format_itype(v.ty)})", i + 1, DEFAULT_NODE_LIMIT)
+
     def push(v: GameNode) -> int:
         i = index.get(v)
         if i is not None:
             return i
         i = len(nodes)
         if i >= DEFAULT_NODE_LIMIT:
-            raise SizeGuardExceeded(
-                f"game nodes (refused {type(v).__name__} {v.nonterminal} : "
-                f"{format_itype(v.ty)})", i + 1, DEFAULT_NODE_LIMIT)
+            refuse(v, i)
         index[v] = i
         nodes.append(v)
         return i
@@ -171,17 +223,24 @@ def build_game(h: Hors, m: Apt, states=None) -> ParityGame:
     # `push` appends to `nodes` as the loop walks it, so nodes are expanded
     # in the order they are numbered, and succ[k] belongs to nodes[k].
     for v in nodes:
-        if isinstance(v, EveNode):
-            succs, ws = push_all([AdamNode(v.nonterminal, v.ty, delta, d)
-                                  for delta, d in rule_typings(
-                                      analysis, v.nonterminal, v.ty)])
-        elif isinstance(v, AdamNode):
+        if isinstance(v, AdamNode):
             known = moves.get(v.assumption)
             if known is None:
                 known = moves[v.assumption] = push_all(
                     [ColorNode(c, name, ty) for name, u in v.assumption
                      for c, ty in u.pairs])
             succs, ws = known
+        elif isinstance(v, EveNode):
+            # Each Eve node is expanded once and its maps are distinct, so
+            # its Adam nodes are new: they are appended without a lookup.
+            succs = tuple([AdamNode(v.nonterminal, v.ty, delta, d)
+                           for delta, d in rule_typings(
+                               analysis, v.nonterminal, v.ty)])
+            i = len(nodes)
+            if i + len(succs) > DEFAULT_NODE_LIMIT:
+                refuse(succs[DEFAULT_NODE_LIMIT - i], DEFAULT_NODE_LIMIT)
+            nodes.extend(succs)
+            ws = tuple(range(i, len(nodes)))
         else:
             succs, ws = push_all([EveNode(v.nonterminal, v.ty)])
         edges[v] = succs
@@ -303,7 +362,7 @@ def zielonka(g: ParityGame) -> Solution:
     moves = []
     for x in (0, 1):
         region = dead_won[x] + won[x]
-        regions.append(frozenset(nodes[v] for v in region))
+        regions.append(frozenset(map(nodes.__getitem__, region)))
         moves.append({nodes[v]: nodes[strategy[v]] for v in region
                       if owner[v] == x})
     return Solution(*regions, *moves)

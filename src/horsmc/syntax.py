@@ -190,31 +190,52 @@ class SortError(Exception):
 def infer_sort(t: Term, var_sorts: dict[str, SimpleType],
                nonterminal_sorts: dict[str, SimpleType],
                terminal_arities: dict[str, int]) -> SimpleType:
-    """Sort of a term whose terminal sorts are fixed by their arities."""
-    if isinstance(t, Var):
-        if t.name not in var_sorts:
-            raise SortError(f"unbound variable '{t.name}'")
-        return var_sorts[t.name]
-    if isinstance(t, Terminal):
-        if t.symbol not in terminal_arities:
-            raise SortError(f"unknown terminal '{t.symbol}'")
-        return ground_sort(terminal_arities[t.symbol])
-    if isinstance(t, NonTerminal):
-        if t.name not in nonterminal_sorts:
-            raise SortError(f"unknown nonterminal '{t.name}'")
-        return nonterminal_sorts[t.name]
-    if not isinstance(t, App):
-        raise SortError(f"body not abstraction-free: {t!r} is not an "
-                        "applicative term")
-    fn = infer_sort(t.function, var_sorts, nonterminal_sorts, terminal_arities)
-    arg = infer_sort(t.argument, var_sorts, nonterminal_sorts, terminal_arities)
-    if not isinstance(fn, Arrow):
-        raise SortError(f"applied term of ground sort: {format_term(t)}")
-    if fn.domain != arg:
-        raise SortError(
-            f"argument sort mismatch in {format_term(t)}: expected "
-            f"{format_sort(fn.domain)}, got {format_sort(arg)}")
-    return fn.codomain
+    """Sort of a term whose terminal sorts are fixed by their arities.
+
+    The walk keeps its own stack of open spines, so neither depth nor width
+    meets Python's recursion limit.  A spine's head is sorted first, then
+    each argument in turn, before the application it completes is checked,
+    so the first error met is the one a left-to-right recursion meets."""
+    # Each open spine: its applications still to check, the innermost last,
+    # and the sort of its part checked so far.
+    spines: list[tuple[list[App], SimpleType]] = []
+    while True:
+        apps = []
+        while isinstance(t, App):
+            apps.append(t)
+            t = t.function
+        if isinstance(t, Var):
+            sort = var_sorts.get(t.name)
+            if sort is None:
+                raise SortError(f"unbound variable '{t.name}'")
+        elif isinstance(t, Terminal):
+            if t.symbol not in terminal_arities:
+                raise SortError(f"unknown terminal '{t.symbol}'")
+            sort = ground_sort(terminal_arities[t.symbol])
+        elif isinstance(t, NonTerminal):
+            sort = nonterminal_sorts.get(t.name)
+            if sort is None:
+                raise SortError(f"unknown nonterminal '{t.name}'")
+        else:
+            raise SortError(f"body not abstraction-free: {t!r} is not an "
+                            "applicative term")
+        while not apps:
+            # `sort` is the sort of an argument: check the application it
+            # completes, and go on along that application's spine.
+            if not spines:
+                return sort
+            apps, fn = spines.pop()
+            t = apps.pop()
+            if not isinstance(fn, Arrow):
+                raise SortError(
+                    f"applied term of ground sort: {format_term(t)}")
+            if fn.domain != sort:
+                raise SortError(
+                    f"argument sort mismatch in {format_term(t)}: expected "
+                    f"{format_sort(fn.domain)}, got {format_sort(sort)}")
+            sort = fn.codomain
+        spines.append((apps, sort))
+        t = apps[-1].argument
 
 
 # ---------------------------------------------------------------------------

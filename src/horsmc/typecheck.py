@@ -28,7 +28,9 @@ node whose sets differ only where a subterm does not look reuses that
 subterm's footprints (`_FootprintSearch` gives the argument).  The analysis
 also keeps the assumption map of each requirement set the search has
 found, with its order key, so `rule_typings` builds each distinct map once
-and returns it as one object to every Eve node that has it.
+and returns it as one object to every Eve node that has it.  Each rule's
+search turns each distinct result for its body into moves, sorted by map,
+once (`_FootprintSearch.moves`), and `rule_typings` returns a copy.
 """
 
 from __future__ import annotations
@@ -186,10 +188,13 @@ class _FootprintSearch:
         self.cols = analysis.cols
         self.types = analysis.types
         self.rule = rule
+        self.body = analysis.h.rules[rule].body
+        self.maps = analysis.maps
         self.sort_env: dict[str, SimpleType] = dict(analysis.h.nonterminals)
         self.sort_env.update(analysis.h.rules[rule].binders)
         self.var_env = var_env
         self._memo: dict = {}
+        self._moves: dict = {}  # memo key of the body -> `moves`' result
         self._views = False  # whether the memo keys carry views
         self._sorts: dict = {}
         self._residuals: dict = {}
@@ -199,8 +204,8 @@ class _FootprintSearch:
         """Search on under another environment of the rule's binders.
         Under one environment the views add nothing to the key, so they, and
         the colors that terminal heads read, are computed only once a second
-        one arrives; the entries made so far are then keyed again under the
-        environment they were made in."""
+        one arrives; the entries made so far, and the moves, are then keyed
+        again under the environment they were made in."""
         if var_env != self.var_env and not self._views:
             self._views = True
             state_colors = {self.m.omega[q] for q in self.m.states}
@@ -208,6 +213,8 @@ class _FootprintSearch:
                            for c in self.cols}
             self._memo = {self._key(*key): out
                           for key, out in self._memo.items()}
+            self._moves = {self._key(*key): out
+                           for key, out in self._moves.items()}
         self.var_env = var_env
 
     def sort_of(self, t: Term) -> SimpleType:
@@ -227,6 +234,30 @@ class _FootprintSearch:
         out = self._memo.get(key)
         if out is None:
             self._memo[key] = out = self._search(t, target, c)
+        return out
+
+    def moves(self, target: IType) -> tuple:
+        """The rule body's footprints for `target` at the root, as
+        (assumption map, derivation) pairs in map order.  They are made
+        once per memo entry of the body, under the same key, since the
+        footprints depend on nothing else; each requirement set's map is
+        made once per analysis (`maps`)."""
+        body = self.body
+        key = (self._key(body, target, EPSILON) if self._views
+               else (body, target, EPSILON))
+        out = self._moves.get(key)
+        if out is None:
+            keyed = []
+            for req, d in self.search(body, target, EPSILON):
+                km = self.maps.get(req)
+                if km is None:
+                    delta = assumptions_from(req)
+                    km = self.maps[req] = (
+                        tuple((n, u.key) for n, u in delta), delta)
+                keyed.append((km, d))
+            keyed.sort(key=lambda kd: kd[0][0])
+            out = self._moves[key] = tuple([(delta, d)
+                                            for (_, delta), d in keyed])
         return out
 
     def _key(self, t: Term, target: IType, c: Color) -> tuple:
@@ -394,7 +425,8 @@ def rule_typings(analysis: Analysis, name: str, theta: IType
     `theta`'s argument sets type the rule binders positionally.  The rule's
     footprint search and the maps are the analysis's, so calls on one
     analysis share them, and return equal maps as one object; a fresh
-    `Analysis` searches from scratch.
+    `Analysis` searches from scratch.  Each call returns a new list, so a
+    caller that changes it changes no later result.
     """
     rule = analysis.h.rules[name]
     arg_sets, result = split_chain(theta)
@@ -406,13 +438,4 @@ def rule_typings(analysis: Analysis, name: str, theta: IType
         search = analysis.searches[name] = _FootprintSearch(analysis, name,
                                                             var_env)
     search.rebind(var_env)
-    out = []
-    for req, d in search.search(rule.body, result, EPSILON):
-        keyed = analysis.maps.get(req)
-        if keyed is None:
-            delta = assumptions_from(req)
-            keyed = analysis.maps[req] = (
-                tuple((n, u.key) for n, u in delta), delta)
-        out.append((keyed, d))
-    out.sort(key=lambda kd: kd[0][0])
-    return [(delta, d) for (_, delta), d in out]
+    return list(search.moves(result))

@@ -129,6 +129,21 @@ MUTANTS = [
            "if False:",
            ("tests/test_syntax.py::"
             "test_substitution_under_a_binder_renames_it",)),
+    Mutant("moves-cache-keyed-without-view", "typecheck.py",
+           "key = (self._key(body, target, EPSILON) if self._views\n"
+           "               else (body, target, EPSILON))",
+           "key = (body, target, EPSILON)",
+           ("tests/test_typecheck.py::"
+            "test_shared_memo_matches_fresh_on_fixture_games",
+            "tests/test_typecheck.py::"
+            "test_eve_nodes_with_one_body_view_share_their_moves",
+            "tests/test_game.py::TestBuildGame::"
+            "test_order2_unary_game_is_pinned")),
+    Mutant("bulk-append-without-node-limit", "game.py",
+           "if i + len(succs) > DEFAULT_NODE_LIMIT:",
+           "if False:",
+           ("tests/test_cli.py::TestSizeGuard::"
+            "test_node_guard_names_the_refused_node",)),
     Mutant("interned-values-never-stored", "syntax.py",
            "v = cls._table.setdefault(values, v)",
            "pass",

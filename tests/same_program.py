@@ -1,0 +1,77 @@
+"""Same-program check: two checkouts give byte-identical CLI output.
+
+For every pair of a scheme and an automaton in `horsbench/fixtures` (42
+pairs), it runs `check`, `states`, `select`, `verify` and `dump-game` with
+their default options, at `PYTHONHASHSEED=0`, once with this checkout's
+`src/` and once with the other checkout's, and compares exit codes, stdout
+and stderr.  Both sides read the fixtures of this checkout, from inside
+their directory, so the file names in messages agree.  Run from anywhere:
+
+    python tests/same_program.py OTHER_CHECKOUT
+
+It prints each case that differs and exits 1 on any difference, 0 when
+every case agrees.  pytest does not collect this file; `test_same_program.py`
+checks, in tier-1, that the case list covers every pair and command.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "horsbench" / "fixtures"
+COMMANDS = ("check", "states", "select", "verify", "dump-game")
+WORKERS = 2  # child processes at a time
+TIMEOUT_S = 600
+
+
+def cases() -> list[tuple[str, str, str]]:
+    """(command, scheme, automaton) for each command on each fixture pair,
+    the files named inside `FIXTURES`."""
+    schemes = sorted(p.name for p in FIXTURES.glob("*.hors"))
+    automata = sorted(p.name for p in FIXTURES.glob("*.apt"))
+    return [(command, scheme, apt) for scheme in schemes for apt in automata
+            for command in COMMANDS]
+
+
+def run(checkout: Path, case: tuple[str, str, str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one case under `checkout`'s code."""
+    r = subprocess.run(
+        [sys.executable, "-m", "horsmc.cli", *case], cwd=FIXTURES,
+        env={**os.environ, "PYTHONHASHSEED": "0",
+             "PYTHONPATH": str(checkout / "src")},
+        capture_output=True, text=True, timeout=TIMEOUT_S)
+    return r.returncode, r.stdout, r.stderr
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1 or not (Path(argv[0]) / "src" / "horsmc").is_dir():
+        print(__doc__.strip().splitlines()[0])
+        print("usage: python tests/same_program.py OTHER_CHECKOUT")
+        return 2
+    other = Path(argv[0]).resolve()
+    todo = cases()
+    with ThreadPoolExecutor(WORKERS) as pool:
+        mine = list(pool.map(lambda case: run(ROOT, case), todo))
+        theirs = list(pool.map(lambda case: run(other, case), todo))
+    differ = 0
+    for case, a, b in zip(todo, mine, theirs):
+        if a != b:
+            differ += 1
+            print(f"DIFFERS {' '.join(case)}: exit {a[0]} here, {b[0]} "
+                  f"there; stdout {'same' if a[1] == b[1] else 'differs'}, "
+                  f"stderr {'same' if a[2] == b[2] else 'differs'}")
+    codes: dict[int, int] = {}
+    for code, _, _ in mine:
+        codes[code] = codes.get(code, 0) + 1
+    print(f"{len(todo)} cases, {differ} differ; exit codes here: "
+          + ", ".join(f"{n} exit {c}" for c, n in sorted(codes.items())))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

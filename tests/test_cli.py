@@ -285,6 +285,29 @@ start: S
 rules:
   S = """ + "a (" * 600 + "c" + ")" * 600 + "\n"
 
+WIDE_BODY_HORS = """\
+terminals:
+  a : 2000
+  c : 0
+nonterminals:
+  S : o
+start: S
+rules:
+  S = a""" + " c" * 2000 + "\n"
+
+DEEP_SORT_HORS = """\
+terminals:
+  a : 1
+  c : 0
+nonterminals:
+  S : o
+  F : """ + "(" * 600 + "o -> o" + ")" * 600 + """
+start: S
+rules:
+  S = F c
+  F x = a x
+"""
+
 
 def flat_formula(n: int) -> str:
     return " /\\ ".join(["(1,q)"] * n)
@@ -302,16 +325,21 @@ def alternating_formula(n: int) -> str:
 class TestNoRecursionLimit:
     """Inputs that once reached Python's recursion limit end normally."""
 
-    @pytest.mark.parametrize("argv, text, want", [
-        (["check"], flat_formula(3000), "ACCEPT\n"),
-        (["check"], "(" * 600 + flat_formula(2) + ")" * 600, "ACCEPT\n"),
-        (["check"], alternating_formula(600), "ACCEPT\n"),
-        (["unfold", "-d", "3"], None, "(a (a (a _|_)))\n"),
+    @pytest.mark.parametrize("argv, hors, text, want", [
+        (["check"], LOOP_HORS, flat_formula(3000), "ACCEPT\n"),
+        (["check"], LOOP_HORS, "(" * 600 + flat_formula(2) + ")" * 600,
+         "ACCEPT\n"),
+        (["check"], LOOP_HORS, alternating_formula(600), "ACCEPT\n"),
+        (["unfold", "-d", "3"], DEEP_BODY_HORS, None, "(a (a (a _|_)))\n"),
+        (["unfold", "-d", "2"], WIDE_BODY_HORS, None,
+         "(a" + " (c)" * 2000 + ")\n"),
+        (["unfold", "-d", "3"], DEEP_SORT_HORS, None, "(a (c))\n"),
     ], ids=["flat-conjunction-3000", "formula-in-600-parentheses",
-            "formula-of-600-alternating-groups", "body-600-parentheses-deep"])
-    def test_ends_normally(self, tmp_path, capsys, argv, text, want):
+            "formula-of-600-alternating-groups", "body-600-parentheses-deep",
+            "body-of-arity-2000", "sort-in-600-parentheses"])
+    def test_ends_normally(self, tmp_path, capsys, argv, hors, text, want):
         scheme = tmp_path / "s.hors"
-        scheme.write_text(LOOP_HORS if text else DEEP_BODY_HORS)
+        scheme.write_text(hors)
         paths = [str(scheme)]
         if text:
             apt = tmp_path / "s.apt"

@@ -2,7 +2,7 @@ import pytest
 
 import random
 
-from horsmc import (Atom, FALSE, FAnd, FOr, GROUND, TRUE, Terminal,
+from horsmc import (Arrow, Atom, FALSE, FAnd, FOr, GROUND, TRUE, Terminal,
                     check_wellformed, conj, disj, extract_scheme,
                     format_formula, unfold)
 from horsmc.formats import (ParseError, parse_annotated, parse_apt,
@@ -68,6 +68,22 @@ class TestHorsFormat:
         from horsmc import Arrow
         assert parse_sort("o -> o -> o") == Arrow(GROUND, Arrow(GROUND, GROUND))
         assert parse_sort("(o -> o) -> o") == Arrow(Arrow(GROUND, GROUND), GROUND)
+
+    def test_deep_and_long_sorts(self):
+        # Parentheses nest, and arrows chain, past Python's recursion limit.
+        oo = Arrow(GROUND, GROUND)
+        assert parse_sort("(" * 600 + "o -> o" + ")" * 600) == oo
+        assert parse_sort("(" * 600 + "o" + ")" * 600 + " -> o") == oo
+        long = parse_sort(" -> ".join(["o"] * 3000))
+        for _ in range(2999):
+            assert long.domain == GROUND
+            long = long.codomain
+        assert long == GROUND
+        nested = parse_sort("(o -> " * 3000 + "o" + ")" * 3000)
+        for _ in range(3000):
+            assert nested.domain == GROUND
+            nested = nested.codomain
+        assert nested == GROUND
 
     def test_unknown_name_is_positioned(self):
         bad = EX1_HORS.replace("L (data x)", "L (bogus x)")

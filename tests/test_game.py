@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 from collections import Counter
 
@@ -7,8 +8,8 @@ import pytest
 from horsmc import (ADAM, AdamNode, Apt, ColorNode, EVE, EveNode,
                     ParityGame, Solution, SizeGuardExceeded, StateType,
                     accepted_states, build_game, check_adam_strategy,
-                    check_eve_strategy, extract_scheme, subtype, Terminal,
-                    to_dot, unfold, zielonka)
+                    check_eve_strategy, colored_set, extract_scheme,
+                    subtype, Terminal, to_dot, unfold, zielonka)
 from horsmc import game
 from horsmc.formats import print_annotated
 from horsmc.oracles import run_search, solve_brute
@@ -128,6 +129,50 @@ class TestBuildGame:
                  for _ in range(50)]
         assert solution_digest([(g, zielonka(g)) for g in games]) == (
             "3c2ac2a3dfb46cfbefc52b2b384654a95cef25daeb52af6f913b5bb5513fd347")
+
+
+class TestNodes:
+    def test_fields_cannot_be_assigned(self):
+        ty = StateType("q")
+        adam = AdamNode("S", ty, (), DDelta(Terminal("c"), ty))
+        for v, name in [(EveNode("S", ty), "ty"), (adam, "assumption"),
+                        (adam, "derivation"),
+                        (ColorNode(0, "S", ty), "color")]:
+            with pytest.raises(AttributeError):
+                setattr(v, name, None)
+            with pytest.raises(AttributeError):
+                v.extra = None
+        assert adam.assumption == () and adam.derivation is not None
+
+    def test_equal_only_to_a_node_of_its_class_with_equal_fields(self):
+        ty = StateType("q")
+        eve = EveNode("S", ty)
+        assert eve == EveNode("S", ty) and hash(eve) == hash(EveNode("S", ty))
+        assert eve != ("S", ty) and not eve == ("S", ty)
+        assert eve != ColorNode(0, "S", ty) and eve != EveNode("T", ty)
+        assert AdamNode("S", ty, ()) != EveNode("S", ty)
+        assert len({eve, EveNode("S", ty), ColorNode(-1, "S", ty)}) == 2
+
+    def test_reprs_are_pinned(self):
+        ty = StateType("q")
+        adam = AdamNode("S", ty, (("F", colored_set([(0, ty)])),),
+                        DDelta(Terminal("c"), ty))
+        assert repr(EveNode("S", ty)) == (
+            "EveNode(nonterminal='S', ty=StateType('q'))")
+        assert repr(adam) == (
+            "AdamNode(nonterminal='S', ty=StateType('q'), assumption=(('F', "
+            "ColoredSet(((0, StateType('q')),))),))")
+        assert repr(ColorNode(-1, "S", ty)) == (
+            "ColorNode(color=-1, nonterminal='S', ty=StateType('q'))")
+
+    def test_pickling_keeps_the_fields_and_the_derivation(self):
+        ty = StateType("q")
+        for v in (EveNode("S", ty), ColorNode(0, "S", ty),
+                  AdamNode("S", ty, (), DDelta(Terminal("c"), ty))):
+            back = pickle.loads(pickle.dumps(v))
+            assert type(back) is type(v) and back == v
+            assert getattr(back, "derivation", None) == getattr(
+                v, "derivation", None)
 
 
 class TestNumbering:

@@ -116,6 +116,33 @@ class TestCheckWellformed:
         assert any("no rule" in d for d in diags)
         assert any("S" in d and "sort" in d for d in diags)
 
+    def test_first_sort_error_left_to_right(self):
+        # The function part is checked before the argument: its error is the
+        # one reported, though the argument has one too.
+        body = apply(Terminal("a"), apply(Terminal("c"), Terminal("c")),
+                     Var("y"))
+        h = Hors(terminals={"a": 2, "c": 0}, nonterminals={"S": GROUND},
+                 rules={"S": Rule((), body)}, start="S")
+        assert check_wellformed(h) == [
+            "rule 'S': applied term of ground sort: c c"]
+        h.rules["S"] = Rule((), apply(Terminal("a"), Terminal("c"),
+                                      Terminal("a")))
+        assert check_wellformed(h) == [
+            "rule 'S': argument sort mismatch in a c a: expected o, "
+            "got o -> o -> o"]
+
+    def test_deep_and_wide_bodies(self):
+        # Sorts are inferred past Python's recursion limit.
+        deep = Terminal("c")
+        for _ in range(5000):
+            deep = apply(Terminal("a"), deep)
+        wide = apply(Terminal("w"), *[Terminal("c")] * 5000)
+        for body in (deep, wide):
+            h = Hors(terminals={"a": 1, "c": 0, "w": 5000},
+                     nonterminals={"S": GROUND},
+                     rules={"S": Rule((), body)}, start="S")
+            assert check_wellformed(h) == []
+
 
 class TestUnfold:
     def test_depth_two_prefix(self, ex1):

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import gc
 import itertools
+import operator
 import random
 from collections import Counter
 from unittest import mock
@@ -614,6 +615,34 @@ def test_shared_memo_searches_each_residual_once(monkeypatch):
         if isinstance(v, EveNode):
             rule_typings(Analysis(h, m), v.nonterminal, v.ty)
     assert (calls[body], calls[a_f]) == (256, 256)
+
+
+def test_eve_nodes_with_one_body_view_share_their_moves():
+    # The 256 Eve nodes A : U -> q read U through 16 residuals (above).
+    # Through one analysis, the nodes of one residual get equal moves, the
+    # very pairs made once for it; each call returns a list of its own, so
+    # a caller that empties one changes no later result.
+    h, m = order2_unary_scheme(), order2_unary_apt(0)
+    g, _ = solve_cached(h, m, "q")
+    analysis = Analysis(h, m)
+    groups: list[list] = []
+    for v in g.nodes:
+        if isinstance(v, EveNode) and v.nonterminal == "A":
+            got = rule_typings(analysis, "A", v.ty)
+            group = next((gr for gr in groups if gr[0][1] == got), None)
+            if group is None:
+                groups.append([(v, got)])
+            else:
+                assert all(map(operator.is_, group[0][1], got)), v
+                group.append((v, got))
+    assert sorted(map(len, groups)) == [16] * 16
+    (v, first), (w, second) = groups[0][:2]
+    assert first is not second
+    kept = list(first)
+    first.clear()
+    second.append(None)
+    assert rule_typings(analysis, "A", v.ty) == kept
+    assert rule_typings(analysis, "A", w.ty) == kept
 
 
 def test_equal_maps_are_one_object(fixture_games):
