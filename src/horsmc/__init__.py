@@ -2,10 +2,9 @@
 parity tree automata, through a finite game over colored intersection-type
 sequents, with extraction of schemes generating accepting run-trees."""
 
-from .automata import (Apt, Atom, Clause, ColoredProfile, EPSILON, FALSE,
-                       Formula, TRUE, FAnd, FOr, atoms_of, color_set, conj,
-                       disj, dnf, format_color, format_formula, satisfies,
-                       sorted_dnf)
+from .automata import (Apt, Atom, Clause, EPSILON, FALSE, Formula, Profile,
+                       TRUE, FAnd, FOr, atoms_of, color_set, conj, disj, dnf,
+                       format_color, format_formula, satisfies, sorted_dnf)
 from .formats import AnnotatedHors
 from .game import (ADAM, AdamNode, ColorNode, EVE, EveNode, GameNode,
                    ParityGame, Solution, accepted_states, build_game,

@@ -238,12 +238,12 @@ def color_set(m: Apt) -> tuple[Color, ...]:
     return tuple(sorted(cols))
 
 
-# A colored profile for an arity-n symbol: one set of (color, state) pairs
-# per direction.
-ColoredProfile = tuple[frozenset[tuple[Color, str]], ...]
+# A colored profile for an arity-n symbol: per direction, the (color, state)
+# pairs it offers.
+Profile = tuple[tuple[tuple[Color, str], ...], ...]
 
 
-def satisfies(alpha: ColoredProfile, q: str, a: str, m: Apt) -> bool:
+def satisfies(alpha: Profile, q: str, a: str, m: Apt) -> bool:
     """Does the profile satisfy the transition formula for (q, a)?
 
     True when some clause of the DNF is covered: for each atom (k, q') of

@@ -23,9 +23,10 @@ import re
 from dataclasses import dataclass
 from typing import NoReturn
 
-from .automata import (Apt, Atom, Color, EPSILON, FALSE, Formula, TRUE, conj,
-                       disj, format_color, format_formula)
-from .itypes import ArrowType, IType, StateType, colored_set, format_itype
+from .automata import (Apt, Atom, EPSILON, FALSE, Formula, Profile, TRUE,
+                       conj, disj, format_color, format_formula)
+from .itypes import (ArrowType, ColoredSet, IType, StateType, colored_set,
+                     format_itype)
 from .syntax import (Arrow, GROUND, Hors, NonTerminal, Rule, SimpleType, Term,
                      Terminal, TreePrefix, Var, apply, format_sort,
                      format_term, format_tree)
@@ -407,10 +408,6 @@ def print_apt(m: Apt) -> str:
 # ---------------------------------------------------------------------------
 # Annotated schemes
 
-# Per-direction colored profile over ground states.
-Profile = tuple[tuple[tuple[Color, str], ...], ...]
-
-
 @dataclass
 class AnnotatedHors:
     """A scheme over the annotated alphabet, plus decoding tables.
@@ -445,32 +442,42 @@ def _parse_color(text: str):
 
 def parse_itype(text: str, lineno: int = 0, offset: int = 0) -> IType:
     """`offset` is the index of `text` in its line: errors carry 1-based
-    columns."""
+    columns.  The reader keeps its open sets on a list, so no nesting
+    depth meets Python's recursion limit."""
     cur = _Tokens(text, _TYPE_TOKEN, lineno, offset)
-
-    def itype() -> IType:
+    # Open sets, innermost last: a list of the pairs read so far, ending in
+    # the color whose type is being read, or a set awaiting its result.
+    groups: list[list | ColoredSet] = []
+    while True:
+        # A type starts here.
         tok, col = cur.take()
         if tok == "{":
-            pairs = []
-            while cur.peek() not in ("}", None):
-                c, c_col = cur.take()
-                m = _COLOR_DOT.fullmatch(c)
-                if not m:
-                    cur.fail("'color.type' expected", c_col)
-                pairs.append((_parse_color(m.group(1)), itype()))
-                if cur.peek() == ",":
-                    cur.take()
-            if cur.take()[0] is None:
-                cur.fail("'}' expected in type")
-            if cur.peek() != "->":
-                cur.fail("'->' expected in type")
-            cur.take()
-            return ArrowType(colored_set(pairs), itype())
-        if tok is None or not _IDENT.fullmatch(tok):
+            groups.append([])
+        elif tok is None or not _IDENT.fullmatch(tok):
             cur.fail("state expected in type", col)
-        return StateType(tok)
-
-    t = itype()
+        else:
+            t = StateType(tok)
+            while groups and isinstance(groups[-1], ColoredSet):
+                t = ArrowType(groups.pop(), t)
+            if not groups:
+                break
+            groups[-1][-1] = (groups[-1][-1], t)
+            if cur.peek() == ",":
+                cur.take()
+        # Inside the innermost open set: its next color, or its end.
+        if cur.peek() not in ("}", None):
+            c, c_col = cur.take()
+            m = _COLOR_DOT.fullmatch(c)
+            if not m:
+                cur.fail("'color.type' expected", c_col)
+            groups[-1].append(_parse_color(m.group(1)))
+            continue
+        if cur.take()[0] is None:
+            cur.fail("'}' expected in type")
+        if cur.peek() != "->":
+            cur.fail("'->' expected in type")
+        cur.take()
+        groups[-1] = colored_set(groups[-1])
     tok, col = cur.take()
     if tok is not None:
         cur.fail(f"trailing type text {text[col - offset - 1:]!r}", col)

@@ -19,12 +19,12 @@ Adam nodes are new: they are appended in one step, without a lookup.  An
 Adam node's moves depend on its assumption map alone, and the maps are one
 object per distinct map (`typecheck.Analysis`), so the Adam nodes of one
 map share one tuple of color nodes.  Every edge leads to the node object
-held in `nodes`, so the game holds one object per node.  `zielonka` solves
-the game over the numbering (attractor recursion, memoryless strategies for
-both players) and keeps its recursion on an explicit stack, so Python's
-recursion limit bounds no game.
-`check_eve_strategy` and `check_adam_strategy` check either player's
-strategy by graph traversal alone.
+held in `nodes`, so the game holds one object per node.  Every algorithm
+here walks the numbering: `zielonka` solves the game (attractor recursion,
+memoryless strategies for both players) on an explicit stack, so Python's
+recursion limit bounds no game; `check_eve_strategy` and
+`check_adam_strategy` check either player's strategy by graph traversal
+alone, sharing nothing with `zielonka`; `to_dot` prints from positions.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ class Numbering(NamedTuple):
 class ParityGame:
     """Max-parity game; dead ends lose for their owner.  `build_game` also
     records the game's `numbering`; a game built from its mappings alone
-    has none, and `numbered` derives one each time it is asked."""
+    records one when first asked (`numbered`), and is not changed after."""
 
     nodes: tuple
     owner: dict
@@ -141,17 +141,18 @@ class ParityGame:
         return self.edges.get(v, ())
 
     def numbered(self) -> Numbering:
-        """The recorded numbering, or else one derived from the mappings on
-        this call, each node's successors in edge order without repeats."""
-        if self.numbering is not None:
-            return self.numbering
-        nodes, edges = self.nodes, self.edges.get
-        position = dict(zip(nodes, range(len(nodes))))
-        return Numbering(
-            [tuple(dict.fromkeys(map(position.__getitem__, edges(v, ()))))
-             for v in nodes],
-            list(map(self.owner.__getitem__, nodes)),
-            list(map(self.priority.__getitem__, nodes)))
+        """The recorded numbering.  A game built from its mappings alone
+        records one on the first call, each node's successors in edge order
+        without repeats."""
+        if self.numbering is None:
+            nodes, edges = self.nodes, self.edges.get
+            position = dict(zip(nodes, range(len(nodes))))
+            self.numbering = Numbering(
+                [tuple(dict.fromkeys(map(position.__getitem__, edges(v, ()))))
+                 for v in nodes],
+                list(map(self.owner.__getitem__, nodes)),
+                list(map(self.priority.__getitem__, nodes)))
+        return self.numbering
 
 
 @dataclass
@@ -261,13 +262,13 @@ def zielonka(g: ParityGame) -> Solution:
 
     It reads the game's `numbered()` form, which numbers each node by its
     position in `g.nodes`: `build_game` recorded it, and a game built from
-    its mappings alone is numbered here.  A subgame is a `bytearray` mask
-    over those numbers, and each tie is broken by the least number:
-    attractors start from their seeds in that order and search predecessors
-    in that order, and a top-priority node of the player with no move yet
-    takes its least successor in the subgame.  The second recursive call of
-    the algorithm is a loop and the first one runs on an explicit stack, so
-    no game is too deep for Python's recursion limit.
+    its mappings alone records it on its first call.  A subgame is a
+    `bytearray` mask over those numbers, and each tie is broken by the least
+    number: attractors start from their seeds in that order and search
+    predecessors in that order, and a top-priority node of the player with
+    no move yet takes its least successor in the subgame.  The second
+    recursive call of the algorithm is a loop and the first one runs on an
+    explicit stack, so no game is too deep for Python's recursion limit.
     """
     nodes = g.nodes
     n = len(nodes)
@@ -371,104 +372,81 @@ def zielonka(g: ParityGame) -> Solution:
 # ---------------------------------------------------------------------------
 # Strategy self-check and acceptance
 
-def _sccs(vertices: list, succs) -> list[list]:
-    """Tarjan's strongly connected components, iteratively."""
-    indexof: dict = {}
-    low: dict = {}
-    onstack: set = set()
-    stack: list = []
-    out: list[list] = []
-    counter = [0]
-    for root in vertices:
-        if root in indexof:
-            continue
-        work = [(root, iter(succs(root)))]
-        indexof[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        onstack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in indexof:
-                    indexof[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(succs(w))))
-                    advanced = True
-                    break
-                if w in onstack:
-                    low[v] = min(low[v], indexof[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == indexof[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(comp)
-    return out
-
-
-def _strategy_wins(g: ParityGame, region, strategy: dict,
-                   player: int) -> bool:
+def _region_won(g: ParityGame, region, strategy: dict, player: int) -> bool:
     """`strategy` wins every play from `region` for `player`: each of the
     player's nodes there moves along one of its edges and stays inside, the
     opponent cannot leave, and every cycle the strategy allows has a maximal
-    priority of the player's parity.  Pure graph traversal, no game
-    semantics.  Priority p favours player p & 1."""
-    moves: dict = {}
+    priority of the player's parity.  Pure graph traversal over the game's
+    numbering, no game semantics.  Priority p favours player p & 1."""
+    succ, owner, prio = g.numbered()
+    n = len(succ)
+    position = dict(zip(g.nodes, range(n)))
+    inside = bytearray(n)
     for v in region:
-        if g.owner[v] == player:
-            w = strategy.get(v)
-            if w not in region or w not in g.successors(v):
+        inside[position[v]] = 1
+    moves: dict[int, tuple[int, ...]] = {}
+    for v in region:
+        i = position[v]
+        ws = succ[i]
+        if owner[i] == player:
+            ws = (position.get(strategy.get(v)),)
+            if ws[0] not in succ[i] or not inside[ws[0]]:
                 return False
-            moves[v] = (w,)
-        else:
-            moves[v] = g.successors(v)
-            if any(w not in region for w in moves[v]):
-                return False
-    # Every cycle lies in one strongly connected component.  When the
-    # component's top priority favours the player, a losing cycle avoids
-    # the top nodes, so the rest of the component is searched again;
-    # otherwise a cycle through a top node loses.
-    parts = [[v for v in g.nodes if v in region]]
+        elif not all(map(inside.__getitem__, ws)):
+            return False
+        moves[i] = ws
+    # Every cycle lies in one strongly connected component (Tarjan's, on an
+    # explicit stack).  When a component's top priority favours the player,
+    # a losing cycle avoids the top nodes, so the rest of the component is
+    # searched again as a part of its own; otherwise a cycle through a top
+    # node loses.  A node's index is -1 while its part is searched and
+    # unvisited, its place on `stack` while there, and n otherwise.
+    index = [n] * n
+    low = [0] * n
+    parts = [list(moves)]
     while parts:
         part = parts.pop()
-        inside = set(part)
-
-        def succs(v, inside=inside):
-            return [w for w in moves[v] if w in inside]
-
-        for comp in _sccs(part, succs):
-            if len(comp) == 1 and comp[0] not in succs(comp[0]):
-                continue
-            top = max(g.priority[v] for v in comp)
-            if top % 2 != player:
-                return False
-            rest = [v for v in comp if g.priority[v] != top]
-            if rest:
-                parts.append(rest)
+        for v in part:
+            index[v] = -1
+        stack: list[int] = []
+        for root in part:
+            work = [(root, None)] if index[root] < 0 else []
+            while work:
+                v, it = work.pop()
+                if it is None:
+                    index[v] = low[v] = len(stack)
+                    stack.append(v)
+                    it = iter(moves[v])
+                for w in it:
+                    if index[w] < 0:
+                        work += [(v, it), (w, None)]
+                        break
+                    if index[w] < low[v]:
+                        low[v] = index[w]
+                else:
+                    if work and low[v] < low[work[-1][0]]:
+                        low[work[-1][0]] = low[v]
+                    if low[v] < index[v]:
+                        continue
+                    comp = stack[index[v]:]
+                    del stack[index[v]:]
+                    for w in comp:
+                        index[w] = n
+                    top = max(map(prio.__getitem__, comp))
+                    if top % 2 != player and (len(comp) > 1 or v in moves[v]):
+                        return False
+                    parts.append([w for w in comp if prio[w] != top])
     return True
 
 
 def check_eve_strategy(g: ParityGame, sol: Solution) -> bool:
     """Eve's strategy wins every play from her region."""
-    return _strategy_wins(g, sol.win_eve, sol.strategy_eve, EVE)
+    return _region_won(g, sol.win_eve, sol.strategy_eve, EVE)
 
 
 def check_adam_strategy(g: ParityGame, sol: Solution) -> bool:
     """Adam's strategy wins every play from his region."""
-    return _strategy_wins(g, sol.win_adam, sol.strategy_adam, ADAM)
+    return _region_won(g, sol.win_adam, sol.strategy_adam, ADAM)
 
 
 def accepted_states(h: Hors, m: Apt) -> set[str]:
@@ -494,15 +472,14 @@ def node_label(v: GameNode) -> str:
 def to_dot(g: ParityGame) -> str:
     """Graphviz rendering: Eve nodes are ellipses, Adam nodes boxes; every
     label carries the node's priority."""
-    ids = {v: f"n{i}" for i, v in enumerate(g.nodes)}
+    succ, owner, prio = g.numbered()
     lines = ["digraph game {", "  node [fontname=\"monospace\"];"]
-    for v in g.nodes:
-        shape = "box" if g.owner[v] == ADAM else "ellipse"
-        text = f"{node_label(v)}\\np={g.priority[v]}"
+    for i, v in enumerate(g.nodes):
+        shape = "box" if owner[i] == ADAM else "ellipse"
+        text = f"{node_label(v)}\\np={prio[i]}"
         extra = " penwidth=2" if v == g.initial else ""
-        lines.append(f"  {ids[v]} [label=\"{text}\", shape={shape}{extra}];")
-    for v in g.nodes:
-        for w in g.successors(v):
-            lines.append(f"  {ids[v]} -> {ids[w]};")
+        lines.append(f"  n{i} [label=\"{text}\", shape={shape}{extra}];")
+    for i, ws in enumerate(succ):
+        lines.extend(f"  n{i} -> n{j};" for j in ws)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -13,8 +13,8 @@ game, are the objects the game's construction made.
 
 from __future__ import annotations
 
-from .automata import Apt, Color, color_set, format_color, satisfies
-from .syntax import Ground, Interned, SimpleType, format_sort
+from .automata import Apt, Color, Profile, color_set, format_color, satisfies
+from .syntax import Arrow, Ground, Interned, SimpleType, format_sort
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +99,12 @@ def format_cset(u: ColoredSet) -> str:
 # Enumeration with a size guard
 
 class SizeGuardExceeded(Exception):
-    def __init__(self, what: str, count: int, bound: int):
-        super().__init__(f"{what}: {count} candidates exceed the limit {bound}")
+    """`count` is None when the candidates were not counted past `bound`."""
+
+    def __init__(self, what: str, count: int | None, bound: int):
+        counted = ("more candidates than" if count is None
+                   else f"{count} candidates exceed")
+        super().__init__(f"{what}: {counted} the limit {bound}")
         self.what = what
         self.count = count
         self.bound = bound
@@ -109,22 +113,34 @@ class SizeGuardExceeded(Exception):
 DEFAULT_ENUM_LIMIT = 2 ** 20
 
 
-def count_types(sigma: SimpleType, m: Apt) -> int:
-    """Cardinality of the type space at a sort, without materializing it."""
-    if isinstance(sigma, Ground):
-        return len(m.states)
-    ncol = len(color_set(m))
-    return 2 ** (ncol * count_types(sigma.domain, m)) * count_types(sigma.codomain, m)
+def count_types(sigma: SimpleType, m: Apt) -> int | None:
+    """Cardinality of the type space at a sort, without materializing it.
+
+    Each argument sort contributes 2 ** (colors * its own count) colored
+    sets.  The count stops, returning None, at an argument once the count
+    so far or the argument sort's count is past `DEFAULT_ENUM_LIMIT`, so no
+    count past the limit is raised to a power or multiplied again; a count
+    at or below the limit is exact."""
+    ncol, n = len(color_set(m)), 1
+    while isinstance(sigma, Arrow):
+        if n > DEFAULT_ENUM_LIMIT:
+            return None
+        d = count_types(sigma.domain, m)
+        if d is None or d > DEFAULT_ENUM_LIMIT:
+            return None
+        n *= 2 ** (ncol * d)
+        sigma = sigma.codomain
+    return n * len(m.states)
 
 
 def enumerate_types(sigma: SimpleType, m: Apt) -> list[IType]:
     """All canonical types of a sort, in a deterministic order.
 
-    Refuses (with the computed cardinality) when the space is larger than
-    `DEFAULT_ENUM_LIMIT`.
+    Refuses when the space is larger than `DEFAULT_ENUM_LIMIT`, with its
+    cardinality when `count_types` computed it.
     """
     n = count_types(sigma, m)
-    if n > DEFAULT_ENUM_LIMIT:
+    if n is None or n > DEFAULT_ENUM_LIMIT:
         raise SizeGuardExceeded(f"type space at sort {format_sort(sigma)}",
                                 n, DEFAULT_ENUM_LIMIT)
     if isinstance(sigma, Ground):
@@ -167,24 +183,26 @@ def subtype_set(u: ColoredSet, v: ColoredSet) -> bool:
 # ---------------------------------------------------------------------------
 # Terminal types
 
-def is_terminal_type(a: str, t: IType, m: Apt) -> bool:
-    """Membership of an arrow chain in the denotation of a terminal.
+def profile_of(sets: list[ColoredSet]) -> Profile | None:
+    """Per direction, the (color, state) pairs of a terminal's argument
+    sets; None when an entry is not ground."""
+    profile = []
+    for u in sets:
+        profile.append(tuple([(c, ty.state) for c, ty in u.pairs
+                              if isinstance(ty, StateType)]))
+        if len(profile[-1]) < len(u.pairs):
+            return None
+    return tuple(profile)
 
-    The chain's argument sets, restricted to ground entries, must form a
-    profile satisfying the transition formula at the chain's result state.
-    Non-ground entries make the membership false.
-    """
+
+def is_terminal_type(a: str, t: IType, m: Apt) -> bool:
+    """Membership of an arrow chain in the denotation of a terminal: the
+    chain's argument sets form a profile (all entries ground) that satisfies
+    the transition formula at the chain's result state."""
     arity = m.terminals[a]
     sets, result = split_chain(t)
     if len(sets) != arity:
         raise ValueError(f"type of {len(sets)} arguments for terminal '{a}' "
                          f"of arity {arity}")
-    profile = []
-    for u in sets:
-        entries = set()
-        for c, ty in u:
-            if not isinstance(ty, StateType):
-                return False
-            entries.add((c, ty.state))
-        profile.append(frozenset(entries))
-    return satisfies(tuple(profile), result.state, a, m)
+    profile = profile_of(sets)
+    return profile is not None and satisfies(profile, result.state, a, m)

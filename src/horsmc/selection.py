@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .automata import Apt, Color, EPSILON, format_color, satisfies
-from .formats import (AnnotatedHors, Profile, nonterminal_symbol,
-                      terminal_symbol)
+from .automata import Apt, Color, EPSILON, Profile, format_color, satisfies
+from .formats import AnnotatedHors, nonterminal_symbol, terminal_symbol
 from .game import AdamNode, EveNode, Solution
-from .itypes import ColoredSet, IType, StateType, split_chain, subtype
+from .itypes import IType, StateType, profile_of, split_chain, subtype
 from .syntax import (App, DEFAULT_STEP_BUDGET, GROUND, Hors, NonTerminal,
                      Rule, SimpleType, Term, Terminal, UnresolvedWithinBudget,
                      Var, apply, arrow, check_wellformed, fresh_name,
@@ -51,17 +50,6 @@ def annotated_sort(t: IType) -> SimpleType:
         return GROUND
     parts = [annotated_sort(ty) for _, ty in t.argument.pairs]
     return arrow(*parts, annotated_sort(t.result))
-
-
-def _profile_of(chain_sets: list[ColoredSet]) -> Profile:
-    prof = []
-    for u in chain_sets:
-        comp = []
-        for c, ty in u.pairs:
-            assert isinstance(ty, StateType), "annotated terminal needs ground sets"
-            comp.append((c, ty.state))
-        prof.append(tuple(comp))
-    return tuple(prof)
 
 
 class CoercionBuilder:
@@ -132,7 +120,10 @@ def extract_scheme(h: Hors, m: Apt, s: Solution, q: str) -> AnnotatedHors:
 
     def register_terminal(a: str, target: IType) -> str:
         sets, result = split_chain(target)
-        profile = _profile_of(sets)
+        profile = profile_of(sets)
+        if profile is None:
+            raise ReconstructionError(
+                f"terminal '{a}' typed with a non-ground argument set")
         sym = terminal_symbol(a, profile, result.state)
         if sym not in terminals:
             terminals[sym] = sum(len(c) for c in profile)
@@ -291,8 +282,7 @@ def verify_runtree(g: AnnotatedHors, h: Hors, m: Apt, q: str,
                 (path_of(link, 1), original, a))
             continue
         try:
-            ok = satisfies(tuple(frozenset(comp) for comp in profile),
-                           annotated_state, a, m)
+            ok = satisfies(profile, annotated_state, a, m)
         except ValueError:
             ok = False
         if not ok:

@@ -170,14 +170,22 @@ def fresh_name(base: str, taken: set[str]) -> str:
 
 
 def format_term(t: Term) -> str:
-    if isinstance(t, (Var, NonTerminal)):
-        return t.name
-    if isinstance(t, Terminal):
-        return t.symbol
-    head, args = spine(t)
-    return " ".join([format_term(head)] + [
-        f"({format_term(a)})" if isinstance(a, App) else format_term(a)
-        for a in args])
+    """Arguments that are applications are parenthesised.  The walk keeps
+    its own stack of terms and text, so no depth meets the recursion limit."""
+    out: list[str] = []
+    work: list[Term | str] = [t]
+    while work:
+        t = work.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif isinstance(t, App):
+            head, args = spine(t)
+            for a in reversed(args):
+                work += [")", a, " ("] if isinstance(a, App) else [a, " "]
+            work.append(head)
+        else:
+            out.append(t.symbol if isinstance(t, Terminal) else t.name)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

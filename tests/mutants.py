@@ -5,7 +5,9 @@ copies `src/` to a temporary directory, first runs every listed test id on
 the unmodified copy (an id that fails there is reported, since a mutant it
 "kills" proves nothing), then applies one mutant at a time and runs only
 that mutant's ids against the copy.  A mutant that all of its ids pass
-survives.  Run from the root of a checkout:
+survives; a mutant whose run is stopped for taking far longer than its
+ids took unmutated (a search that no longer ends) is killed.  Run from the
+root of a checkout:
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py NAME ...   # the named ones
@@ -22,10 +24,15 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+# A mutant's run is stopped, and the mutant counted as killed, once it takes
+# this many times as long as its ids took unmutated, plus the slack.
+TIMEOUT_FACTOR = 3
+TIMEOUT_SLACK_S = 10
 
 
 class Mutant(NamedTuple):
@@ -139,6 +146,34 @@ MUTANTS = [
             "test_eve_nodes_with_one_body_view_share_their_moves",
             "tests/test_game.py::TestBuildGame::"
             "test_order2_unary_game_is_pinned")),
+    Mutant("opponent-escape-unchecked", "game.py",
+           "elif not all(map(inside.__getitem__, ws)):",
+           "elif False:",
+           ("tests/test_game.py::TestStrategyChecks::"
+            "test_the_opponent_cannot_leave",)),
+    # The search then finds the same component again without end, so the
+    # killing test runs out of its time.
+    Mutant("component-re-searched-with-its-top-nodes", "game.py",
+           "parts.append([w for w in comp if prio[w] != top])",
+           "parts.append(comp)",
+           ("tests/test_game.py::TestStrategyChecks::"
+            "test_losing_cycle_inside_a_winning_component",)),
+    Mutant("profile-drops-non-ground-entries", "itypes.py",
+           "if len(profile[-1]) < len(u.pairs):",
+           "if False:",
+           ("tests/test_itypes.py::TestIsTerminalType::"
+            "test_non_ground_entry_is_false",)),
+    Mutant("type-count-stops-at-the-limit", "itypes.py",
+           "if d is None or d > DEFAULT_ENUM_LIMIT:",
+           "if d is None or d >= DEFAULT_ENUM_LIMIT:",
+           ("tests/test_itypes.py::TestEnumerate::"
+            "test_counts_at_the_limit_are_exact",)),
+    Mutant("memo-key-without-view", "typecheck.py",
+           "return (t, target, c, *[self.residual(self.var_env[x], r)",
+           "return (t, target, c)\n"
+           "        (t, target, c, *[self.residual(self.var_env[x], r)",
+           ("tests/test_typecheck.py::"
+            "test_shared_memo_matches_fresh_on_fixture_games",)),
     Mutant("bulk-append-without-node-limit", "game.py",
            "if i + len(succs) > DEFAULT_NODE_LIMIT:",
            "if False:",
@@ -165,17 +200,22 @@ MUTANTS = [
 ]
 
 
-def run_tests(src: Path, ids) -> tuple[int, str]:
+def run_tests(src: Path, ids, timeout: float | None = None
+              ) -> tuple[int | None, str]:
     """pytest's exit code and last line on `ids`, with `src` as the import
-    path of `horsmc`."""
-    r = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "-o", f"pythonpath={src}", *ids],
-        cwd=ROOT, env={**os.environ, "PYTHONPATH": str(src),
-                       # A mutant of the same size as its snippet must not
-                       # reuse bytecode cached for the other text.
-                       "PYTHONDONTWRITEBYTECODE": "1"},
-        capture_output=True, text=True)
+    path of `horsmc`; None and a note when the run is stopped after
+    `timeout` seconds."""
+    try:
+        r = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+             "no:cacheprovider", "-o", f"pythonpath={src}", *ids],
+            cwd=ROOT, env={**os.environ, "PYTHONPATH": str(src),
+                           # A mutant of the same size as its snippet must
+                           # not reuse bytecode cached for the other text.
+                           "PYTHONDONTWRITEBYTECODE": "1"},
+            capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return None, f"stopped after {timeout:.0f} s"
     lines = (r.stdout + r.stderr).strip().splitlines()
     return r.returncode, lines[-1] if lines else ""
 
@@ -192,8 +232,11 @@ def main(names: list[str]) -> int:
         shutil.copytree(ROOT / "src", src,
                         ignore=shutil.ignore_patterns("__pycache__"))
         ids = sorted({t for m in chosen for t in m.tests})
+        took: dict[str, float] = {}
         for t in ids:
+            start = time.perf_counter()
             code, last = run_tests(src, [t])
+            took[t] = time.perf_counter() - start
             if code != 0:
                 bad += 1
                 print(f"FAILS UNMUTATED {t}: {last}")
@@ -207,12 +250,15 @@ def main(names: list[str]) -> int:
                 continue
             path.write_text(text.replace(m.snippet, m.replacement))
             try:
-                code, last = run_tests(src, m.tests)
+                code, last = run_tests(src, m.tests, TIMEOUT_FACTOR * sum(
+                    took[t] for t in m.tests) + TIMEOUT_SLACK_S)
             finally:
                 path.write_text(text)
             if code == 0:
                 bad += 1
                 print(f"SURVIVED {m.name}")
+            elif code is None:
+                print(f"killed {m.name} ({last})")
             else:
                 print(f"killed {m.name} (pytest exit {code}: {last})")
     return 1 if bad else 0

@@ -2,9 +2,10 @@
 
 For every pair of a scheme and an automaton in `horsbench/fixtures` (42
 pairs), it runs `check`, `states`, `select`, `verify` and `dump-game` with
-their default options, at `PYTHONHASHSEED=0`, once with this checkout's
-`src/` and once with the other checkout's, and compares exit codes, stdout
-and stderr.  Both sides read the fixtures of this checkout, from inside
+their default options, and on each of the 6 schemes `unfold` and `unfold
+--dot -d 3`: 222 cases.  Each runs at `PYTHONHASHSEED=0`, once with this
+checkout's `src/` and once with the other checkout's, and the two are
+compared by exit code, stdout and stderr.  Both sides read the fixtures of this checkout, from inside
 their directory, so the file names in messages agree.  Run from anywhere:
 
     python tests/same_program.py OTHER_CHECKOUT
@@ -25,20 +26,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "horsbench" / "fixtures"
 COMMANDS = ("check", "states", "select", "verify", "dump-game")
+# `unfold` reads a scheme alone: its options, after the scheme.
+UNFOLDS = ((), ("--dot", "-d", "3"))
 WORKERS = 2  # child processes at a time
 TIMEOUT_S = 600
 
 
-def cases() -> list[tuple[str, str, str]]:
-    """(command, scheme, automaton) for each command on each fixture pair,
+def cases() -> list[tuple[str, ...]]:
+    """The command lines: (command, scheme, automaton) for each command on
+    each fixture pair, then ("unfold", scheme, *options) for each scheme,
     the files named inside `FIXTURES`."""
     schemes = sorted(p.name for p in FIXTURES.glob("*.hors"))
     automata = sorted(p.name for p in FIXTURES.glob("*.apt"))
-    return [(command, scheme, apt) for scheme in schemes for apt in automata
-            for command in COMMANDS]
+    return ([(command, scheme, apt) for scheme in schemes for apt in automata
+             for command in COMMANDS]
+            + [("unfold", scheme, *options) for scheme in schemes
+               for options in UNFOLDS])
 
 
-def run(checkout: Path, case: tuple[str, str, str]) -> tuple[int, str, str]:
+def run(checkout: Path, case: tuple[str, ...]) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one case under `checkout`'s code."""
     r = subprocess.run(
         [sys.executable, "-m", "horsmc.cli", *case], cwd=FIXTURES,

@@ -1,3 +1,4 @@
+import resource
 import subprocess
 import sys
 
@@ -349,6 +350,36 @@ class TestNoRecursionLimit:
         assert (code, out, err) == (0, want, "")
 
 
+    def test_deep_ill_sorted_body_is_reported(self, tmp_path, capsys):
+        # The sort error prints the 10,000-deep term it names.
+        body = "c (" + "a (" * 10000 + "c" + ")" * 10000 + ")"
+        scheme = tmp_path / "s.hors"
+        scheme.write_text(DEEP_BODY_HORS.replace(
+            "S = " + "a (" * 600 + "c" + ")" * 600, "S = " + body))
+        code, out, err = run(["unfold", str(scheme), "-d", "2"], capsys)
+        assert (code, out) == (2, "")
+        printed = "c (" + "a (" * 9999 + "a c" + ")" * 9999 + ")"
+        assert err == (f"{scheme}: rule 'S': applied term of ground sort: "
+                       f"{printed}\n")
+
+    def test_deep_witness_type_is_read(self, tmp_path, capsys):
+        # A witness nonterminal whose type nests 10,000 sets.
+        ty = "{e." * 10000 + "q" + "}->q" * 10000
+        scheme = tmp_path / "s.hors"
+        scheme.write_text(LOOP_HORS)
+        apt = tmp_path / "s.apt"
+        apt.write_text(loop_apt_text(0))
+        witness = tmp_path / "w.hors"
+        witness.write_text(
+            "terminals:\n  a@{1:0.q}->q : 1\nnonterminals:\n  S@q : o\n"
+            f"  F@q : o\n  X@{ty} : o\nstart: S@q\nrules:\n  S@q = F@q\n"
+            f"  F@q = a@{{1:0.q}}->q F@q\n  X@{ty} = F@q\n")
+        code, out, err = run(["verify", str(scheme), str(apt), "-d", "3",
+                              "--witness", str(witness)], capsys)
+        assert (code, err) == (0, "")
+        assert out.endswith("verdict: consistent\n")
+
+
 class TestSelectVerify:
     def test_select_writes_parseable_witness(self, files, capsys):
         tmp, scheme, apt = files
@@ -502,6 +533,35 @@ class TestSizeGuard:
         assert r.stderr == ("size guard: argument derivations at `F (F c)` "
                             "in the rule of S: 262144 candidates exceed the "
                             "limit 4096\n")
+
+    def test_deep_argument_sort_trips_the_type_guard(self, tmp_path):
+        # |(o -> o) -> o| has 385 bits over two states of distinct colors,
+        # so an exact count at F's argument sort would need about 2 ** 387
+        # bits.  The child runs under an address-space limit and a timeout,
+        # so that a count that is built anyway cannot exhaust the machine.
+        scheme = tmp_path / "deep.hors"
+        scheme.write_text("terminals:\n  a : 1\n  c : 0\nnonterminals:\n"
+                          "  S : o\n  F : (((o -> o) -> o) -> o) -> o\n"
+                          "  G : ((o -> o) -> o) -> o\n  I : o -> o\n"
+                          "start: S\nrules:\n  S = F G\n  F h = a c\n"
+                          "  G g = g I\n  I x = a x\n")
+        apt = tmp_path / "two.apt"
+        apt.write_text("states: q0 q1\ninitial: q0\n"
+                       "colors:\n  q0 -> 0, q1 -> 1\n"
+                       "delta:\n  q0 a -> (1,q0)\n  q1 a -> (1,q1)\n"
+                       "  q0 c -> true\n  q1 c -> true\n")
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 * 10 ** 9,) * 2)
+
+        r = subprocess.run([sys.executable, "-m", "horsmc.cli", "check",
+                            str(scheme), str(apt)], capture_output=True,
+                           text=True, env=cli_env(0), timeout=60,
+                           preexec_fn=limit_memory)
+        assert (r.returncode, r.stdout) == (3, "")
+        assert r.stderr == ("size guard: type space at sort ((o -> o) -> o) "
+                            "-> o (argument of `F G` in the rule of S): more "
+                            "candidates than the limit 1048576\n")
 
     def test_node_guard_names_the_refused_node(self, files, capsys,
                                                monkeypatch):

@@ -312,12 +312,14 @@ class TestZielonka:
         assert check_eve_strategy(g, sol) and check_adam_strategy(g, sol)
 
 
-def check_claim(player, edges, good, region, moves) -> bool:
+def check_claim(player, edges, good, region, moves, theirs=()) -> bool:
     """Check `player`'s claim to win `region` with `moves` in a game of the
-    player's nodes, where priorities favour the player at `good` nodes."""
+    player's nodes and the opponent's nodes `theirs`, where priorities
+    favour the player at `good` nodes."""
     nodes = tuple(edges)
     even = 2 if player == EVE else 1
-    g = ParityGame(nodes, {v: player for v in nodes},
+    g = ParityGame(nodes, {v: 1 - player if v in theirs else player
+                           for v in nodes},
                    {v: even if v in good else even + 1 for v in nodes}, edges)
     region = frozenset(region)
     rest = frozenset(nodes) - region
@@ -343,6 +345,17 @@ class TestStrategyChecks:
     def test_claims_are_checked(self, player, edges, good, region, moves,
                                 valid):
         assert check_claim(player, edges, good, region, moves) == valid
+
+    @pytest.mark.parametrize("player", [EVE, ADAM], ids=["eve", "adam"])
+    @pytest.mark.parametrize("region, moves, valid", [
+        # the opponent's u has an edge out of the region, to w
+        ({"v", "u"}, {"v": "u"}, False),
+        ({"v", "u", "w"}, {"v": "u", "w": "w"}, True),
+    ], ids=["opponent-escapes", "opponent-stays"])
+    def test_the_opponent_cannot_leave(self, player, region, moves, valid):
+        edges = {"v": ("u",), "u": ("v", "w"), "w": ("w",)}
+        assert check_claim(player, edges, "vuw", region, moves,
+                           theirs={"u"}) == valid
 
     def test_losing_cycle_inside_a_winning_component(self):
         # Adam's u (4) -> v (3) -> w (2) -> u or v: the component's top

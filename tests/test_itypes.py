@@ -7,7 +7,8 @@ from horsmc import (Arrow, ArrowType, EPSILON, GROUND, SizeGuardExceeded,
                     StateType, colored_set, count_types,
                     enumerate_colored_sets, enumerate_types,
                     is_terminal_type, subtype, subtype_set)
-from horsmc.itypes import EMPTY_SET
+from horsmc import itypes
+from horsmc.itypes import EMPTY_SET, profile_of, split_chain
 from horsmc.oracles import box_color
 from conftest import loop_apt
 
@@ -39,6 +40,29 @@ class TestEnumerate:
         with pytest.raises(SizeGuardExceeded) as e:
             enumerate_types(big, ex1_apt)
         assert e.value.count == 2 ** 64 * 2
+
+    def test_counts_at_the_limit_are_exact(self, monkeypatch):
+        m = loop_apt(0)  # one state, colors e and 0: |o -> o| = 4
+        monkeypatch.setattr(itypes, "DEFAULT_ENUM_LIMIT", 4)
+        assert len(enumerate_types(OO, m)) == count_types(OO, m) == 4
+        # an argument sort of 4 types, and a count of 4 so far, go on
+        assert count_types(Arrow(OO, GROUND), m) == 2 ** (2 * 4)
+        assert count_types(Arrow(GROUND, OO), m) == 16
+        # past the limit, the count stops
+        assert count_types(Arrow(Arrow(OO, GROUND), GROUND), m) is None
+        assert count_types(Arrow(OO, Arrow(OO, GROUND)), m) is None
+
+    def test_a_deep_argument_sort_is_never_counted(self, ex1_apt):
+        # |(o -> o) -> o| = 2 ** (2 * 32) * 2: raising 2 to a power of that
+        # would take about 2 ** 65 bits
+        deep = Arrow(Arrow(Arrow(OO, GROUND), GROUND), GROUND)
+        assert count_types(deep, ex1_apt) is None
+        with pytest.raises(SizeGuardExceeded) as e:
+            enumerate_types(deep, ex1_apt)
+        assert e.value.count is None
+        assert str(e.value) == ("type space at sort (((o -> o) -> o) -> o) "
+                                "-> o: more candidates than the limit "
+                                "1048576")
 
 
 class TestSubtype:
@@ -161,6 +185,16 @@ class TestIsTerminalType:
                       ArrowType(EMPTY_SET, Q0))
         # entries of the argument sets must be states
         assert not is_terminal_type("if", t, ex1_apt)
+        # also where the ground entries alone cover q0's clause
+        # (2,q0) /\ (2,q1)
+        t = ArrowType(t.argument,
+                      ArrowType(colored_set([(0, Q0), (0, Q1)]), Q0))
+        assert profile_of(split_chain(t)[0]) is None
+        assert not is_terminal_type("if", t, ex1_apt)
+        ground = ArrowType(EMPTY_SET, t.result)
+        assert profile_of(split_chain(ground)[0]) == ((), ((0, "q0"),
+                                                          (0, "q1")))
+        assert is_terminal_type("if", ground, ex1_apt)
 
     def test_downward_closed(self, ex1_apt):
         # the saturation property, exhaustively over the fixture's if-space

@@ -10,6 +10,7 @@ from horsmc.formats import terminal_symbol
 from horsmc.selection import (LosingStart, ReconstructionError,
                               annotated_sort)
 from horsmc.syntax import Arrow, arrow
+from horsmc.typecheck import DDelta
 from conftest import (const_scheme, loop_apt, loop_scheme, order2_unary,
                       solve_cached)
 
@@ -61,6 +62,21 @@ class TestExtractScheme:
             extract_scheme(h, m, sol, "q")
         assert str(e.value) == (f"strategy move {adam} at {eve} carries no "
                                 "derivation")
+
+    def test_non_ground_terminal_type_is_named(self):
+        # A derivation that types a terminal at a non-ground argument set
+        # has no colored profile, so no annotated terminal is made for it.
+        h, m = const_scheme()
+        q = StateType("q")
+        bad = ArrowType(colored_set([(0, ArrowType(colored_set([]), q))]), q)
+        eve = EveNode("S", q)
+        adam = AdamNode("S", q, (), DDelta(Terminal("c"), bad))
+        g = ParityGame((eve, adam), {eve: EVE, adam: ADAM},
+                       {eve: 1, adam: 1}, {eve: (adam,)}, eve)
+        with pytest.raises(ReconstructionError) as e:
+            extract_scheme(h, m, zielonka(g), "q")
+        assert str(e.value) == ("terminal 'c' typed with a non-ground "
+                                "argument set")
 
     def test_example_witness_verifies_deeply(self, ex1, ex1_apt):
         sol = solve(ex1, ex1_apt, "q0")
