@@ -120,17 +120,26 @@ def count_types(sigma: SimpleType, m: Apt) -> int | None:
     sets.  The count stops, returning None, at an argument once the count
     so far or the argument sort's count is past `DEFAULT_ENUM_LIMIT`, so no
     count past the limit is raised to a power or multiplied again; a count
-    at or below the limit is exact."""
+    at or below the limit is exact.  Argument sorts are counted from the
+    inside out on an explicit stack, so no nesting depth meets Python's
+    recursion limit."""
     ncol, n = len(color_set(m)), 1
-    while isinstance(sigma, Arrow):
-        if n > DEFAULT_ENUM_LIMIT:
+    # The counts that wait on an argument sort's: the rest of their sort
+    # and their count so far, innermost last.
+    waiting: list[tuple[SimpleType, int]] = []
+    while True:
+        while isinstance(sigma, Arrow):
+            if n > DEFAULT_ENUM_LIMIT:
+                return None
+            waiting.append((sigma.codomain, n))
+            sigma, n = sigma.domain, 1
+        d = n * len(m.states)
+        if not waiting:
+            return d
+        if d > DEFAULT_ENUM_LIMIT:
             return None
-        d = count_types(sigma.domain, m)
-        if d is None or d > DEFAULT_ENUM_LIMIT:
-            return None
+        sigma, n = waiting.pop()
         n *= 2 ** (ncol * d)
-        sigma = sigma.codomain
-    return n * len(m.states)
 
 
 def enumerate_types(sigma: SimpleType, m: Apt) -> list[IType]:

@@ -95,12 +95,23 @@ def ground_sort(arity: int) -> SimpleType:
 
 
 def format_sort(sort: SimpleType) -> str:
-    if isinstance(sort, Ground):
-        return "o"
-    dom = format_sort(sort.domain)
-    if isinstance(sort.domain, Arrow):
-        dom = f"({dom})"
-    return f"{dom} -> {format_sort(sort.codomain)}"
+    """Arrow domains are parenthesised.  The walk keeps its own stack of
+    sorts and text, so no depth meets the recursion limit."""
+    out: list[str] = []
+    work: list[SimpleType | str] = [sort]
+    while work:
+        sort = work.pop()
+        if isinstance(sort, str):
+            out.append(sort)
+        elif isinstance(sort, Arrow):
+            work += [sort.codomain, " -> "]
+            if isinstance(sort.domain, Arrow):
+                work += [")", sort.domain, "("]
+            else:
+                work.append(sort.domain)
+        else:
+            out.append("o")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -393,32 +404,58 @@ def format_tree(t: TreePrefix) -> str:
     One pass over an explicit stack of trees and pieces of text; the pieces
     are joined once, so no subtree's text is copied into its parent's.  A
     label's pieces are made once and shared by all of its positions.
+
+    The work is per distinct subtree, not per position: where a subtree
+    object is printed, the start and end of its slice of the pieces are
+    recorded, and a later position of the same object extends the pieces
+    with that slice instead of walking the subtree again.  A subtree cannot
+    hold itself, so its first position is closed before any other is met.
     """
     out: list[str] = []
     leaf: dict[str, str] = {}
     opening: dict[str, str] = {}
-    work: list[TreePrefix | str] = [t]
+    # id of a subtree -> where its pieces start, and end once its `)` is out
+    starts: dict[int, int] = {}
+    ends: dict[int, int] = {}
+    # Trees, pieces of text, and the ids of subtrees whose `)` comes next.
+    work: list[TreePrefix | str | int] = [t]
     while work:
         item = work.pop()
-        if isinstance(item, str):
+        if type(item) is int:
+            out.append(")")
+            ends[item] = len(out)
+            continue
+        if type(item) is str:
             out.append(item)
-        elif item.is_bottom:
-            out.append("_|_")
-        elif not item.children:
-            piece = leaf.get(item.label)
-            if piece is None:
-                piece = leaf[item.label] = f"({item.label})"
-            out.append(piece)
-        else:
+            continue
+        # Print down the first children; the others wait on the stack.
+        while True:
+            children = item.children
+            if not children:
+                if item.label is None:
+                    out.append("_|_")
+                else:
+                    piece = leaf.get(item.label)
+                    if piece is None:
+                        piece = leaf[item.label] = f"({item.label})"
+                    out.append(piece)
+                break
+            key = id(item)
+            here = len(out)
+            start = starts.setdefault(key, here)
+            if start != here:
+                out += out[start:ends[key]]
+                break
             piece = opening.get(item.label)
             if piece is None:
                 piece = opening[item.label] = f"({item.label} "
             out.append(piece)
-            work.append(")")
-            for c in reversed(item.children[1:]):
-                work.append(c)
-                work.append(" ")
-            work.append(item.children[0])
+            work.append(key)
+            if len(children) > 1:
+                for c in reversed(children[1:]):
+                    work.append(c)
+                    work.append(" ")
+            item = children[0]
     return "".join(out)
 
 
@@ -445,13 +482,18 @@ def head_normal(h: Hors, t: Term,
     arguments, or None when that takes more than `budget` steps."""
     steps = 0
     while True:
-        head, args = spine(t)
-        if isinstance(head, Terminal):
-            return head.symbol, args
-        assert isinstance(head, NonTerminal), f"stuck head {head!r}"
+        # `spine`, inlined: this runs once per step of every unfolding.
+        args: list[Term] = []
+        while isinstance(t, App):
+            args.append(t.argument)
+            t = t.function
+        args.reverse()
+        if isinstance(t, Terminal):
+            return t.symbol, args
+        assert isinstance(t, NonTerminal), f"stuck head {t!r}"
         if steps == budget:
             return None
-        rule = h.rules[head.name]
+        rule = h.rules[t.name]
         assert len(args) == len(rule.binders)
         t = _subst_many(rule.body,
                         {b: a for (b, _), a in zip(rule.binders, args)})
@@ -469,38 +511,67 @@ def unfold(h: Hors, depth: int, budget: int = DEFAULT_STEP_BUDGET) -> TreePrefix
     Nodes are expanded on an explicit stack, so no recursion limit applies.
     Equal subtrees are one object, so the prefix takes memory in the number
     of distinct subtrees, not of positions.
+
+    A subtree that ends within the bound is built once per call.  Terms are
+    interned, so a term has one tree; once a term's subtree is built whole,
+    with no node cut by the bound, that object and its height are kept by
+    the term, and a later position of the term whose remaining levels reach
+    that height takes the object without rewriting a head.  Such a subtree
+    holds no divergent head, so the first one stays where it was.  A
+    subtree cut by the bound depends on the levels left as well as on its
+    term, and is expanded at every position.
     """
     require_wellformed(h)
     if depth <= 0:
         return BOTTOM
-    # (label, argument terms, subtrees built so far) per node on the current
-    # path; the node being expanded is argument `len(built)` of the one below.
-    stack: list[tuple[str, list[Term], list[TreePrefix]]] = []
+    # One node per level of the current path: its term, label, argument
+    # terms, the subtrees built so far, and the height of the tallest of
+    # them, `depth` once one is cut.  The node being expanded is argument
+    # `len(built)` of the one below.
+    stack: list[list] = []
     shared: dict[tuple, TreePrefix] = {}
+    # term -> its whole subtree and that subtree's height in levels
+    whole: dict[Term, tuple[TreePrefix, int]] = {}
     t: Term = NonTerminal(h.start)
     while True:
         normal = head_normal(h, t, budget)
         if normal is None:
-            path = tuple(len(built) + 1 for _, _, built in stack)
+            path = tuple(len(node[3]) + 1 for node in stack)
             raise UnresolvedWithinBudget(path, budget + 1)
-        stack.append((*normal, []))
-        # Close every node whose children are all built, then descend into
-        # the next unbuilt child.
+        label, args = normal
+        if len(stack) + 1 < depth or not args:
+            node = [t, label, args, [], 0]
+        else:
+            node = [t, label, args, [BOTTOM] * len(args), depth]
+        stack.append(node)
+        # Take every next child that is whole and fits, and close every node
+        # whose children are all built; then descend into the next child.
         while True:
-            label, args, built = stack[-1]
-            if len(stack) >= depth:
-                built.extend([BOTTOM] * (len(args) - len(built)))
-            if len(built) < len(args):
+            term, label, args, built, _ = node
+            while len(built) < len(args):
                 t = args[len(built)]
+                known = whole.get(t)
+                if known is None or known[1] > depth - len(stack):
+                    break
+                built.append(known[0])
+                if known[1] > node[4]:
+                    node[4] = known[1]
+            if len(built) < len(args):
                 break
             stack.pop()
+            height = node[4] + 1
             key = (label, *map(id, built))
             tree = shared.get(key)
             if tree is None:
                 tree = shared[key] = TreePrefix(label, tuple(built))
+            if height <= depth:
+                whole[term] = (tree, height)
             if not stack:
                 return tree
-            stack[-1][2].append(tree)
+            node = stack[-1]
+            node[3].append(tree)
+            if height > node[4]:
+                node[4] = height
 
 
 def _subst_many(t: Term, mapping: dict[str, Term]) -> Term:

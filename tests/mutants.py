@@ -97,6 +97,20 @@ MUTANTS = [
            "tree = None",
            ("tests/test_syntax.py::TestUnfold::"
             "test_equal_subtrees_are_one_object",)),
+    Mutant("whole-subtree-reused-below-its-height", "syntax.py",
+           "if known is None or known[1] > depth - len(stack):",
+           "if known is None:",
+           ("tests/test_syntax.py::TestUnfold::"
+            "test_whole_subtree_is_cut_where_too_few_levels_remain",
+            "tests/test_syntax.py::TestUnfold::"
+            "test_fixture_unfoldings_are_the_oracle_trees")),
+    Mutant("printed-slice-ends-before-its-paren", "syntax.py",
+           'out.append(")")\n            ends[item] = len(out)',
+           'ends[item] = len(out)\n            out.append(")")',
+           ("tests/test_syntax.py::TestFormatTree::"
+            "test_shared_subtree_at_two_depths_under_two_labels",
+            "tests/test_syntax.py::TestFormatTree::"
+            "test_fixture_unfoldings_print_as_the_naive_printer")),
     Mutant("conjunction-dnf-starts-empty", "automata.py",
            "clauses = frozenset({frozenset()})",
            "clauses = frozenset()",
@@ -164,8 +178,8 @@ MUTANTS = [
            ("tests/test_itypes.py::TestIsTerminalType::"
             "test_non_ground_entry_is_false",)),
     Mutant("type-count-stops-at-the-limit", "itypes.py",
-           "if d is None or d > DEFAULT_ENUM_LIMIT:",
-           "if d is None or d >= DEFAULT_ENUM_LIMIT:",
+           "if d > DEFAULT_ENUM_LIMIT:",
+           "if d >= DEFAULT_ENUM_LIMIT:",
            ("tests/test_itypes.py::TestEnumerate::"
             "test_counts_at_the_limit_are_exact",)),
     Mutant("memo-key-without-view", "typecheck.py",

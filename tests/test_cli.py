@@ -362,6 +362,27 @@ class TestNoRecursionLimit:
         assert err == (f"{scheme}: rule 'S': applied term of ground sort: "
                        f"{printed}\n")
 
+    def test_deep_argument_sort_ends_in_the_size_guard(self, tmp_path,
+                                                       capsys):
+        # G's sort nests its domains 1,200 deep, (((o -> o) -> o) …) -> o;
+        # its type space is past the limit from the third nesting on.
+        sort = "o -> o"
+        for _ in range(1199):
+            sort = f"({sort}) -> o"
+        scheme = tmp_path / "s.hors"
+        scheme.write_text(
+            f"terminals:\n  c : 0\nnonterminals:\n  S : o\n"
+            f"  F : ({sort}) -> o\n  G : {sort}\nstart: S\nrules:\n"
+            f"  S = F G\n  F h = c\n  G g = c\n")
+        apt = tmp_path / "s.apt"
+        apt.write_text("states: q\ninitial: q\ncolors:\n  q -> 0\n"
+                       "delta:\n  q c -> true\n")
+        code, out, err = run(["check", str(scheme), str(apt)], capsys)
+        assert (code, out) == (3, "")
+        assert err == (f"size guard: type space at sort {sort} (argument "
+                       f"of `F G` in the rule of S): more candidates than "
+                       f"the limit 1048576\n")
+
     def test_deep_witness_type_is_read(self, tmp_path, capsys):
         # A witness nonterminal whose type nests 10,000 sets.
         ty = "{e." * 10000 + "q" + "}->q" * 10000

@@ -1,8 +1,11 @@
 import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 
+from horsmc import syntax
+from horsmc.formats import parse_hors
 from horsmc import (App, Arrow, ArrowType, Atom, BOTTOM, ColoredSet, GROUND,
                     Hors, NonTerminal, Rule, StateType, Terminal, TreePrefix,
                     UnresolvedWithinBudget, Var, apply, check_wellformed,
@@ -12,6 +15,9 @@ from horsmc.oracles import (Fix, Lam, bohm_tree, from_lambda_y, is_prefix_of,
 from conftest import (const_scheme, grow_scheme, loop_scheme, mutual_scheme,
                       order0_instances, order0_scheme, order1_instances,
                       order1_scheme, order2_scheme)
+
+FIXTURES = sorted((Path(__file__).resolve().parent.parent / "horsbench"
+                   / "fixtures").glob("*.hors"))
 
 
 def test_order():
@@ -144,6 +150,20 @@ class TestCheckWellformed:
             assert check_wellformed(h) == []
 
 
+@pytest.fixture
+def heads(monkeypatch):
+    """The terms that `unfold` gives `head_normal`, in order."""
+    terms = []
+    head_normal = syntax.head_normal
+
+    def recorded(h, t, budget):
+        terms.append(t)
+        return head_normal(h, t, budget)
+
+    monkeypatch.setattr(syntax, "head_normal", recorded)
+    return terms
+
+
 class TestUnfold:
     def test_depth_two_prefix(self, ex1):
         assert format_tree(unfold(ex1, 2)) == "(if (Nil) (if _|_ _|_))"
@@ -197,6 +217,61 @@ class TestUnfold:
                 work.extend(node.children)
         assert len(seen) <= 2 * depth
 
+    def test_fixture_unfoldings_are_the_oracle_trees(self):
+        assert len(FIXTURES) == 6
+        for path in FIXTURES:
+            h = parse_hors(path.read_text())
+            t = to_lambda_y(h)
+            for d in range(61):
+                assert unfold(h, d) == bohm_tree(t, d, h.terminals), (path, d)
+
+    def test_whole_subtree_is_cut_where_too_few_levels_remain(self):
+        # B's tree (b (b (c))) is whole at level 2 and takes three levels;
+        # at level 4 only two remain below a depth of 5
+        h = Hors(terminals={"a": 2, "b": 1, "c": 0},
+                 nonterminals={"S": GROUND, "B": GROUND},
+                 rules={"S": Rule((), apply(Terminal("a"), NonTerminal("B"),
+                                            apply(Terminal("b"),
+                                                  apply(Terminal("b"),
+                                                        NonTerminal("B"))))),
+                        "B": Rule((), apply(Terminal("b"),
+                                            apply(Terminal("b"),
+                                                  Terminal("c"))))},
+                 start="S")
+        assert format_tree(unfold(h, 5)) == \
+            "(a (b (b (c))) (b (b (b (b _|_)))))"
+        assert format_tree(unfold(h, 6)) == \
+            "(a (b (b (c))) (b (b (b (b (c))))))"
+        t = to_lambda_y(h)
+        for d in range(9):
+            assert unfold(h, d) == bohm_tree(t, d, h.terminals)
+
+    def test_reused_subtree_before_the_divergent_head(self, heads):
+        # S = a B (a B D): the second B takes the first one's tree, then D
+        # diverges at path (2, 2)
+        h = Hors(terminals={"a": 2, "b": 1, "c": 0},
+                 nonterminals={"S": GROUND, "B": GROUND, "D": GROUND},
+                 rules={"S": Rule((), apply(Terminal("a"), NonTerminal("B"),
+                                            apply(Terminal("a"),
+                                                  NonTerminal("B"),
+                                                  NonTerminal("D")))),
+                        "B": Rule((), apply(Terminal("b"), Terminal("c"))),
+                        "D": Rule((), NonTerminal("D"))},
+                 start="S")
+        with pytest.raises(UnresolvedWithinBudget) as e:
+            unfold(h, 5)
+        assert (e.value.path, e.value.steps) == ((2, 2), 10_001)
+        assert heads.count(NonTerminal("B")) == 1
+        with pytest.raises(UnresolvedWithinBudget) as e:
+            unfold(h, 5, budget=1)
+        assert (e.value.path, e.value.steps) == ((2, 2), 2)
+
+    def test_heads_are_rewritten_per_distinct_subtree(self, heads):
+        # 22,800 head_normal calls when every position is expanded; the
+        # whole left children of the upper half are built once each
+        unfold(grow_scheme(), 300)
+        assert len(heads) <= 12_000
+
     def test_deep_trees_compare_and_hash_without_recursion(self):
         def chain(leaf, n):
             for _ in range(n):
@@ -214,6 +289,38 @@ class TestUnfold:
         deep = unfold(loop_scheme(), 5000)
         assert repr(deep) == f"<TreePrefix {format_tree(deep)}>"
         assert repr(deep).endswith("_|_" + ")" * 5000 + ">")
+
+
+def naive_format(t: TreePrefix) -> str:
+    """One walk per position."""
+    if t.is_bottom:
+        return "_|_"
+    if not t.children:
+        return f"({t.label})"
+    return f"({t.label} {' '.join(map(naive_format, t.children))})"
+
+
+class TestFormatTree:
+    def test_fixture_unfoldings_print_as_the_naive_printer(self):
+        for path in FIXTURES:
+            h = parse_hors(path.read_text())
+            for d in (0, 1, 2, 5, 13, 40, 60):
+                tree = unfold(h, d)
+                assert format_tree(tree) == naive_format(tree), (path, d)
+
+    def test_shared_subtree_at_two_depths_under_two_labels(self):
+        s = TreePrefix("b", (TreePrefix("c"),))
+        pair = TreePrefix("e", (s, s))
+        trees = [
+            TreePrefix("a", (s, TreePrefix("d", (BOTTOM, s)))),
+            TreePrefix("a", (TreePrefix("d", (s, BOTTOM)), s)),
+            TreePrefix("a", (pair, TreePrefix("b", (pair,)))),
+            TreePrefix("d", (TreePrefix("b", (pair,)), pair)),
+        ]
+        for tree in trees:
+            assert format_tree(tree) == naive_format(tree)
+        assert format_tree(trees[2]) == \
+            "(a (e (b (c)) (b (c))) (b (e (b (c)) (b (c)))))"
 
 
 class TestToLambdaY:
