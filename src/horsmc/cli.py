@@ -1,7 +1,8 @@
 """Command-line frontend.
 
 Exit codes: 0 for a positive verdict (or plain success), 1 for a negative
-verdict, 2 for usage or parse errors, 3 when a limit stops the
+verdict, 2 for usage or input errors: a parse error, an invalid
+automaton, an ill-formed scheme or witness, 3 when a limit stops the
 computation: a size guard, the rewriting budget or Python's recursion
 limit, 4 for an internal error, an unexpected exception, reported on one
 `internal error:` line.  Verdict text goes to standard output, diagnostics
@@ -21,8 +22,7 @@ from .game import (EveNode, Solution, accepted_states, build_game, to_dot,
                    zielonka)
 from .itypes import SizeGuardExceeded, StateType
 from .selection import extract_scheme, format_report, verify_runtree
-from .syntax import (Hors, IllFormedScheme, UnresolvedWithinBudget,
-                     check_wellformed, unfold)
+from .syntax import Hors, UnresolvedWithinBudget, check_wellformed, unfold
 
 
 class CliError(Exception):
@@ -39,23 +39,27 @@ def _read(path: str) -> str:
         raise CliError(f"{path}: {e.strerror or e}", 2)
 
 
-def _load_hors(path: str) -> Hors:
+def _parse(path: str, parse, *args):
     try:
-        h = parse_hors(_read(path))
+        return parse(_read(path), *args)
     except ParseError as e:
         raise CliError(f"{path}:{e.line}:{e.col}: {e.msg}", 2)
+
+
+def _require_wellformed(path: str, h: Hors) -> None:
     diags = check_wellformed(h)
     if diags:
-        listing = "\n".join(f"{path}: {d}" for d in diags)
-        raise CliError(listing, 2)
+        raise CliError("\n".join(f"{path}: {d}" for d in diags), 2)
+
+
+def _load_hors(path: str) -> Hors:
+    h = _parse(path, parse_hors)
+    _require_wellformed(path, h)
     return h
 
 
 def _load_apt(path: str, h: Hors) -> Apt:
-    try:
-        m = parse_apt(_read(path), terminals=h.terminals)
-    except ParseError as e:
-        raise CliError(f"{path}:{e.line}:{e.col}: {e.msg}", 2)
+    m = _parse(path, parse_apt, h.terminals)
     try:
         m.validate()
     except ValueError as e:
@@ -138,10 +142,8 @@ def cmd_verify(args) -> int:
     m = _load_apt(args.automaton, h)
     q = _pick_state(args, m)
     if args.witness:
-        try:
-            witness = parse_annotated(_read(args.witness))
-        except ParseError as e:
-            raise CliError(f"{args.witness}:{e.line}:{e.col}: {e.msg}", 2)
+        witness = _parse(args.witness, parse_annotated)
+        _require_wellformed(args.witness, witness.hors)
     else:
         sol, accepted = _decide(h, m, q)
         if not accepted:
@@ -235,9 +237,6 @@ def main(argv=None) -> int:
     except RecursionError as e:
         sys.stderr.write(f"recursion limit: {e}\n")
         return 3
-    except IllFormedScheme as e:
-        sys.stderr.write(f"ill-formed scheme: {e}\n")
-        return 2
     except Exception as e:
         # A fault of the program, not a verdict: exit 1 would read as REJECT.
         sys.stderr.write(f"internal error: {type(e).__name__}: {e}\n")

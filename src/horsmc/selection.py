@@ -297,6 +297,13 @@ def verify_runtree(g: AnnotatedHors, h: Hors, m: Apt, q: str,
             continue
         children = []
         for k, component in enumerate(profile, start=1):
+            if k > len(args):
+                # The original has no such direction to check it against.
+                report.transition_violations.append(
+                    (path_of(link, 1), f"profile of '{node.label}' names "
+                                       f"direction {k}, past the arity "
+                                       f"{len(args)} of '{a}'"))
+                break
             for c, q2 in component:
                 pos = len(children)
                 children.append((node.children[pos], args[k - 1], q2,

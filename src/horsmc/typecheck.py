@@ -157,25 +157,20 @@ class _FootprintSearch:
     `PAIR_CAP` bounds the number of options.
 
     One search serves every binder environment of its rule (`rebind`), and
-    its memo, with the caches of sorts and residuals, carries over.  The
-    memo keys `search(t, target, c)` on `(t, target, c, view)`, where
-    `view` holds, for the variables x free in t (`t.free`), in name order,
-    `residual_set(var_env[x], r)` for each color r that t reads at c: c
-    itself, or, when t is an application whose spine head is a terminal,
-    each `max(c, d)` with d a state color, in color order.  A closed
-    term's view is `()`.  The key is sound because every read of `var_env`
-    at color c goes through those residuals:
-
-    - the `Var` case reads the entries of color exactly c, which are the
-      residual's neutral-colored entries;
-    - `_argument_options` on a bare variable reads, for each c2, the
-      entries of color `max(c, c2)`, which are the residual's pairs at c2;
-    - a sub-search at `max(c, c2)` reads `residual(u, max(c, c2))`,
-      which is `residual(residual(u, c), c2)`;
-    - under a terminal head, `_clause_subsets` asks `_argument_options`
-      only for the pairs (Ω(q'), q') that clauses name, so the argument is
-      read, or searched, at `max(c, Ω(q'))` alone, and the function part
-      is terminal-headed down to the terminal, which reads nothing.
+    its memo, with the cache of sorts, carries over.  The memo keys
+    `search(t, target, c)` on `_memo_key(t, target, c)`: `(t, target, c)`
+    followed by the view of t at c, which holds, for the variables x free in
+    t (`t.free`), in name order, `residual(var_env[x], r)` for each color r
+    that t reads at c: c itself, or, when t is an application whose spine
+    head is a terminal, each `max(c, d)` with d a state color, in color
+    order.  A closed term's view is `()`.  The key is sound because the
+    search reads a binder only through `residual(var_env[x], c)`, the
+    residual at the color of the read (a sub-search at `max(c, c2)` reads
+    `residual(u, max(c, c2))`, which is `residual(residual(u, c), c2)`),
+    and because a terminal head reads its arguments only at the state
+    colors: `_clause_subsets` asks `_argument_options` only for the pairs
+    (Ω(q'), q') that clauses name, and the function part is terminal-headed
+    down to the terminal, which reads nothing.
 
     Colored sets keep their pairs canonically sorted, so the options, and
     with them every derivation, come in the same order under equal views.
@@ -190,6 +185,7 @@ class _FootprintSearch:
         self.rule = rule
         self.body = analysis.h.rules[rule].body
         self.maps = analysis.maps
+        self.residuals = analysis.residuals
         self.sort_env: dict[str, SimpleType] = dict(analysis.h.nonterminals)
         self.sort_env.update(analysis.h.rules[rule].binders)
         self.var_env = var_env
@@ -197,7 +193,6 @@ class _FootprintSearch:
         self._moves: dict = {}  # memo key of the body -> `moves`' result
         self._views = False  # whether the memo keys carry views
         self._sorts: dict = {}
-        self._residuals: dict = {}
         self._reads: dict = {}  # color -> the colors terminal heads read
 
     def rebind(self, var_env: TypeEnv) -> None:
@@ -211,9 +206,9 @@ class _FootprintSearch:
             state_colors = {self.m.omega[q] for q in self.m.states}
             self._reads = {c: tuple(sorted({max(c, d) for d in state_colors}))
                            for c in self.cols}
-            self._memo = {self._key(*key): out
+            self._memo = {self._memo_key(*key): out
                           for key, out in self._memo.items()}
-            self._moves = {self._key(*key): out
+            self._moves = {self._memo_key(*key): out
                            for key, out in self._moves.items()}
         self.var_env = var_env
 
@@ -230,7 +225,7 @@ class _FootprintSearch:
         derivation types `t` in the `c`-residual of the rule environment:
         the binders' sets, the requirements, and empty sets for the other
         nonterminals."""
-        key = self._key(t, target, c) if self._views else (t, target, c)
+        key = self._memo_key(t, target, c)
         out = self._memo.get(key)
         if out is None:
             self._memo[key] = out = self._search(t, target, c)
@@ -242,13 +237,11 @@ class _FootprintSearch:
         once per memo entry of the body, under the same key, since the
         footprints depend on nothing else; each requirement set's map is
         made once per analysis (`maps`)."""
-        body = self.body
-        key = (self._key(body, target, EPSILON) if self._views
-               else (body, target, EPSILON))
+        key = self._memo_key(self.body, target, EPSILON)
         out = self._moves.get(key)
         if out is None:
             keyed = []
-            for req, d in self.search(body, target, EPSILON):
+            for req, d in self.search(self.body, target, EPSILON):
                 km = self.maps.get(req)
                 if km is None:
                     delta = assumptions_from(req)
@@ -260,18 +253,22 @@ class _FootprintSearch:
                                             for (_, delta), d in keyed])
         return out
 
-    def _key(self, t: Term, target: IType, c: Color) -> tuple:
-        """`(t, target, c)` followed by the view of `t` at `c`."""
+    def _memo_key(self, t: Term, target: IType, c: Color) -> tuple:
+        """`(t, target, c)`, followed by the view of `t` at `c` once the
+        rule has had a second environment."""
+        if not self._views:
+            return (t, target, c)
         terminal_headed = isinstance(t, App) and isinstance(t.head, Terminal)
         reads = self._reads[c] if terminal_headed else (c,)
         return (t, target, c, *[self.residual(self.var_env[x], r)
                                 for x in t.free for r in reads])
 
     def residual(self, u: ColoredSet, c: Color) -> ColoredSet:
-        """`residual_set(u, c)`, cached by the interned set and the color."""
-        r = self._residuals.get((u, c))
+        """`residual_set(u, c)`, cached by the interned set and the color
+        for the whole analysis."""
+        r = self.residuals.get((u, c))
         if r is None:
-            r = self._residuals[u, c] = residual_set(u, c, self.cols)
+            r = self.residuals[u, c] = residual_set(u, c, self.cols)
         return r
 
     def _argument_options(self, t: App, c: Color, named=None):
@@ -279,24 +276,17 @@ class _FootprintSearch:
         the application `t`, in color order, then type order; with `named`,
         only at the (color, type) pairs it holds.
 
-        A bare variable is looked up directly: only the environment entries
-        themselves are offered.  A pair below an entry never helps, since
-        every axiom the smaller type serves is served by the entry too, and
-        the entry only enlarges the sequent the refuter may challenge.
+        A bare variable offers the pairs of its set's c-residual themselves.
+        A pair below one never helps, since every axiom the smaller type
+        serves is served by the pair too, and the pair only enlarges the
+        sequent the refuter may challenge.
         """
         arg = t.argument
         if isinstance(arg, Var):
-            u = self.var_env[arg.name]
-            options = []
-            for c2 in self.cols:
-                want = max(c, c2)
-                for centry, alpha in u.pairs:
-                    if centry == want and (named is None
-                                           or (c2, alpha) in named):
-                        options.append(
-                            (c2, alpha, [(frozenset(),
-                                          DAx(arg, alpha, alpha))]))
-            return options
+            return [(c2, alpha, [(frozenset(), DAx(arg, alpha, alpha))])
+                    for c2, alpha in self.residual(self.var_env[arg.name],
+                                                   c).pairs
+                    if named is None or (c2, alpha) in named]
         sigma = self.sort_of(arg)
         types = self.types.get(sigma)
         if types is None:
@@ -349,9 +339,8 @@ class _FootprintSearch:
 
     def _search(self, t: Term, target: IType, c: Color):
         if isinstance(t, Var):
-            u = self.var_env[t.name]
-            for c2, alpha in u.pairs:
-                if c2 == c and subtype(target, alpha):
+            for c2, alpha in self.residual(self.var_env[t.name], c).pairs:
+                if c2 == EPSILON and subtype(target, alpha):
                     return [(frozenset(), DAx(t, target, alpha))]
             return []
         if isinstance(t, NonTerminal):
@@ -403,7 +392,8 @@ def requirement_order(item) -> tuple:
 class Analysis:
     """What the footprint search derives from one scheme and automaton,
     shared by the `rule_typings` calls on it: the colors, the type space of
-    each argument sort (`types`), each rule's search (`searches`) and the
+    each argument sort (`types`), each rule's search (`searches`), the
+    residual of each colored set at each color (`residuals`) and the
     assumption map of each requirement set found, with its order key
     (`maps`), so that equal maps are one object."""
 
@@ -413,6 +403,7 @@ class Analysis:
         self.cols = color_set(m)
         self.types: dict[SimpleType, list[IType]] = {}
         self.searches: dict[str, _FootprintSearch] = {}
+        self.residuals: dict[tuple[ColoredSet, Color], ColoredSet] = {}
         self.maps: dict[frozenset[Requirement],
                         tuple[tuple, AssumptionMap]] = {}
 

@@ -151,13 +151,20 @@ MUTANTS = [
            ("tests/test_syntax.py::"
             "test_substitution_under_a_binder_renames_it",)),
     Mutant("moves-cache-keyed-without-view", "typecheck.py",
-           "key = (self._key(body, target, EPSILON) if self._views\n"
-           "               else (body, target, EPSILON))",
-           "key = (body, target, EPSILON)",
+           "key = self._memo_key(self.body, target, EPSILON)",
+           "key = (self.body, target, EPSILON)",
            ("tests/test_typecheck.py::"
             "test_shared_memo_matches_fresh_on_fixture_games",
             "tests/test_typecheck.py::"
             "test_eve_nodes_with_one_body_view_share_their_moves",
+            "tests/test_game.py::TestBuildGame::"
+            "test_order2_unary_game_is_pinned")),
+    Mutant("variable-options-read-the-raw-set", "typecheck.py",
+           "for c2, alpha in self.residual(self.var_env[arg.name],\n"
+           "                                                   c).pairs",
+           "for c2, alpha in self.var_env[arg.name].pairs",
+           ("tests/test_typecheck.py::TestRuleTypings::"
+            "test_every_game_derivation_checks",
             "tests/test_game.py::TestBuildGame::"
             "test_order2_unary_game_is_pinned")),
     Mutant("opponent-escape-unchecked", "game.py",
@@ -188,6 +195,11 @@ MUTANTS = [
            "        (t, target, c, *[self.residual(self.var_env[x], r)",
            ("tests/test_typecheck.py::"
             "test_shared_memo_matches_fresh_on_fixture_games",)),
+    Mutant("push-without-node-limit", "game.py",
+           "if i >= DEFAULT_NODE_LIMIT:",
+           "if False:",
+           ("tests/test_cli.py::TestSizeGuard::"
+            "test_push_guard_names_the_refused_seed",)),
     Mutant("bulk-append-without-node-limit", "game.py",
            "if i + len(succs) > DEFAULT_NODE_LIMIT:",
            "if False:",

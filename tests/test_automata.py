@@ -151,6 +151,19 @@ class TestColorSet:
 
 
 class TestValidate:
+    # Parsing refuses an automaton without states and colors every listed
+    # state, so only an `Apt` built in Python reaches these two checks.
+    @pytest.mark.parametrize("states, omega, message", [
+        ((), {}, "automaton has no states"),
+        (("q", "r"), {"q": 0}, "state 'r' has no color"),
+    ], ids=["no-states", "state-without-a-color"])
+    def test_checks_that_parsing_lets_through(self, states, omega, message):
+        m = Apt(states=states, terminals={}, delta={}, omega=omega,
+                initial="q")
+        with pytest.raises(ValueError) as e:
+            m.validate()
+        assert str(e.value) == message
+
     def test_repeated_state_rejected(self):
         m = Apt(states=("q", "r", "q"), terminals={}, delta={},
                 omega={"q": 0, "r": 0}, initial="q")

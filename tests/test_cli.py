@@ -1,6 +1,7 @@
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from horsmc import cli, game
 from horsmc.cli import main
 from horsmc.formats import parse_annotated
 from test_formats import EX1_APT, EX1_HORS
+
+FIXTURES = Path(__file__).resolve().parent.parent / "horsbench" / "fixtures"
 
 LOOP_HORS = """\
 terminals:
@@ -215,6 +218,23 @@ class TestStates:
         code, out, err = run(["check", str(scheme), str(apt)], capsys)
         assert (code, out) == (2, "")
         assert err == f"{apt}:4:11: expected 'state -> color'\n"
+
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("initial: q", "initial: r", "initial state 'r' not among states"),
+        ("  q a -> (1,q)", "  q a -> (1,q)\n  r a -> (1,q)",
+         "transition for unknown state 'r'"),
+        ("(1,q)", "(1,r)", "unknown state 'r' in delta(q,a)"),
+    ], ids=["unlisted-initial-state", "transition-for-unknown-state",
+            "unknown-state-in-a-formula"])
+    def test_invalid_automaton_names_its_file(self, tmp_path, capsys, old,
+                                              new, message):
+        # Parsing lets these through; `Apt.validate` refuses them.
+        apt = tmp_path / "bad.apt"
+        apt.write_text(loop_apt_text(2).replace(old, new))
+        code, out, err = run(["check", str(FIXTURES / "loop.hors"),
+                              str(apt)], capsys)
+        assert (code, out, err) == (2, "", f"{apt}: {message}\n")
 
 
 class TestUnfold:
@@ -488,6 +508,83 @@ class TestSelectVerify:
         assert code == 1 and "VIOLATIONS" in out
 
 
+def loop_witness(symbol: str, arity: int = 1) -> str:
+    """A witness over `loop.hors` whose one terminal is `symbol`."""
+    body = symbol + " F@q" * arity
+    return (f"terminals:\n  {symbol} : {arity}\nnonterminals:\n  S@q : o\n"
+            f"  F@q : o\nstart: S@q\nrules:\n  S@q = F@q\n  F@q = {body}\n")
+
+
+def violations(mismatches: list[str], transitions: list[str],
+               colors: str) -> str:
+    """`verify`'s report at depth 2 with these findings."""
+    return "\n".join(["depth checked: 2",
+                      f"projection mismatches: {len(mismatches)}",
+                      f"transition violations: {len(transitions)}",
+                      *[f"  projection at {m}" for m in mismatches],
+                      *[f"  transition at {t}" for t in transitions],
+                      f"max colors seen on branches: {colors}",
+                      "verdict: VIOLATIONS"]) + "\n"
+
+
+# (scheme, automaton, state, witness or None, exit code, stdout, stderr);
+# "{w}" in stderr stands for the witness's path.
+BROKEN_WITNESSES = [
+    ("symbol-outside-the-alphabet", "loop", "loop_c2", "q",
+     loop_witness("b@{1:2.q}->q"), 1,
+     violations([], ["[]: symbol 'b' not in the automaton's alphabet"],
+                "[]"), ""),
+    ("states-unknown-to-the-automaton", "loop", "loop_c2", "q",
+     loop_witness("a@{1:2.r}->q"), 1,
+     violations([], ["[]: 'a@{1:2.r}->q' mentions states unknown to the "
+                     "automaton"], "[]"), ""),
+    ("node-with-the-wrong-state", "ex1", "ex1", "q0",
+     "terminals:\n  Nil@{}->q1 : 0\n  if@{1:0.q1,2:0.q0}->q1 : 2\n"
+     "nonterminals:\n  S@q0 : o\nstart: S@q0\nrules:\n"
+     "  S@q0 = if@{1:0.q1,2:0.q0}->q1 Nil@{}->q1 S@q0\n", 1,
+     violations([], ["[]: node carries state q1, expected q0",
+                     "[2]: node carries state q1, expected q0"], "[0]"), ""),
+    ("profile-that-does-not-satisfy", "loop", "loop_c2", "q",
+     loop_witness("a@{}->q", 0), 1,
+     violations([], ["[]: profile of 'a@{}->q' does not satisfy the "
+                     "transition at q"], "[2]"), ""),
+    ("projection-mismatch", "ex1", "ex1", "q0",
+     "terminals:\n  Nil@{}->q0 : 0\nnonterminals:\n  S@q0 : o\n"
+     "start: S@q0\nrules:\n  S@q0 = Nil@{}->q0\n", 1,
+     violations(["[]: expected 'if', generated 'Nil'"], [], "[]"), ""),
+    # `a` has arity 1, so its original has no direction 2 to descend into.
+    ("direction-past-the-arity", "loop", "loop_c2", "q",
+     loop_witness("a@{2:2.q}->q"), 1,
+     violations([], ["[]: profile of 'a@{2:2.q}->q' does not satisfy the "
+                     "transition at q",
+                     "[]: profile of 'a@{2:2.q}->q' names direction 2, past "
+                     "the arity 1 of 'a'"], "[]"), ""),
+    ("ill-sorted-witness", "loop", "loop_c2", "q",
+     loop_witness("a@{1:2.q}->q").replace("S@q = F@q", "S@q = F@q F@q"), 2,
+     "", "{w}: rule 'S@q': applied term of ground sort: F@q F@q\n"),
+    ("rejected-state", "loop", "loop_c1", "q", None, 1, "",
+     "state 'q' rejected; nothing to verify\n"),
+]
+
+
+class TestBrokenWitness:
+    """`verify`'s exit code and report on witnesses that do not fit the
+    scheme or the automaton: none of them is a fault of the program."""
+
+    @pytest.mark.parametrize("scheme, apt, state, witness, code, out, err",
+                             [row[1:] for row in BROKEN_WITNESSES],
+                             ids=[row[0] for row in BROKEN_WITNESSES])
+    def test_report(self, tmp_path, capsys, scheme, apt, state, witness,
+                    code, out, err):
+        argv = ["verify", str(FIXTURES / f"{scheme}.hors"),
+                str(FIXTURES / f"{apt}.apt"), "-q", state, "-d", "2"]
+        path = tmp_path / "w.hors"
+        if witness is not None:
+            path.write_text(witness)
+            argv += ["--witness", str(path)]
+        assert run(argv, capsys) == (code, out, err.format(w=path))
+
+
 class TestDumpGame:
     def test_dot_emission(self, files, capsys):
         _, scheme, apt = files
@@ -592,6 +689,17 @@ class TestSizeGuard:
         assert code == 3
         assert err == ("size guard: game nodes (refused AdamNode S : q0): "
                        "4 candidates exceed the limit 3\n")
+
+
+    def test_push_guard_names_the_refused_seed(self, files, capsys,
+                                               monkeypatch):
+        # `states` seeds one Eve node per state; the second is refused.
+        _, scheme, apt = files
+        monkeypatch.setattr(game, "DEFAULT_NODE_LIMIT", 1)
+        code, out, err = run(["states", scheme, apt], capsys)
+        assert (code, out) == (3, "")
+        assert err == ("size guard: game nodes (refused EveNode S : q1): "
+                       "2 candidates exceed the limit 1\n")
 
 
 class TestInternalError:

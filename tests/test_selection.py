@@ -1,11 +1,11 @@
 import pytest
 
-from horsmc import (ADAM, AdamNode, Apt, ArrowType, Atom, EVE, EveNode,
-                    GROUND, Hors, NonTerminal, ParityGame, Rule, StateType,
-                    TRUE, Terminal, UnresolvedWithinBudget, accepted_states,
-                    apply, build_game, check_wellformed, colored_set, conj,
-                    extract_scheme, format_tree, unfold, verify_runtree,
-                    zielonka)
+from horsmc import (ADAM, AdamNode, AnnotatedHors, Apt, ArrowType, Atom, EVE,
+                    EveNode, GROUND, Hors, NonTerminal, ParityGame, Rule,
+                    StateType, TRUE, Terminal, UnresolvedWithinBudget,
+                    accepted_states, apply, build_game, check_wellformed,
+                    colored_set, conj, extract_scheme, format_report,
+                    format_tree, unfold, verify_runtree, zielonka)
 from horsmc.formats import terminal_symbol
 from horsmc.selection import (LosingStart, ReconstructionError,
                               annotated_sort)
@@ -121,6 +121,18 @@ class TestVerifyRuntree:
             w = extract_scheme(h, m, solve(h, m, q), q)
             report = verify_runtree(w, h, m, q, 10)
             assert report.passed
+
+    def test_unknown_annotated_symbol(self):
+        # Parsing decodes every terminal it declares, so only a witness
+        # built in Python can name a symbol it does not annotate.
+        h, m = loop_scheme(), loop_apt(2)
+        w = extract_scheme(h, m, solve(h, m, "q"), "q")
+        bare = AnnotatedHors(w.hors, {}, w.nonterminal_info)
+        assert format_report(verify_runtree(bare, h, m, "q", 2)) == (
+            "depth checked: 2\nprojection mismatches: 0\n"
+            "transition violations: 1\n"
+            "  transition at []: unknown annotated symbol 'a@{1:2.q}->q'\n"
+            "max colors seen on branches: []\nverdict: VIOLATIONS")
 
     def test_fault_injection_state_swap(self, ex1, ex1_apt):
         # swap the announced child state of the single data node visible at

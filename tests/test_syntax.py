@@ -6,10 +6,11 @@ from hypothesis import assume, given, settings
 
 from horsmc import syntax
 from horsmc.formats import parse_hors
-from horsmc import (App, Arrow, ArrowType, Atom, BOTTOM, ColoredSet, GROUND,
-                    Hors, NonTerminal, Rule, StateType, Terminal, TreePrefix,
-                    UnresolvedWithinBudget, Var, apply, check_wellformed,
-                    colored_set, format_tree, order, unfold)
+from horsmc import (App, Apt, Arrow, ArrowType, Atom, BOTTOM, ColoredSet,
+                    GROUND, Hors, IllFormedScheme, NonTerminal, Rule,
+                    StateType, Terminal, TreePrefix, UnresolvedWithinBudget,
+                    Var, apply, build_game, check_wellformed, colored_set,
+                    format_tree, order, unfold)
 from horsmc.oracles import (Fix, Lam, bohm_tree, from_lambda_y, is_prefix_of,
                             subst_var, to_lambda_y)
 from conftest import (const_scheme, grow_scheme, loop_scheme, mutual_scheme,
@@ -148,6 +149,75 @@ class TestCheckWellformed:
                      nonterminals={"S": GROUND},
                      rules={"S": Rule((), body)}, start="S")
             assert check_wellformed(h) == []
+
+
+OO = Arrow(GROUND, GROUND)
+
+
+def wellformed_base(**changes) -> Hors:
+    """S = F c; F x = a x, with the fields in `changes` replaced and
+    `rules` merged into the base's."""
+    fields = dict(terminals={"a": 1, "c": 0},
+                  nonterminals={"S": GROUND, "F": OO},
+                  rules={"S": Rule((), apply(NonTerminal("F"), Terminal("c"))),
+                         "F": Rule((("x", GROUND),),
+                                   apply(Terminal("a"), Var("x")))},
+                  start="S")
+    fields["rules"] = {**fields["rules"], **changes.pop("rules", {})}
+    return Hors(**{**fields, **changes})
+
+
+# Checks that parsing lets through: a scheme built in Python reaches them.
+WELLFORMED_DIAGNOSTICS = [
+    ("negative-arity", dict(terminals={"a": 1, "c": 0, "b": -2}),
+     ["terminal 'b': negative arity -2"]),
+    ("undeclared-start", dict(start="T"),
+     ["start symbol 'T' is not a declared nonterminal"]),
+    ("rule-for-undeclared-nonterminal",
+     dict(rules={"G": Rule((), Terminal("c"))}),
+     ["rule for undeclared nonterminal 'G'"]),
+    ("duplicate-binders",
+     dict(nonterminals={"S": GROUND, "F": Arrow(GROUND, OO)},
+          rules={"S": Rule((), apply(NonTerminal("F"), Terminal("c"),
+                                     Terminal("c"))),
+                 "F": Rule((("x", GROUND), ("x", GROUND)),
+                           apply(Terminal("a"), Var("x")))}),
+     ["rule 'F': duplicate binder names"]),
+    ("binder-sort-mismatch",
+     dict(rules={"F": Rule((("x", OO),), apply(Var("x"), Terminal("c")))}),
+     ["rule 'F': binder 'x' of sort o -> o does not match nonterminal sort "
+      "o -> o"]),
+    ("body-leaves-a-sort", dict(rules={"F": Rule((), Terminal("a"))}),
+     ["rule 'F': body leaves sort o -> o, rules must abstract down to o"]),
+    ("body-of-non-ground-sort",
+     dict(rules={"F": Rule((("x", GROUND),), Terminal("a"))}),
+     ["rule 'F': body has sort o -> o, expected o"]),
+    ("unbound-variable",
+     dict(rules={"F": Rule((("x", GROUND),), apply(Terminal("a"),
+                                                   Var("y")))}),
+     ["rule 'F': unbound variable 'y'"]),
+    ("unknown-terminal",
+     dict(rules={"F": Rule((("x", GROUND),), apply(Terminal("b"),
+                                                   Var("x")))}),
+     ["rule 'F': unknown terminal 'b'"]),
+    ("unknown-nonterminal",
+     dict(rules={"S": Rule((), apply(NonTerminal("G"), Terminal("c")))}),
+     ["rule 'S': unknown nonterminal 'G'"]),
+]
+
+
+@pytest.mark.parametrize("changes, diagnostics",
+                         [row[1:] for row in WELLFORMED_DIAGNOSTICS],
+                         ids=[row[0] for row in WELLFORMED_DIAGNOSTICS])
+def test_wellformed_diagnostics_table(changes, diagnostics):
+    assert check_wellformed(wellformed_base()) == []
+    h = wellformed_base(**changes)
+    assert check_wellformed(h) == diagnostics
+    m = Apt(states=("q",), terminals=dict(h.terminals), delta={},
+            omega={"q": 0}, initial="q")
+    with pytest.raises(IllFormedScheme) as e:
+        build_game(h, m)
+    assert e.value.diagnostics == diagnostics
 
 
 @pytest.fixture
