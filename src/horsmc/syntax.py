@@ -512,66 +512,123 @@ def unfold(h: Hors, depth: int, budget: int = DEFAULT_STEP_BUDGET) -> TreePrefix
     Equal subtrees are one object, so the prefix takes memory in the number
     of distinct subtrees, not of positions.
 
-    A subtree that ends within the bound is built once per call.  Terms are
-    interned, so a term has one tree; once a term's subtree is built whole,
-    with no node cut by the bound, that object and its height are kept by
-    the term, and a later position of the term whose remaining levels reach
-    that height takes the object without rewriting a head.  Such a subtree
-    holds no divergent head, so the first one stays where it was.  A
-    subtree cut by the bound depends on the levels left as well as on its
-    term, and is expanded at every position.
+    The work is per distinct term and distinct subtree, not per position.
+    Terms are interned, and within a call each term's head is rewritten
+    once and its deepest tree is kept.  That tree is exact at any number of
+    levels if it is whole, with no node cut by the bound, and otherwise at
+    the levels it was built with or fewer.  A later position of the term
+    with no more levels than that takes the tree, truncated to the levels
+    left where it is taller (`_truncate`); only a position with more levels
+    than a cut tree's expands the term again.  A reused tree holds no
+    divergent head, so the first one stays where it was.
     """
     require_wellformed(h)
     if depth <= 0:
         return BOTTOM
     # One node per level of the current path: its term, label, argument
-    # terms, the subtrees built so far, and the height of the tallest of
-    # them, `depth` once one is cut.  The node being expanded is argument
+    # terms, the subtrees built so far, the height of the tallest of them,
+    # and whether one is cut.  The node being expanded is argument
     # `len(built)` of the one below.
     stack: list[list] = []
     shared: dict[tuple, TreePrefix] = {}
-    # term -> its whole subtree and that subtree's height in levels
-    whole: dict[Term, tuple[TreePrefix, int]] = {}
+    # id of a tree, kept alive by `shared` -> its levels down to its
+    # deepest label
+    heights: dict[int, int] = {id(BOTTOM): 0}
+    truncated: dict[tuple[int, int], TreePrefix] = {}
+    normals: dict[Term, tuple[str, list[Term]]] = {}
+    # term -> its deepest tree, and whether that tree is cut
+    expanded: dict[Term, tuple[TreePrefix, bool]] = {}
     t: Term = NonTerminal(h.start)
     while True:
-        normal = head_normal(h, t, budget)
+        normal = normals.get(t)
         if normal is None:
-            path = tuple(len(node[3]) + 1 for node in stack)
-            raise UnresolvedWithinBudget(path, budget + 1)
+            normal = normals[t] = head_normal(h, t, budget)
+            if normal is None:
+                path = tuple(len(node[3]) + 1 for node in stack)
+                raise UnresolvedWithinBudget(path, budget + 1)
         label, args = normal
         if len(stack) + 1 < depth or not args:
-            node = [t, label, args, [], 0]
+            node = [t, label, args, [], 0, False]
         else:
-            node = [t, label, args, [BOTTOM] * len(args), depth]
+            node = [t, label, args, [BOTTOM] * len(args), 0, True]
         stack.append(node)
-        # Take every next child that is whole and fits, and close every node
-        # whose children are all built; then descend into the next child.
+        # Take every next child whose term has a tree exact at the levels
+        # left, and close every node whose children are all built, so that
+        # its parent takes its tree next; then descend into the next child.
         while True:
-            term, label, args, built, _ = node
+            term, label, args, built, _, _ = node
+            left = depth - len(stack)
             while len(built) < len(args):
                 t = args[len(built)]
-                known = whole.get(t)
-                if known is None or known[1] > depth - len(stack):
+                known = expanded.get(t)
+                if known is None:
                     break
-                built.append(known[0])
-                if known[1] > node[4]:
-                    node[4] = known[1]
+                tree, cut = known
+                height = heights[id(tree)]
+                if height > left:
+                    tree = _truncate(tree, left, heights, truncated, shared)
+                    height, cut = left, True
+                elif cut and height < left:
+                    break
+                built.append(tree)
+                if height > node[4]:
+                    node[4] = height
+                node[5] = node[5] or cut
             if len(built) < len(args):
                 break
             stack.pop()
-            height = node[4] + 1
             key = (label, *map(id, built))
             tree = shared.get(key)
             if tree is None:
                 tree = shared[key] = TreePrefix(label, tuple(built))
-            if height <= depth:
-                whole[term] = (tree, height)
+                heights[id(tree)] = node[4] + 1
             if not stack:
                 return tree
+            # A term is expanded only where the tree it has is not exact,
+            # so this one is deeper.
+            expanded[term] = (tree, node[5])
             node = stack[-1]
-            node[3].append(tree)
-            if height > node[4]:
-                node[4] = height
+
+
+def _truncate(tree: TreePrefix, levels: int, heights: dict[int, int],
+              truncated: dict[tuple[int, int], TreePrefix],
+              shared: dict[tuple, TreePrefix]) -> TreePrefix:
+    """`tree`, taller than `levels`, cut to its first `levels` levels, where
+    a node on the last one takes unresolved leaves.  Subtrees that fit are
+    kept; the others are built through `shared`, once per (tree, levels)."""
+    # Open cuts: a tree, its levels, its key in `truncated` and its children
+    # so far; the one on top is child `len(built)` of the one below.
+    stack: list[tuple[TreePrefix, int, tuple[int, int], list]] = []
+    while True:
+        key = (id(tree), levels)
+        cut = truncated.get(key)
+        if cut is None:
+            stack.append((tree, levels, key, []))
+        while True:
+            if cut is not None:
+                if not stack:
+                    return cut
+                stack[-1][3].append(cut)
+            tree, levels, key, built = stack[-1]
+            children = tree.children
+            while len(built) < len(children):
+                child = children[len(built)]
+                if heights[id(child)] < levels:
+                    built.append(child)
+                elif levels == 1:
+                    built.append(BOTTOM)
+                else:
+                    break
+            if len(built) < len(children):
+                break
+            stack.pop()
+            node = (tree.label, *map(id, built))
+            cut = shared.get(node)
+            if cut is None:
+                cut = shared[node] = TreePrefix(tree.label, tuple(built))
+                heights[id(cut)] = levels
+            truncated[key] = cut
+        tree, levels = child, levels - 1
 
 
 def _subst_many(t: Term, mapping: dict[str, Term]) -> Term:

@@ -13,8 +13,10 @@ from horsmc import (ADAM, Apt, Arrow, Atom, EVE, GROUND, Hors, NonTerminal,
 def cli_env(seed) -> dict:
     """Environment for a `python -m horsmc.cli` child: a fixed hash seed and
     the import path of the `horsmc` under test, so the child runs the same
-    code as the suite whether the package is installed or run from `src/`."""
+    code as the suite whether the package is installed or run from `src/`.
+    The child writes no bytecode next to that code."""
     return {"PYTHONHASHSEED": str(seed), "PATH": "/usr/bin:/bin",
+            "PYTHONDONTWRITEBYTECODE": "1",
             "PYTHONPATH": str(Path(horsmc.__file__).resolve().parent.parent)}
 
 

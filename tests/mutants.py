@@ -98,12 +98,28 @@ MUTANTS = [
            ("tests/test_syntax.py::TestUnfold::"
             "test_equal_subtrees_are_one_object",)),
     Mutant("whole-subtree-reused-below-its-height", "syntax.py",
-           "if known is None or known[1] > depth - len(stack):",
-           "if known is None:",
+           "if height > left:",
+           "if cut and height > left:",
            ("tests/test_syntax.py::TestUnfold::"
             "test_whole_subtree_is_cut_where_too_few_levels_remain",
             "tests/test_syntax.py::TestUnfold::"
             "test_fixture_unfoldings_are_the_oracle_trees")),
+    Mutant("truncation-keeps-leaves-on-the-last-level", "syntax.py",
+           "elif levels == 1:\n                    built.append(BOTTOM)",
+           "elif levels == 1:\n                    built.append("
+           "BOTTOM if child.children else child)",
+           ("tests/test_syntax.py::TestUnfold::"
+            "test_terms_recurring_with_fewer_levels",)),
+    Mutant("cut-tree-reused-at-more-levels", "syntax.py",
+           "elif cut and height < left:",
+           "elif cut and height < left - 1:",
+           ("tests/test_syntax.py::TestUnfold::"
+            "test_terms_recurring_with_fewer_levels",)),
+    Mutant("truncation-memo-keyed-without-levels", "syntax.py",
+           "key = (id(tree), levels)",
+           "key = id(tree)",
+           ("tests/test_syntax.py::TestUnfold::"
+            "test_terms_recurring_with_fewer_levels",)),
     Mutant("printed-slice-ends-before-its-paren", "syntax.py",
            'out.append(")")\n            ends[item] = len(out)',
            'ends[item] = len(out)\n            out.append(")")',

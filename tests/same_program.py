@@ -2,11 +2,12 @@
 
 For every pair of a scheme and an automaton in `horsbench/fixtures` (42
 pairs), it runs `check`, `states`, `select`, `verify` and `dump-game` with
-their default options, and on each of the 6 schemes `unfold` and `unfold
---dot -d 3`: 222 cases.  Each runs at `PYTHONHASHSEED=0`, once with this
-checkout's `src/` and once with the other checkout's, and the two are
-compared by exit code, stdout and stderr.  Both sides read the fixtures of this checkout, from inside
-their directory, so the file names in messages agree.  Run from anywhere:
+their default options, and on each of the 6 schemes `unfold`, `unfold -d
+40` and `unfold --dot -d 3`: 228 cases.  Each runs at `PYTHONHASHSEED=0`,
+once with this checkout's `src/` and once with the other checkout's, and
+the two are compared by exit code, stdout and stderr.  Both sides read the
+fixtures of this checkout, from inside their directory, so the file names
+in messages agree.  Run from anywhere:
 
     python tests/same_program.py OTHER_CHECKOUT
 
@@ -27,7 +28,8 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "horsbench" / "fixtures"
 COMMANDS = ("check", "states", "select", "verify", "dump-game")
 # `unfold` reads a scheme alone: its options, after the scheme.
-UNFOLDS = ((), ("--dot", "-d", "3"))
+# Depth 40 takes `ex1` and `grow` well into the half cut by the depth bound.
+UNFOLDS = ((), ("-d", "40"), ("--dot", "-d", "3"))
 WORKERS = 2  # child processes at a time
 TIMEOUT_S = 600
 

@@ -1,4 +1,5 @@
 import resource
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -721,6 +722,18 @@ def run_subprocess(argv, seed):
 
 
 class TestImportPath:
+    def test_cli_children_write_no_bytecode(self, tmp_path):
+        # Bytecode left in `src/` by a test run makes later imports of the
+        # checkout faster than a fresh copy's, which skews timed imports.
+        shutil.copytree(Path(cli.__file__).parent, tmp_path / "horsmc",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        r = subprocess.run(
+            [sys.executable, "-m", "horsmc.cli", "unfold",
+             str(FIXTURES / "loop.hors"), "-d", "2"], capture_output=True,
+            text=True, env={**cli_env(0), "PYTHONPATH": str(tmp_path)})
+        assert (r.returncode, r.stdout) == (0, "(a (a _|_))\n"), r.stderr
+        assert not list(tmp_path.rglob("*.pyc"))
+
     def test_cli_does_not_load_the_oracles(self):
         r = subprocess.run(
             [sys.executable, "-c", "import sys, horsmc.cli; "

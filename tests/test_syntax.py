@@ -220,6 +220,40 @@ def test_wellformed_diagnostics_table(changes, diagnostics):
     assert e.value.diagnostics == diagnostics
 
 
+def scheme(terminals: str, nonterminals: str, rules: str) -> Hors:
+    """A scheme from `a:2 c:0`, `S:o G:o->o` and `S = G c; G x = a x c`."""
+    lines = ["terminals:",
+             *(f"  {t.replace(':', ' : ')}" for t in terminals.split()),
+             "nonterminals:",
+             *(f"  {x.replace(':', ' : ', 1)}" for x in nonterminals.split()),
+             "start: S", "rules:",
+             *(f"  {r.strip()}" for r in rules.split(";"))]
+    return parse_hors("\n".join(lines) + "\n")
+
+
+# Terms met again with fewer levels left than at their first expansion, or
+# with more than a cut tree of them holds: (name, terminals, nonterminals,
+# rules, depth, the prefix's text or the divergent head's (path, steps)).
+UNFOLD_ROWS = [
+    # (a x c)'s leaf c sits on the last level of a truncation one level up
+    ("leaf-on-the-last-level", "a:2 b:1 c:0", "S:o G:o->o",
+     "S = G c; G x = a (b x) (G (a x c))", 6,
+     "(a (b (c)) (a (b (a (c) (c))) (a (b (a (a _|_ _|_) (c))) "
+     "(a (b (a _|_ _|_)) (a (b _|_) (a _|_ _|_))))))"),
+    # B is whole at level 2 and truncated at level 4; D then diverges
+    ("divergent-after-a-truncated-reuse", "a:2 b:1 c:0", "S:o B:o D:o",
+     "S = a B (b (a B D)); B = b (b (b c)); D = D", 6,
+     ((2, 1, 2), syntax.DEFAULT_STEP_BUDGET + 1)),
+    # B is cut at one level under the first child, then needs two
+    ("cut-tree-needed-at-more-levels", "a:2 b:1 c:0", "S:o B:o",
+     "S = a (b B) B; B = b (b c)", 3, "(a (b (b _|_)) (b (b _|_)))"),
+    # B's whole tree is truncated to two levels, then to one
+    ("one-tree-truncated-at-two-levels", "a:2 b:1 c:0 d:1", "S:o B:o",
+     "S = a B (a (b B) (b (d B))); B = b (b (b c))", 5,
+     "(a (b (b (b (c)))) (a (b (b (b _|_))) (b (d (b _|_)))))"),
+]
+
+
 @pytest.fixture
 def heads(monkeypatch):
     """The terms that `unfold` gives `head_normal`, in order."""
@@ -277,15 +311,16 @@ class TestUnfold:
     def test_equal_subtrees_are_one_object(self):
         # 22,951 positions at depth 300, but below the spine the left
         # children form one chain of b's ending in c and one ending in the
-        # cutoff
-        depth = 300
-        seen, work = set(), [unfold(grow_scheme(), depth)]
-        while work:
-            node = work.pop()
-            if id(node) not in seen:
-                seen.add(id(node))
-                work.extend(node.children)
-        assert len(seen) <= 2 * depth
+        # cutoff; at 3,000, past the recursion limit, the cut lower half is
+        # truncations of the chains above it
+        for depth in (300, 3000):
+            seen, work = set(), [unfold(grow_scheme(), depth)]
+            while work:
+                node = work.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    work.extend(node.children)
+            assert len(seen) <= 2 * depth
 
     def test_fixture_unfoldings_are_the_oracle_trees(self):
         assert len(FIXTURES) == 6
@@ -341,6 +376,34 @@ class TestUnfold:
         # whole left children of the upper half are built once each
         unfold(grow_scheme(), 300)
         assert len(heads) <= 12_000
+
+    @pytest.mark.parametrize("depth", (300, 520))
+    def test_each_term_is_rewritten_once(self, heads, ex1, depth):
+        for h in (grow_scheme(), ex1, loop_scheme(), mutual_scheme()):
+            heads.clear()
+            unfold(h, depth)
+            assert len(heads) == len(set(heads)), (h.start, depth)
+        heads.clear()
+        unfold(grow_scheme(), depth)
+        # one rewrite per distinct term: 599 at depth 300, 1,039 at 520
+        assert len(heads) <= 2 * depth - 1
+
+    @pytest.mark.parametrize("row", UNFOLD_ROWS, ids=lambda row: row[0])
+    def test_terms_recurring_with_fewer_levels(self, row):
+        _, terminals, nonterminals, rules, depth, want = row
+        h = scheme(terminals, nonterminals, rules)
+        if isinstance(want, str):
+            assert format_tree(unfold(h, depth)) == want
+            t = to_lambda_y(h)
+            for d in range(depth + 3):
+                assert unfold(h, d) == bohm_tree(t, d, h.terminals), d
+        else:
+            path, steps = want
+            for budget, raised in ((syntax.DEFAULT_STEP_BUDGET, steps),
+                                   (1, 2)):
+                with pytest.raises(UnresolvedWithinBudget) as e:
+                    unfold(h, depth, budget=budget)
+                assert (e.value.path, e.value.steps) == (path, raised)
 
     def test_deep_trees_compare_and_hash_without_recursion(self):
         def chain(leaf, n):
@@ -497,6 +560,34 @@ def test_lambda_y_translations_on_order0_schemes(instance):
 @given(order1_instances())
 def test_lambda_y_translations_on_order1_schemes(instance):
     assert_lambda_y_agrees(order1_scheme(instance[0]))
+
+
+# Drawn schemes are unfolded at every depth up to this one, and compared
+# with the Boehm tree of their translation.
+ORACLE_DEPTH = 12
+
+
+def assert_unfold_is_the_oracle_tree(h: Hors) -> None:
+    try:
+        trees = [unfold(h, d, budget=LY_BUDGET)
+                 for d in range(ORACLE_DEPTH + 1)]
+    except UnresolvedWithinBudget:
+        assume(False)
+    t = to_lambda_y(h)
+    for d, tree in enumerate(trees):
+        assert tree == bohm_tree(t, d, h.terminals), d
+
+
+@settings(max_examples=60, deadline=None)
+@given(order0_instances(max_arity=2))
+def test_unfold_is_the_oracle_tree_on_order0_schemes(instance):
+    assert_unfold_is_the_oracle_tree(order0_scheme(instance[0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(order1_instances())
+def test_unfold_is_the_oracle_tree_on_order1_schemes(instance):
+    assert_unfold_is_the_oracle_tree(order1_scheme(instance[0]))
 
 
 def test_tree_prefix_child_counts(ex1):
