@@ -203,6 +203,35 @@ def extract_scheme(h: Hors, m: Apt, s: Solution, q: str) -> AnnotatedHors:
 # ---------------------------------------------------------------------------
 # Verification of the generated run-tree
 
+def _label_facts(g: AnnotatedHors, m: Apt, label: str) -> tuple | str:
+    """The checks of an annotated symbol that do not read its node: a
+    violation message, or its terminal, annotated state, unsatisfied
+    transition's message (or None), state's color, number of directions
+    padded to the arity, and (direction, color, state) per announced child."""
+    info = g.terminal_info.get(label)
+    if info is None:
+        return f"unknown annotated symbol '{label}'"
+    a, profile, annotated_state = info
+    if a not in m.terminals:
+        return f"symbol '{a}' not in the automaton's alphabet"
+    plan = tuple((k, c, q2) for k, component in enumerate(profile, start=1)
+                 for c, q2 in component)
+    if annotated_state not in m.omega or \
+            any(q2 not in m.omega for _, _, q2 in plan):
+        return f"'{label}' mentions states unknown to the automaton"
+    if len(profile) < m.terminals[a]:
+        # trailing erased directions are not spelled out in the symbol
+        profile = profile + ((),) * (m.terminals[a] - len(profile))
+    try:
+        ok = satisfies(profile, annotated_state, a, m)
+    except ValueError:
+        ok = False
+    unsatisfied = None if ok else (f"profile of '{label}' does not satisfy "
+                                   f"the transition at {annotated_state}")
+    return (a, annotated_state, unsatisfied, m.omega[annotated_state],
+            len(profile), plan)
+
+
 def verify_runtree(g: AnnotatedHors, h: Hors, m: Apt, q: str,
                    depth: int) -> RunReport:
     """Check a finite unfolding of the witness against the original tree.
@@ -221,6 +250,11 @@ def verify_runtree(g: AnnotatedHors, h: Hors, m: Apt, q: str,
     run never reads is not an error.  Paths in the report are positions in
     the run tree.  The walk keeps its own stack, so no recursion limit
     applies.
+
+    The walk visits every position of the run, but checks each distinct
+    annotated symbol once (`_label_facts`) and rewrites each distinct
+    original term's head once, in memos that live for one call; the checks
+    that read the node stay per position.
     """
     report = RunReport(depth=depth)
     run = unfold(g.hors, depth)
@@ -234,6 +268,8 @@ def verify_runtree(g: AnnotatedHors, h: Hors, m: Apt, q: str,
             link = link[0]
         return tuple(reversed(steps))
 
+    labels: dict[str, tuple | str] = {}
+    normals: dict[Term, tuple[str, list[Term]]] = {}
     # (run node, original term at that node, state, max color above it,
     # link, profile color announced for the node or None at the root)
     work: list[tuple] = [(run, NonTerminal(h.start), q, None, None, None)]
@@ -247,67 +283,48 @@ def verify_runtree(g: AnnotatedHors, h: Hors, m: Apt, q: str,
         if node.is_bottom:
             report.branch_max_colors.append((path_of(link, 1), max_color))
             continue
-        info = g.terminal_info.get(node.label)
-        if info is None:
-            report.transition_violations.append(
-                (path_of(link, 1), f"unknown annotated symbol '{node.label}'"))
+        facts = labels.get(node.label)
+        if facts is None:
+            facts = labels[node.label] = _label_facts(g, m, node.label)
+        if isinstance(facts, str):
+            report.transition_violations.append((path_of(link, 1), facts))
             continue
-        a, profile, annotated_state = info
-        if a not in m.terminals:
-            report.transition_violations.append(
-                (path_of(link, 1),
-                 f"symbol '{a}' not in the automaton's alphabet"))
-            continue
-        announced = [q2 for comp in profile for _, q2 in comp]
-        if annotated_state not in m.omega or \
-                any(q2 not in m.omega for q2 in announced):
-            report.transition_violations.append(
-                (path_of(link, 1), f"'{node.label}' mentions states unknown "
-                                   "to the automaton"))
-            continue
-        if len(profile) < m.terminals[a]:
-            # trailing erased directions are not spelled out in the symbol
-            profile = profile + ((),) * (m.terminals[a] - len(profile))
+        a, annotated_state, unsatisfied, here, width, plan = facts
         if annotated_state != state:
             report.transition_violations.append(
                 (path_of(link, 1), f"node carries state {annotated_state}, "
                                    f"expected {state}"))
-        normal = head_normal(h, term, DEFAULT_STEP_BUDGET)
+        normal = normals.get(term)
         if normal is None:
-            raise UnresolvedWithinBudget(path_of(link, 2),
-                                         DEFAULT_STEP_BUDGET + 1)
+            normal = normals[term] = head_normal(h, term, DEFAULT_STEP_BUDGET)
+            if normal is None:
+                raise UnresolvedWithinBudget(path_of(link, 2),
+                                             DEFAULT_STEP_BUDGET + 1)
         original, args = normal
         if original != a:
             report.projection_mismatches.append(
                 (path_of(link, 1), original, a))
             continue
-        try:
-            ok = satisfies(profile, annotated_state, a, m)
-        except ValueError:
-            ok = False
-        if not ok:
-            report.transition_violations.append(
-                (path_of(link, 1), f"profile of '{node.label}' does not "
-                                   f"satisfy the transition at "
-                                   f"{annotated_state}"))
-        here = m.omega[annotated_state]
+        if unsatisfied is not None:
+            report.transition_violations.append((path_of(link, 1),
+                                                 unsatisfied))
         max_here = here if max_color is None else max(max_color, here)
-        if not announced:
+        if not plan:
             report.branch_max_colors.append((path_of(link, 1), max_here))
             continue
         children = []
-        for k, component in enumerate(profile, start=1):
+        for pos, (k, c, q2) in enumerate(plan):
             if k > len(args):
-                # The original has no such direction to check it against.
-                report.transition_violations.append(
-                    (path_of(link, 1), f"profile of '{node.label}' names "
-                                       f"direction {k}, past the arity "
-                                       f"{len(args)} of '{a}'"))
                 break
-            for c, q2 in component:
-                pos = len(children)
-                children.append((node.children[pos], args[k - 1], q2,
-                                 max_here, (link, pos + 1, k), c))
+            children.append((node.children[pos], args[k - 1], q2, max_here,
+                             (link, pos + 1, k), c))
+        if width > len(args):
+            # The original has no direction len(args) + 1 to check the
+            # profile's against, whether or not that one announces a child.
+            report.transition_violations.append(
+                (path_of(link, 1), f"profile of '{node.label}' names "
+                                   f"direction {len(args) + 1}, past the "
+                                   f"arity {len(args)} of '{a}'"))
         work.extend(reversed(children))
     return report
 

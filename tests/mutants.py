@@ -239,6 +239,31 @@ MUTANTS = [
            ("tests/test_syntax.py::TestUnfold::test_depth_four_prefix",
             "tests/test_syntax.py::TestToLambdaY::"
             "test_boehm_tree_agrees_with_unfold")),
+    # The first node of a symbol decides its state check for every other.
+    Mutant("node-state-checked-once-per-symbol", "selection.py",
+           "if annotated_state != state:",
+           "if labels.setdefault((node.label, 'state'),\n"
+           "                              annotated_state != state):",
+           ("tests/test_cli.py::TestBrokenWitness::"
+            "test_report_on_recurring_symbols"
+            "[state-right-at-one-node-wrong-at-another]",)),
+    Mutant("head-normal-memo-keyed-by-spine-head", "selection.py",
+           "normal = normals.get(term)\n"
+           "        if normal is None:\n"
+           "            normal = normals[term] =",
+           "key = term\n"
+           "        while isinstance(key, App):\n"
+           "            key = key.function\n"
+           "        normal = normals.get(key)\n"
+           "        if normal is None:\n"
+           "            normal = normals[key] =",
+           ("tests/test_selection.py::TestVerifyWork::"
+            "test_report_is_pinned[ex1]",)),
+    Mutant("symbol-facts-outlive-the-call", "selection.py",
+           "labels: dict[str, tuple | str] = {}",
+           "labels = globals().setdefault('_LABELS', {})",
+           ("tests/test_selection.py::TestVerifyWork::"
+            "test_symbol_facts_do_not_outlive_a_call",)),
 ]
 
 

@@ -517,9 +517,9 @@ def loop_witness(symbol: str, arity: int = 1) -> str:
 
 
 def violations(mismatches: list[str], transitions: list[str],
-               colors: str) -> str:
-    """`verify`'s report at depth 2 with these findings."""
-    return "\n".join(["depth checked: 2",
+               colors: str, depth: int = 2) -> str:
+    """`verify`'s report at `depth` with these findings."""
+    return "\n".join([f"depth checked: {depth}",
                       f"projection mismatches: {len(mismatches)}",
                       f"transition violations: {len(transitions)}",
                       *[f"  projection at {m}" for m in mismatches],
@@ -568,6 +568,49 @@ BROKEN_WITNESSES = [
 ]
 
 
+def mutual_witness(body: str) -> str:
+    """A witness over `mutual.hors` whose start rule is `S@p = body`,
+    declaring each annotated symbol the body names."""
+    symbols = dict.fromkeys(w for w in body.replace("(", " ").replace(
+        ")", " ").split() if "->" in w)
+    return ("terminals:\n" + "".join(f"  {w} : 1\n" for w in symbols)
+            + "nonterminals:\n  S@p : o\nstart: S@p\n"
+            f"rules:\n  S@p = {body}\n")
+
+
+# Witnesses whose symbols recur in the run, so that a check of a symbol
+# made once must still be reported at every position it fails:
+# (scheme, automaton, state, depth, witness, stdout); each exits 1.
+RECURRING_BROKEN_WITNESSES = [
+    # `b@{1:2.p}->r` sits at r below `a@{1:1.r}->p` and at p below
+    # `a@{1:2.p}->p`, whose profile also misses the transition at p.
+    ("state-right-at-one-node-wrong-at-another", "mutual", "mutual", "p", 8,
+     mutual_witness("a@{1:1.r}->p (b@{1:2.p}->r (a@{1:2.p}->p "
+                    "(b@{1:2.p}->r S@p)))"),
+     violations([], ["[1, 1]: profile of 'a@{1:2.p}->p' does not satisfy "
+                     "the transition at p",
+                     "[1, 1, 1]: node carries state r, expected p",
+                     "[1, 1, 1, 1, 1, 1]: profile of 'a@{1:2.p}->p' does "
+                     "not satisfy the transition at p",
+                     "[1, 1, 1, 1, 1, 1, 1]: node carries state r, "
+                     "expected p"], "[2]", 8)),
+    # `a@{1:1.r}->p` sits over `S`, over `F` and, last, over `G`, a `b`.
+    ("symbol-over-two-terms-one-mismatched", "mutual", "mutual", "p", 6,
+     mutual_witness("a@{1:1.r}->p (b@{1:2.p}->r (a@{1:1.r}->p "
+                    "(a@{1:1.r}->p S@p)))"),
+     violations(["[1, 1, 1]: expected 'b', generated 'a'"],
+                ["[1, 1, 1]: node carries state p, expected r"], "[]", 6)),
+    # The profile reads direction 2 at q0 but misses (2, q1).
+    ("transition-failing-at-every-position", "ex1", "ex1", "q0", 4,
+     "terminals:\n  if@{2:0.q0}->q0 : 1\nnonterminals:\n  S@q0 : o\n"
+     "start: S@q0\nrules:\n  S@q0 = if@{2:0.q0}->q0 S@q0\n",
+     violations([], [f"{path}: profile of 'if@{{2:0.q0}}->q0' does not "
+                     "satisfy the transition at q0"
+                     for path in ("[]", "[1]", "[1, 1]", "[1, 1, 1]")],
+                "[0]", 4)),
+]
+
+
 class TestBrokenWitness:
     """`verify`'s exit code and report on witnesses that do not fit the
     scheme or the automaton: none of them is a fault of the program."""
@@ -584,6 +627,18 @@ class TestBrokenWitness:
             path.write_text(witness)
             argv += ["--witness", str(path)]
         assert run(argv, capsys) == (code, out, err.format(w=path))
+
+    @pytest.mark.parametrize("scheme, apt, state, depth, witness, out",
+                             [row[1:] for row in RECURRING_BROKEN_WITNESSES],
+                             ids=[row[0] for row in RECURRING_BROKEN_WITNESSES])
+    def test_report_on_recurring_symbols(self, tmp_path, capsys, scheme, apt,
+                                         state, depth, witness, out):
+        path = tmp_path / "w.hors"
+        path.write_text(witness)
+        argv = ["verify", str(FIXTURES / f"{scheme}.hors"),
+                str(FIXTURES / f"{apt}.apt"), "-q", state, "-d", str(depth),
+                "--witness", str(path)]
+        assert run(argv, capsys) == (1, out, "")
 
 
 class TestDumpGame:

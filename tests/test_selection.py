@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from horsmc import (ADAM, AdamNode, AnnotatedHors, Apt, ArrowType, Atom, EVE,
@@ -6,13 +8,14 @@ from horsmc import (ADAM, AdamNode, AnnotatedHors, Apt, ArrowType, Atom, EVE,
                     accepted_states, apply, build_game, check_wellformed,
                     colored_set, conj, extract_scheme, format_report,
                     format_tree, unfold, verify_runtree, zielonka)
+from horsmc import selection
 from horsmc.formats import terminal_symbol
 from horsmc.selection import (LosingStart, ReconstructionError,
-                              annotated_sort)
+                              RunReport, annotated_sort)
 from horsmc.syntax import Arrow, arrow
 from horsmc.typecheck import DDelta
-from conftest import (const_scheme, loop_apt, loop_scheme, order2_unary,
-                      solve_cached)
+from conftest import (const_scheme, grow_apt, grow_scheme, loop_apt,
+                      loop_scheme, order2_unary, solve_cached)
 
 Q0, Q1 = StateType("q0"), StateType("q1")
 
@@ -224,12 +227,106 @@ class TestVerifyRuntree:
             verify_runtree(w, diverging, m, "q", 5)
         assert e.value.path == (2, 1)
 
+    def test_empty_direction_past_the_arity_is_named(self):
+        # A profile with a second, empty direction over `a : 1`: the first
+        # direction the original lacks is named, and the child of
+        # direction 1 is still checked.
+        h, m = loop_scheme(), loop_apt(2)
+        w = extract_scheme(h, m, solve(h, m, "q"), "q")
+        w.terminal_info["a@{1:2.q}->q"] = ("a", (((2, "q"),), ()), "q")
+        unsatisfied = ("profile of 'a@{1:2.q}->q' does not satisfy the "
+                       "transition at q")
+        past = ("profile of 'a@{1:2.q}->q' names direction 2, past the "
+                "arity 1 of 'a'")
+        assert verify_runtree(w, h, m, "q", 2) == RunReport(
+            2, [], [((), unsatisfied), ((), past), ((1,), unsatisfied),
+                    ((1,), past)], [((1, 1), 2)])
+
     def test_depth_zero_report_is_empty(self, ex1, ex1_apt):
         sol = solve(ex1, ex1_apt, "q0")
         w = extract_scheme(ex1, ex1_apt, sol, "q0")
         report = verify_runtree(w, ex1, ex1_apt, "q0", 0)
         assert report.passed and report.depth == 0
 
+
+def verify_case(name, request):
+    """(scheme, automaton, state) of a fixture named in a parameter list."""
+    if name == "ex1":
+        return (request.getfixturevalue("ex1"),
+                request.getfixturevalue("ex1_apt"), "q0")
+    return {"loop": (loop_scheme(), loop_apt(2), "q"),
+            "order2_unary": (*order2_unary(), "q"),
+            "grow": (grow_scheme(), grow_apt(), "q")}[name]
+
+
+class TestVerifyWork:
+    """One `verify_runtree` call rewrites each distinct original term once
+    and checks each distinct annotated symbol once, however often they
+    recur in the run; its report is the one pinned below."""
+
+    # (fixture, depth, most head rewrites, most transition checks); per
+    # position they would be 300, 300 / 6,654, 6,654 / 300, 300.
+    WORK = [("loop", 300, 2, 1), ("ex1", 16, 31, 5), ("grow", 300, 300, 1)]
+
+    @pytest.mark.parametrize("name, depth, normals, checks", WORK,
+                             ids=[row[0] for row in WORK])
+    def test_work_per_distinct_term_and_symbol(self, request, monkeypatch,
+                                               name, depth, normals, checks):
+        h, m, q = verify_case(name, request)
+        w = extract_scheme(h, m, solve(h, m, q), q)
+        calls = {"head_normal": 0, "satisfies": 0}
+
+        def counted(fn):
+            def wrapper(*args):
+                calls[fn.__name__] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(selection, "head_normal",
+                            counted(selection.head_normal))
+        monkeypatch.setattr(selection, "satisfies",
+                            counted(selection.satisfies))
+        assert verify_runtree(w, h, m, q, depth).passed
+        assert calls["head_normal"] <= normals
+        assert calls["satisfies"] <= checks
+
+    # (fixture, depth, leaves, sha256 of the report's repr)
+    REPORTS = [
+        ("ex1", 16, 4180, "200d954da02df36d3f1ca2c5b3ec1d8c"
+                          "c5730ea5f836d613a74e7bef7b67d6c6"),
+        ("order2_unary", 40, 41, "b20ac28503cc0b0411f0344be58b6f29"
+                                 "ce3b53e2c828dc4e1bb2aebe32837a02"),
+        ("grow", 60, 1, "cf5058dc876cd3f340ab2f2e87f605fe"
+                        "46f867b24ef0d301b4f2df914912dc2a"),
+    ]
+
+    @pytest.mark.parametrize("name, depth, leaves, digest", REPORTS,
+                             ids=[row[0] for row in REPORTS])
+    def test_report_is_pinned(self, request, name, depth, leaves, digest):
+        # Golden reports: every leaf, path and color, in the walk's order.
+        h, m, q = verify_case(name, request)
+        w = extract_scheme(h, m, solve(h, m, q), q)
+        report = verify_runtree(w, h, m, q, depth)
+        assert len(report.branch_max_colors) == leaves
+        assert hashlib.sha256(repr(report).encode()).hexdigest() == digest
+
+    def test_symbol_facts_do_not_outlive_a_call(self):
+        # One witness against two automata that differ in the color of q,
+        # so also in whether its profile satisfies the transition: each
+        # report is the one that automaton gives, in either order.
+        h = loop_scheme()
+        w = extract_scheme(h, loop_apt(2), solve(h, loop_apt(2), "q"), "q")
+        unsatisfied = ("profile of 'a@{1:2.q}->q' does not satisfy the "
+                       "transition at q")
+        recolored = "profile color 2 differs from the color of q"
+        at_two = RunReport(3, [], [], [((1, 1, 1), 2)])
+        at_one = RunReport(3, [], [((), unsatisfied), ((1,), recolored),
+                                   ((1,), unsatisfied), ((1, 1), recolored),
+                                   ((1, 1), unsatisfied),
+                                   ((1, 1, 1), recolored)],
+                           [((1, 1, 1), 1)])
+        for color, report in ((2, at_two), (1, at_one), (2, at_two)):
+            assert verify_runtree(w, h, loop_apt(color), "q", 3) == report
 
 class TestSortTransform:
     def test_ground(self):
