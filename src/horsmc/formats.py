@@ -501,7 +501,12 @@ def decode_terminal_symbol(sym: str, arity: int, lineno: int = 0,
             em = re.match(r"^(\d+):(e|\d+)\.([A-Za-z][A-Za-z0-9_]*)$", part)
             if not em:
                 raise ParseError(f"bad profile entry {part!r}", lineno, col)
-            per_dir.setdefault(int(em.group(1)), []).append(
+            # Directions start at 1 and ascend.
+            k, least = int(em.group(1)), max(per_dir, default=1)
+            if k < least:
+                raise ParseError(f"profile direction {k} below {least} in "
+                                 f"{sym!r}", lineno, col)
+            per_dir.setdefault(k, []).append(
                 (_parse_color(em.group(2)), em.group(3)))
     n = max(per_dir, default=0)
     profile = tuple(tuple(per_dir.get(k, [])) for k in range(1, n + 1))

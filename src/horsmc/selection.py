@@ -5,8 +5,8 @@ becomes a nonterminal of a new scheme over an annotated alphabet; its rule
 is read off the derivation the strategy chose at that sequent.  An
 annotated terminal carries the colored profile and state it was used at,
 and takes one child per profile entry (so subtrees are duplicated or erased
-exactly as the automaton's run does).  `verify_runtree` replays a finite
-unfolding of the witness against the original value tree and the automaton.
+exactly as the automaton's run does).  `verify_runtree` reads the witness's
+run tree to a finite depth against the original tree and the automaton.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .automata import Apt, Color, EPSILON, Profile, format_color, satisfies
 from .formats import AnnotatedHors, nonterminal_symbol, terminal_symbol
 from .game import AdamNode, EveNode, Solution
 from .itypes import IType, StateType, profile_of, split_chain, subtype
+# `unfold` stays bound, uncalled: horsbench/tracing.py wraps it here.
 from .syntax import (App, DEFAULT_STEP_BUDGET, GROUND, Hors, NonTerminal,
                      Rule, SimpleType, Term, Terminal, UnresolvedWithinBudget,
                      Var, apply, arrow, check_wellformed, fresh_name,
@@ -234,7 +235,7 @@ def _label_facts(g: AnnotatedHors, m: Apt, label: str) -> tuple | str:
 
 def verify_runtree(g: AnnotatedHors, h: Hors, m: Apt, q: str,
                    depth: int) -> RunReport:
-    """Check a finite unfolding of the witness against the original tree.
+    """Check the witness's run tree to `depth` against the original tree.
 
     Projection: every annotated node must sit over the same symbol in the
     original value tree.  Transitions: every annotated node's profile must
@@ -242,22 +243,19 @@ def verify_runtree(g: AnnotatedHors, h: Hors, m: Apt, q: str,
     the states and colors the profile announces.  Parity itself is not
     decidable at finite depth; the maximal color per branch is reported.
 
-    The original tree is checked only where the run reads it: the walk
-    carries the original's term beside each run node and rewrites its head
-    when it reaches the node.  A head the run reaches that does not rewrite
-    to a terminal within the step budget raises UnresolvedWithinBudget,
-    with the node's path in the original tree; a divergent subtree that the
-    run never reads is not an error.  Paths in the report are positions in
-    the run tree.  The walk keeps its own stack, so no recursion limit
-    applies.
-
-    The walk visits every position of the run, but checks each distinct
-    annotated symbol once (`_label_facts`) and rewrites each distinct
-    original term's head once, in memos that live for one call; the checks
-    that read the node stay per position.
+    Both schemes are read term by term, only where the walk goes: a node at
+    level `depth` is an unresolved leaf; above it, the witness's head and
+    then the original's are rewritten, each distinct term's once per call.
+    A head the walk reaches that does not rewrite to a terminal within the
+    step budget raises UnresolvedWithinBudget, at its path in the run tree
+    for the witness and in the original tree for the original; a divergent
+    subtree that the walk never reads is not an error.  Paths in the report
+    are positions in the run tree.  The walk keeps its own stack, so no
+    recursion limit applies.  Each distinct annotated symbol is checked
+    once (`_label_facts`); what reads the node is checked per position.
     """
+    require_wellformed(g.hors)
     report = RunReport(depth=depth)
-    run = unfold(g.hors, depth)
 
     # A node's link is (parent's link, position in the run, direction in the
     # original), or None at the root; paths are rebuilt only when reported.
@@ -268,24 +266,38 @@ def verify_runtree(g: AnnotatedHors, h: Hors, m: Apt, q: str,
             link = link[0]
         return tuple(reversed(steps))
 
+    # Per link part (1 the run, 2 the original): each term's head normal form.
+    normals: dict[int, dict[Term, tuple[str, list[Term]]]] = {1: {}, 2: {}}
+
+    def read(scheme: Hors, part: int, term: Term, link):
+        normal = normals[part].get(term)
+        if normal is None:
+            normal = normals[part][term] = head_normal(scheme, term,
+                                                       DEFAULT_STEP_BUDGET)
+            if normal is None:
+                raise UnresolvedWithinBudget(path_of(link, part),
+                                             DEFAULT_STEP_BUDGET + 1)
+        return normal
+
     labels: dict[str, tuple | str] = {}
-    normals: dict[Term, tuple[str, list[Term]]] = {}
-    # (run node, original term at that node, state, max color above it,
-    # link, profile color announced for the node or None at the root)
-    work: list[tuple] = [(run, NonTerminal(h.start), q, None, None, None)]
+    # (witness term and its level, original term, state, max color above
+    # the node, link, profile color announced for it or None at the root)
+    work: list[tuple] = [(NonTerminal(g.hors.start), 0, NonTerminal(h.start),
+                          q, None, None, None)]
     while work:
-        node, term, state, max_color, link, color = work.pop()
+        run, level, term, state, max_color, link, color = work.pop()
         if color is not None and color != m.omega[state]:
             report.transition_violations.append(
                 (path_of(link, 1),
                  f"profile color {format_color(color)} differs from the "
                  f"color of {state}"))
-        if node.is_bottom:
+        if level >= depth:
             report.branch_max_colors.append((path_of(link, 1), max_color))
             continue
-        facts = labels.get(node.label)
+        label, run_args = read(g.hors, 1, run, link)
+        facts = labels.get(label)
         if facts is None:
-            facts = labels[node.label] = _label_facts(g, m, node.label)
+            facts = labels[label] = _label_facts(g, m, label)
         if isinstance(facts, str):
             report.transition_violations.append((path_of(link, 1), facts))
             continue
@@ -294,13 +306,7 @@ def verify_runtree(g: AnnotatedHors, h: Hors, m: Apt, q: str,
             report.transition_violations.append(
                 (path_of(link, 1), f"node carries state {annotated_state}, "
                                    f"expected {state}"))
-        normal = normals.get(term)
-        if normal is None:
-            normal = normals[term] = head_normal(h, term, DEFAULT_STEP_BUDGET)
-            if normal is None:
-                raise UnresolvedWithinBudget(path_of(link, 2),
-                                             DEFAULT_STEP_BUDGET + 1)
-        original, args = normal
+        original, args = read(h, 2, term, link)
         if original != a:
             report.projection_mismatches.append(
                 (path_of(link, 1), original, a))
@@ -316,13 +322,13 @@ def verify_runtree(g: AnnotatedHors, h: Hors, m: Apt, q: str,
         for pos, (k, c, q2) in enumerate(plan):
             if k > len(args):
                 break
-            children.append((node.children[pos], args[k - 1], q2, max_here,
-                             (link, pos + 1, k), c))
+            children.append((run_args[pos], level + 1, args[k - 1], q2,
+                             max_here, (link, pos + 1, k), c))
         if width > len(args):
             # The original has no direction len(args) + 1 to check the
             # profile's against, whether or not that one announces a child.
             report.transition_violations.append(
-                (path_of(link, 1), f"profile of '{node.label}' names "
+                (path_of(link, 1), f"profile of '{label}' names "
                                    f"direction {len(args) + 1}, past the "
                                    f"arity {len(args)} of '{a}'"))
         work.extend(reversed(children))

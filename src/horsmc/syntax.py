@@ -482,12 +482,7 @@ def head_normal(h: Hors, t: Term,
     arguments, or None when that takes more than `budget` steps."""
     steps = 0
     while True:
-        # `spine`, inlined: this runs once per step of every unfolding.
-        args: list[Term] = []
-        while isinstance(t, App):
-            args.append(t.argument)
-            t = t.function
-        args.reverse()
+        t, args = spine(t)
         if isinstance(t, Terminal):
             return t.symbol, args
         assert isinstance(t, NonTerminal), f"stuck head {t!r}"

@@ -242,21 +242,21 @@ MUTANTS = [
     # The first node of a symbol decides its state check for every other.
     Mutant("node-state-checked-once-per-symbol", "selection.py",
            "if annotated_state != state:",
-           "if labels.setdefault((node.label, 'state'),\n"
+           "if labels.setdefault((label, 'state'),\n"
            "                              annotated_state != state):",
            ("tests/test_cli.py::TestBrokenWitness::"
             "test_report_on_recurring_symbols"
             "[state-right-at-one-node-wrong-at-another]",)),
     Mutant("head-normal-memo-keyed-by-spine-head", "selection.py",
-           "normal = normals.get(term)\n"
+           "normal = normals[part].get(term)\n"
            "        if normal is None:\n"
-           "            normal = normals[term] =",
+           "            normal = normals[part][term] =",
            "key = term\n"
            "        while isinstance(key, App):\n"
            "            key = key.function\n"
-           "        normal = normals.get(key)\n"
+           "        normal = normals[part].get(key)\n"
            "        if normal is None:\n"
-           "            normal = normals[key] =",
+           "            normal = normals[part][key] =",
            ("tests/test_selection.py::TestVerifyWork::"
             "test_report_is_pinned[ex1]",)),
     Mutant("symbol-facts-outlive-the-call", "selection.py",
@@ -264,6 +264,21 @@ MUTANTS = [
            "labels = globals().setdefault('_LABELS', {})",
            ("tests/test_selection.py::TestVerifyWork::"
             "test_symbol_facts_do_not_outlive_a_call",)),
+    Mutant("witness-read-one-level-deeper", "selection.py",
+           "if level >= depth:",
+           "if level > depth:",
+           ("tests/test_selection.py::TestVerifyWork::"
+            "test_report_is_pinned[ex1]",
+            "tests/test_selection.py::TestVerifyWork::"
+            "test_report_is_pinned[order2_unary]",
+            "tests/test_selection.py::TestVerifyWork::"
+            "test_report_is_pinned[grow]")),
+    Mutant("witness-divergence-at-the-original-path", "selection.py",
+           "raise UnresolvedWithinBudget(path_of(link, part),",
+           "raise UnresolvedWithinBudget(path_of(link, 2),",
+           ("tests/test_cli.py::TestBrokenWitness::"
+            "test_report_on_divergent_witnesses"
+            "[divergence-named-at-the-run-path]",)),
 ]
 
 

@@ -611,6 +611,40 @@ RECURRING_BROKEN_WITNESSES = [
 ]
 
 
+def divergent_witness(start: str, body: str) -> str:
+    """A witness whose start rule is `start = body`, declaring each
+    annotated symbol the body names and a nonterminal `D = D`."""
+    symbols = dict.fromkeys(w for w in body.replace("(", " ").replace(
+        ")", " ").split() if "->" in w)
+    return ("terminals:\n" + "".join(
+        f"  {w} : {w.count('.')}\n" for w in symbols)
+        + f"nonterminals:\n  {start} : o\n  D : o\nstart: {start}\n"
+        f"rules:\n  {start} = {body}\n  D = D\n")
+
+
+def unresolved(path: str) -> str:
+    return f"rewriting budget: head at path {path} unresolved within 10001 " \
+           "rewrite steps\n"
+
+
+# Witnesses with a divergent subtree, which is an error only where the walk
+# reads it, at its path in the run: (scheme, automaton, state, depth,
+# witness, exit code, stdout, stderr).
+DIVERGENT_WITNESSES = [
+    # The walk stops at `b`, outside the alphabet, above the divergence.
+    ("divergence-off-the-walk", "loop", "loop_c2", "q", 5,
+     divergent_witness("S@q", "a@{1:2.q}->q (b@{1:2.q}->q D)"), 1,
+     violations([], ["[1]: symbol 'b' not in the automaton's alphabet"],
+                "[]", 5), ""),
+    ("divergence-on-the-walk", "loop", "loop_c2", "q", 5,
+     divergent_witness("S@q", "a@{1:2.q}->q D"), 3, "", unresolved("(1,)")),
+    # Both run children sit over direction 2 of the original.
+    ("divergence-named-at-the-run-path", "ex1", "ex1", "q0", 4,
+     divergent_witness("S@q0", "if@{2:0.q0,2:0.q1}->q0 D D"), 3, "",
+     unresolved("(1,)")),
+]
+
+
 class TestBrokenWitness:
     """`verify`'s exit code and report on witnesses that do not fit the
     scheme or the automaton: none of them is a fault of the program."""
@@ -639,6 +673,19 @@ class TestBrokenWitness:
                 str(FIXTURES / f"{apt}.apt"), "-q", state, "-d", str(depth),
                 "--witness", str(path)]
         assert run(argv, capsys) == (1, out, "")
+
+    @pytest.mark.parametrize("scheme, apt, state, depth, witness, code, out, "
+                             "err", [row[1:] for row in DIVERGENT_WITNESSES],
+                             ids=[row[0] for row in DIVERGENT_WITNESSES])
+    def test_report_on_divergent_witnesses(self, tmp_path, capsys, scheme,
+                                           apt, state, depth, witness, code,
+                                           out, err):
+        path = tmp_path / "w.hors"
+        path.write_text(witness)
+        argv = ["verify", str(FIXTURES / f"{scheme}.hors"),
+                str(FIXTURES / f"{apt}.apt"), "-q", state, "-d", str(depth),
+                "--witness", str(path)]
+        assert run(argv, capsys) == (code, out, err)
 
 
 class TestDumpGame:
@@ -833,6 +880,22 @@ class TestImportPath:
         assert {node.module for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level == 1} \
             == {"automata", "itypes", "syntax"}
+
+    def test_tracer_targets_resolve(self):
+        # The benchmark's tracer replaces each (module, attribute) it lists
+        # and fails on one that is missing.  Its list is read as text, so
+        # the benchmark's code does not run here.
+        import ast
+        import importlib
+        tracing = FIXTURES.parent / "tracing.py"
+        targets = next(ast.literal_eval(node.value)
+                       for node in ast.parse(tracing.read_text()).body
+                       if isinstance(node, ast.Assign)
+                       and [t.id for t in node.targets] == ["TARGETS"])
+        assert targets
+        for module, attribute, _ in targets:
+            assert hasattr(importlib.import_module(module), attribute), \
+                (module, attribute)
 
 
 class TestDeterminism:

@@ -346,9 +346,14 @@ class TestAnnotatedFormat:
         ("  a@{1:e.q}->q : 2\n", "", 3, 3,
          "profile arity mismatch for 'a@{1:e.q}->q'"),
         ("  a@{1:q}->q : 1\n", "", 3, 3, "bad profile entry '1:q'"),
+        ("  a@{0:e.q}->q : 0\n", "", 3, 3,
+         "profile direction 0 below 1 in 'a@{0:e.q}->q'"),
+        ("  a@{2:e.q,1:e.r}->q : 2\n", "", 3, 3,
+         "profile direction 1 below 2 in 'a@{2:e.q,1:e.r}->q'"),
         ("", "  F@{e.q}-> : o -> o\n", 5, 12, "state expected in type"),
         ("", "  F@{q}->q : o -> o\n", 5, 6, "'color.type' expected")],
-        ids=["profile-arity", "profile-entry", "type-state", "type-color"])
+        ids=["profile-arity", "profile-entry", "profile-direction-zero",
+             "profile-directions-descending", "type-state", "type-color"])
     def test_bad_declaration_positioned(self, terminal, nonterminal, line,
                                         col, msg):
         text = ("terminals:\n  c@{}->q : 0\n" + terminal
@@ -482,6 +487,12 @@ ERROR_TABLE = [
     ("witness", _edit(WITNESS, "nonterminals:",
                       "  a@{1:e.q}->q : 2\nnonterminals:"), 3, 3,
      "profile arity mismatch for 'a@{1:e.q}->q'"),
+    ("witness", _edit(WITNESS, "nonterminals:",
+                      "  a@{0:e.q}->q : 1\nnonterminals:"), 3, 3,
+     "profile direction 0 below 1 in 'a@{0:e.q}->q'"),
+    ("witness", _edit(WITNESS, "nonterminals:",
+                      "  a@{1:e.q,3:e.q,2:e.r}->q : 3\nnonterminals:"), 3, 3,
+     "profile direction 2 below 3 in 'a@{1:e.q,3:e.q,2:e.r}->q'"),
     ("witness", _edit(WITNESS, "start:", "  F@{e.q}q : o -> o\nstart:"),
      5, 10, "'->' expected in type"),
     ("witness", _edit(WITNESS, "start:", "  F@{e.q}-> : o -> o\nstart:"),

@@ -260,35 +260,55 @@ def verify_case(name, request):
 
 
 class TestVerifyWork:
-    """One `verify_runtree` call rewrites each distinct original term once
-    and checks each distinct annotated symbol once, however often they
-    recur in the run; its report is the one pinned below."""
+    """One `verify_runtree` call rewrites each distinct term of either
+    scheme once and checks each distinct annotated symbol once, however
+    often they recur in the run, and builds no prefix of the witness; its
+    report is the one pinned below."""
 
-    # (fixture, depth, most head rewrites, most transition checks); per
-    # position they would be 300, 300 / 6,654, 6,654 / 300, 300.
-    WORK = [("loop", 300, 2, 1), ("ex1", 16, 31, 5), ("grow", 300, 300, 1)]
+    # (fixture, depth, most head rewrites of the original and of the
+    # witness, most transition checks); per position they would be 300,
+    # 300, 300 / 6,654, 6,654, 6,654 / 300, 300, 300.
+    WORK = [("loop", 300, 2, 2, 1), ("ex1", 16, 31, 46, 5),
+            ("grow", 300, 300, 2, 1)]
 
-    @pytest.mark.parametrize("name, depth, normals, checks", WORK,
-                             ids=[row[0] for row in WORK])
+    @pytest.mark.parametrize("name, depth, normals, run_normals, checks",
+                             WORK, ids=[row[0] for row in WORK])
     def test_work_per_distinct_term_and_symbol(self, request, monkeypatch,
-                                               name, depth, normals, checks):
+                                               name, depth, normals,
+                                               run_normals, checks):
         h, m, q = verify_case(name, request)
         w = extract_scheme(h, m, solve(h, m, q), q)
-        calls = {"head_normal": 0, "satisfies": 0}
+        calls = {"original": 0, "witness": 0, "satisfies": 0}
+        head_normal, satisfies = selection.head_normal, selection.satisfies
 
-        def counted(fn):
-            def wrapper(*args):
-                calls[fn.__name__] += 1
-                return fn(*args)
-            return wrapper
+        def counted_head_normal(scheme, *args):
+            calls["original" if scheme is h else "witness"] += 1
+            return head_normal(scheme, *args)
 
-        monkeypatch.setattr(selection, "head_normal",
-                            counted(selection.head_normal))
-        monkeypatch.setattr(selection, "satisfies",
-                            counted(selection.satisfies))
+        def counted_satisfies(*args):
+            calls["satisfies"] += 1
+            return satisfies(*args)
+
+        monkeypatch.setattr(selection, "head_normal", counted_head_normal)
+        monkeypatch.setattr(selection, "satisfies", counted_satisfies)
         assert verify_runtree(w, h, m, q, depth).passed
-        assert calls["head_normal"] <= normals
+        assert calls["original"] <= normals
+        assert calls["witness"] <= run_normals
         assert calls["satisfies"] <= checks
+
+    @pytest.mark.parametrize("name, depth", [("loop", 300), ("ex1", 10),
+                                             ("grow", 300),
+                                             ("order2_unary", 40)])
+    def test_no_prefix_of_the_witness_is_built(self, request, monkeypatch,
+                                               name, depth):
+        h, m, q = verify_case(name, request)
+        w = extract_scheme(h, m, solve(h, m, q), q)
+
+        def refused(*args):
+            raise AssertionError("verify_runtree unfolded a scheme")
+
+        monkeypatch.setattr(selection, "unfold", refused)
+        assert verify_runtree(w, h, m, q, depth).passed
 
     # (fixture, depth, leaves, sha256 of the report's repr)
     REPORTS = [
