@@ -20,7 +20,8 @@ Adam node's moves depend on its assumption map alone, and the maps are one
 object per distinct map (`typecheck.Analysis`), so the Adam nodes of one
 map share one tuple of color nodes.  Every edge leads to the node object
 held in `nodes`, so the game holds one object per node.  Every algorithm
-here walks the numbering: `zielonka` solves the game (attractor recursion,
+here walks the numbering: `zielonka` solves the game (attractor recursion
+under a priority ceiling, escape attractors begun from the smaller side,
 memoryless strategies for both players) on an explicit stack, so Python's
 recursion limit bounds no game; `check_eve_strategy` and
 `check_adam_strategy` check either player's strategy by graph traversal
@@ -30,8 +31,8 @@ alone, sharing nothing with `zielonka`; `to_dot` prints from positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import itemgetter
+from itertools import compress, islice
+from operator import itemgetter, not_
 from typing import NamedTuple
 
 from .automata import Apt, Color, format_color
@@ -147,9 +148,11 @@ class ParityGame:
         if self.numbering is None:
             nodes, edges = self.nodes, self.edges.get
             position = dict(zip(nodes, range(len(nodes))))
+            succ = [tuple(map(position.__getitem__, edges(v, ())))
+                    for v in nodes]
             self.numbering = Numbering(
-                [tuple(dict.fromkeys(map(position.__getitem__, edges(v, ()))))
-                 for v in nodes],
+                [ws if len(ws) < 2 or len(set(ws)) == len(ws)
+                 else tuple(dict.fromkeys(ws)) for ws in succ],
                 list(map(self.owner.__getitem__, nodes)),
                 list(map(self.priority.__getitem__, nodes)))
         return self.numbering
@@ -263,12 +266,17 @@ def zielonka(g: ParityGame) -> Solution:
     It reads the game's `numbered()` form, which numbers each node by its
     position in `g.nodes`: `build_game` recorded it, and a game built from
     its mappings alone records it on its first call.  A subgame is a
-    `bytearray` mask over those numbers, and each tie is broken by the least
-    number: attractors start from their seeds in that order and search
-    predecessors in that order, and a top-priority node of the player with
-    no move yet takes its least successor in the subgame.  The second
-    recursive call of the algorithm is a loop and the first one runs on an
-    explicit stack, so no game is too deep for Python's recursion limit.
+    `bytearray` mask over those numbers, solved below a ceiling: the index,
+    among the distinct priorities sorted once from the highest down, of the
+    highest priority it can hold.  Each tie is broken by the least number:
+    attractors start from their seeds in that order and search predecessors
+    in that order, and a top-priority node of the player with no move yet
+    takes its least successor in the subgame.  An escape attractor whose
+    seeds outnumber the rest of the subgame reads that rest's successors
+    for its first round instead, and orders the nodes that join there as
+    the search from the seeds does (`attract`).  The second recursive call
+    of the algorithm is a loop and the first one runs on an explicit stack,
+    so no game is too deep for Python's recursion limit.
     """
     nodes = g.nodes
     n = len(nodes)
@@ -281,20 +289,49 @@ def zielonka(g: ParityGame) -> Solution:
     by_prio: dict[int, list[int]] = {}
     for v, p in enumerate(prio):
         by_prio.setdefault(p, []).append(v)
+    levels = [by_prio[p] for p in sorted(by_prio, reverse=True)]
     strategy = [-1] * n
 
-    def attract(active: bytearray, player: int, seeds: list[int]):
+    def attract(active: bytearray, player: int, seeds: list[int],
+                keep: list[int] | None = None, mask: bytearray | None = None):
         """The player's attractor to `seeds` inside `active`, in the order
         nodes join it, and `active` without it; writes the player's moves.
         Callers pass every opponent dead end of `active` as a seed, so the
         search from the seeds reaches the whole attractor, and it counts a
-        node's successors when it first reaches the node."""
-        rest = bytearray(active)
-        for v in seeds:
-            rest[v] = 0
-        region = list(seeds)
+        node's successors when it first reaches the node.  Given `keep`,
+        the rest of `active`, and a spare `mask` marking the seeds and
+        maybe some of `keep` (it clears them), it reads the first round
+        from `keep` if the seeds are more: a player node joins at its
+        least seed, its move, and an opponent node with only seeds left at
+        its greatest, in the order (seed, node) that the search gives."""
         count: dict[int, int] = {}
-        for u in region:
+        if keep is None or len(keep) >= len(seeds):
+            keep = None
+            rest = bytearray(active)
+            for v in seeds:
+                rest[v] = 0
+            region = list(seeds)
+        else:
+            for v in keep:
+                mask[v] = 0
+            rest = bytearray(n)
+            joined = []
+            for v in keep:
+                ws = succ[v]
+                hits = list(compress(ws, map(mask.__getitem__, ws)))
+                c = sum(map(active.__getitem__, ws)) - len(hits)
+                if hits and owner[v] == player:
+                    strategy[v] = u = min(hits)
+                elif hits and not c:
+                    u = max(hits)
+                else:
+                    count[v] = c
+                    rest[v] = 1
+                    continue
+                joined.append((u, v))
+            joined.sort()
+            region = seeds + [v for _, v in joined]
+        for u in islice(region, 0 if keep is None else len(seeds), None):
             for v in pred[u]:
                 if not rest[v]:
                     continue
@@ -312,18 +349,22 @@ def zielonka(g: ParityGame) -> Solution:
                 region.append(v)
         return region, rest
 
-    def solve(active: bytearray):
-        """The regions of both players in the total subgame `active`.  A
-        generator: it yields each subgame it needs decided and is sent back
-        that subgame's regions."""
+    def solve(active: bytearray, top: int):
+        """The regions of both players in the total subgame `active`, none
+        of whose priorities lies above `levels[top]`.  A generator: it
+        yields each subgame it needs decided, with its ceiling, and is sent
+        back that subgame's regions."""
         won: tuple[list[int], list[int]] = ([], [])
         while 1 in active:
-            p = max(compress(prio, active))
-            player = p & 1
-            level = by_prio[p]
+            level = levels[top]
             seeds = list(compress(level, map(active.__getitem__, level)))
+            if not seeds:
+                top += 1
+                continue
+            player = prio[seeds[0]] & 1
             region, rest = attract(active, player, seeds)
-            sub = yield rest
+            # Every active node of the top priority is a seed.
+            sub = yield rest, top + 1
             lost = sub[1 - player]
             if not lost:
                 won[player].extend(region)
@@ -332,22 +373,25 @@ def zielonka(g: ParityGame) -> Solution:
                     if owner[v] == player:
                         strategy[v] = min(w for w in succ[v] if active[w])
                 return won
-            escape, active = attract(active, 1 - player, sorted(lost))
+            # The child left its subgame `rest` as it was: a spare mask.
+            escape, active = attract(active, 1 - player, sorted(lost),
+                                     region + sub[player], rest)
             won[1 - player].extend(escape)
         return won
 
     # Dead ends lose for their owner.  Outside a player's attractor, the
     # player's nodes keep every successor and the opponent's keep one, so
-    # after Eve's attractor to Adam's dead ends and Adam's attractor to
-    # Eve's no dead end is left, and every subgame `solve` sees is total.
+    # after Eve's attractor to Adam's dead ends the Eve dead ends left are
+    # the game's own, and after Adam's attractor to those no dead end is
+    # left: every subgame `solve` sees is total.
+    dead = list(compress(range(n), map(not_, succ)))
     active = bytearray(b"\x01") * n
     dead_won = []
     for player in (0, 1):
-        dead = [v for v in range(n) if owner[v] != player and active[v]
-                and not any(map(active.__getitem__, succ[v]))]
-        region, active = attract(active, player, dead)
+        region, active = attract(
+            active, player, [v for v in dead if owner[v] != player])
         dead_won.append(region)
-    stack = [solve(active)]
+    stack = [solve(active, 0)]
     won = None
     while stack:
         try:
@@ -356,7 +400,7 @@ def zielonka(g: ParityGame) -> Solution:
             stack.pop()
             won = finished.value
         else:
-            stack.append(solve(sub))
+            stack.append(solve(*sub))
             won = None
 
     regions = []

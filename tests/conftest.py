@@ -265,6 +265,22 @@ def random_game(rng: random.Random, max_nodes: int = 8,
     return ParityGame(nodes, owner, priority, edges)
 
 
+def random_game_few_dead_ends(rng: random.Random, min_nodes: int,
+                              max_nodes: int, max_priority: int,
+                              dead_share: float = 0.1) -> ParityGame:
+    """Like `random_game`, but a node is a dead end with probability
+    `dead_share` and otherwise has one to three successors, listed in the
+    order they were drawn."""
+    n = rng.randint(min_nodes, max_nodes)
+    nodes = tuple(range(n))
+    owner = {v: (EVE if rng.random() < 0.5 else ADAM) for v in nodes}
+    priority = {v: rng.randint(0, max_priority) for v in nodes}
+    edges = {v: () if rng.random() < dead_share
+             else tuple(rng.sample(nodes, rng.randint(1, min(3, n))))
+             for v in nodes}
+    return ParityGame(nodes, owner, priority, edges)
+
+
 # ---------------------------------------------------------------------------
 # Random order-0 schemes and two-state automata, drawn as plain data so that
 # a test-side oracle can read them without the program's own types.

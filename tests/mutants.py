@@ -86,6 +86,34 @@ MUTANTS = [
            "for v in pred[u]:",
            "for v in reversed(pred[u]):",
            ("tests/test_game.py::TestBuildGame::test_solutions_are_pinned",)),
+    # Reading every first round from the smaller side is no mutant: it
+    # gives the same attractor in the same order, only slower.
+    Mutant("first-round-joiners-unsorted", "game.py",
+           "joined.sort()",
+           "pass",
+           ("tests/test_game.py::TestZielonka::"
+            "test_first_round_joiners_enter_by_seed",)),
+    Mutant("opponent-joins-at-least-seed", "game.py",
+           "u = max(hits)",
+           "u = min(hits)",
+           ("tests/test_game.py::TestZielonka::"
+            "test_opponent_joins_at_its_greatest_seed",)),
+    Mutant("player-joiner-moves-to-largest-seed", "game.py",
+           "strategy[v] = u = min(hits)",
+           "strategy[v] = u = max(hits)",
+           ("tests/test_game.py::TestBuildGame::test_solutions_are_pinned",)),
+    Mutant("ceiling-skips-a-priority", "game.py",
+           "yield rest, top + 1",
+           "yield rest, top + 2",
+           ("tests/test_game.py::TestBuildGame::test_solutions_are_pinned",
+            "tests/test_game.py::TestZielonka::test_ladders_are_pinned",
+            "tests/test_game.py::TestZielonka::"
+            "test_larger_games_with_many_priorities")),
+    Mutant("numbering-keeps-repeated-successors", "game.py",
+           "else tuple(dict.fromkeys(ws)) for ws in succ]",
+           "else ws for ws in succ]",
+           ("tests/test_game.py::TestNumbering::"
+            "test_repeated_successors_are_numbered_once",)),
     Mutant("lift-free-variables-reversed", "oracles.py",
            "return apply(NonTerminal(name), *[Var(v) for v in fvs])",
            "return apply(NonTerminal(name), "

@@ -15,7 +15,7 @@ from horsmc.formats import print_annotated
 from horsmc.oracles import run_search, solve_brute
 from horsmc.typecheck import DDelta
 from conftest import const_scheme, loop_apt, loop_scheme, order2_scheme, \
-    order2_unary, random_game, solve_cached
+    order2_unary, random_game, random_game_few_dead_ends, solve_cached
 
 
 class TestBuildGame:
@@ -184,6 +184,11 @@ class TestNumbering:
             assert plain.numbering is None and g.numbering is not None
             assert g.numbering == plain.numbered(), q
 
+    def test_repeated_successors_are_numbered_once(self):
+        g = ParityGame(("a", "b"), {"a": EVE, "b": ADAM}, {"a": 1, "b": 2},
+                       {"a": ("b", "a", "b"), "b": ("b",)})
+        assert g.numbered().succ == [(1, 0), (1,)]
+
     def test_adam_nodes_of_one_map_share_their_moves(self, fixture_games):
         for h, m, q in fixture_games:
             g, _ = solve_cached(h, m, q)
@@ -263,6 +268,16 @@ def solution_digest(solved) -> str:
     return digest.hexdigest()
 
 
+def ladder(n: int) -> ParityGame:
+    """Shaped as the bench's `ladder(n)`: node i has priority i, a
+    self-loop and an edge to i - 1, and belongs to the player priority i
+    hurts."""
+    nodes = tuple(range(n))
+    return ParityGame(nodes, {i: EVE if i % 2 else ADAM for i in nodes},
+                      {i: i for i in nodes},
+                      {i: (i, i - 1) if i else (i,) for i in nodes}, n - 1)
+
+
 class TestZielonka:
     def test_even_self_loop_eve_wins(self):
         g = ParityGame(("v",), {"v": EVE}, {"v": 2}, {"v": ("v",)})
@@ -299,17 +314,62 @@ class TestZielonka:
                     assert v in sz.strategy_eve
 
     def test_ladder_needs_no_recursion(self):
-        # Node i has priority i, a self-loop and an edge to i - 1, and
-        # belongs to the player priority i hurts: the recursive algorithm
-        # goes one level deeper per node.
-        n = 3000
-        nodes = tuple(range(n))
-        g = ParityGame(nodes, {i: EVE if i % 2 else ADAM for i in nodes},
-                       {i: i for i in nodes},
-                       {i: (i, i - 1) if i else (i,) for i in nodes})
+        # The recursive algorithm goes one level deeper per node.
+        g = ladder(3000)
         sol = zielonka(g)
-        assert sol.win_eve == set(nodes)
+        assert sol.win_eve == set(g.nodes)
         assert check_eve_strategy(g, sol) and check_adam_strategy(g, sol)
+
+    def test_ladders_are_pinned(self):
+        # From four nodes up, most escapes in a ladder have more seeds
+        # than the rest of their subgame has nodes, so these pin the
+        # first round read from the smaller side.  The digest was computed
+        # with the solver that always scanned the seeds' predecessors,
+        # before that round was added.
+        games = [ladder(n) for n in range(1, 65)]
+        assert solution_digest([(g, zielonka(g)) for g in games]) == (
+            "856deb9007d51364e510e7c776f4196012c41d708785e92e21de0edcaf917bfa")
+
+    def test_first_round_joiners_enter_by_seed(self):
+        # Adam attracts 4 to his top priority at 2 and 3 and loses the
+        # five other nodes to Eve.  Read from {2, 3, 4}, 2 joins Eve's
+        # escape at seed 1 and 3 at seed 0, so 3 joins first, and 4,
+        # which reaches both, moves to 3.
+        g = ParityGame(tuple(range(8)), {v: EVE for v in range(8)},
+                       {0: 2, 1: 2, 2: 3, 3: 3, 4: 1, 5: 2, 6: 2, 7: 2},
+                       {0: (0,), 1: (1,), 2: (1,), 3: (0,), 4: (2, 3),
+                        5: (5,), 6: (6,), 7: (7,)})
+        sol = zielonka(g)
+        assert sol.win_eve == set(range(8)) and not sol.win_adam
+        assert sol.strategy_eve == {0: 0, 1: 1, 2: 1, 3: 0, 4: 3, 5: 5,
+                                    6: 6, 7: 7}
+
+    def test_opponent_joins_at_its_greatest_seed(self):
+        # Adam attracts 6 to his top priority at 4 and 5 and loses the
+        # six other nodes to Eve.  Read from {4, 5, 6}, his 4 joins Eve's
+        # escape at seed 2, its greatest, and 5 at seed 3, so 4 joins
+        # first, and Eve's 6 moves to it.
+        owner = {v: EVE for v in range(9)}
+        owner[4] = owner[5] = ADAM
+        g = ParityGame(tuple(range(9)), owner,
+                       {0: 2, 1: 2, 2: 2, 3: 2, 4: 3, 5: 3, 6: 1, 7: 2, 8: 2},
+                       {0: (0,), 1: (1,), 2: (2,), 3: (3,), 4: (1, 2),
+                        5: (0, 3), 6: (4, 5), 7: (7,), 8: (8,)})
+        sol = zielonka(g)
+        assert sol.win_eve == set(range(9)) and not sol.win_adam
+        assert sol.strategy_eve == {0: 0, 1: 1, 2: 2, 3: 3, 6: 4, 7: 7,
+                                    8: 8}
+
+    def test_larger_games_with_many_priorities(self):
+        # Checked without the solver's help: both strategies win their
+        # regions, and the regions split the nodes.
+        rng = random.Random(2601)
+        for _ in range(200):
+            g = random_game_few_dead_ends(rng, 20, 300, 11)
+            sol = zielonka(g)
+            assert not sol.win_eve & sol.win_adam
+            assert sol.win_eve | sol.win_adam == set(g.nodes)
+            assert check_eve_strategy(g, sol) and check_adam_strategy(g, sol)
 
 
 def check_claim(player, edges, good, region, moves, theirs=()) -> bool:
