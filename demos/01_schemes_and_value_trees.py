@@ -46,13 +46,14 @@ print("\nas a lambda-Y term:")
 print(" ", format_ly(term))
 
 # Head reduction of that term grows the same tree...
-assert bohm_tree(term, 5, h.terminals) == unfold(h, 5)
+assert format_tree(bohm_tree(term, 5, h.terminals)) == \
+    format_tree(unfold(h, 5))
 print("\nBoehm tree of the term agrees with the scheme's tree to depth 5.")
 
 # ...and lambda-lifting turns the term back into a scheme with the same
 # tree (nonterminal names are fresh, so compare behavior, not syntax).
 h2 = from_lambda_y(term)
-assert unfold(h2, 6) == unfold(h, 6)
+assert format_tree(unfold(h2, 6)) == format_tree(unfold(h, 6))
 print("lambda-lifting the term back gives a scheme with the same tree:")
 print()
 print(print_hors(h2))

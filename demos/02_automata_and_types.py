@@ -8,9 +8,9 @@ the checker interprets every simple sort as a finite preorder built from
 states and colored sets; this script pokes at both layers.
 """
 
-from horsmc import (EPSILON, color_set, colored_set, enumerate_types,
-                    format_itype, is_terminal_type, satisfies, sorted_dnf,
-                    subtype, unfold, ArrowType, StateType, GROUND, Arrow)
+from horsmc import (EPSILON, color_set, colored_set, dnf, enumerate_types,
+                    format_itype, is_terminal_type, satisfies, subtype,
+                    unfold, ArrowType, StateType, GROUND, Arrow)
 from horsmc.formats import parse_apt, parse_hors
 from horsmc.oracles import box_color, run_search
 
@@ -47,9 +47,11 @@ m.validate()
 
 # Transition formulas are positive boolean formulas over (direction, state)
 # atoms; acceptance picks one clause of the disjunctive normal form.
-print("clauses of delta(q0, if):", sorted_dnf(m.delta_of("q0", "if")))
-print("clauses of delta(q1, if):", sorted_dnf(m.delta_of("q1", "if")))
-print("missing transitions read as false:", sorted_dnf(m.delta_of("q0", "data")))
+for q, a in (("q0", "if"), ("q1", "if")):
+    print(f"clauses of delta({q}, {a}):",
+          sorted(sorted(c) for c in dnf(m.delta_of(q, a))))
+print("missing transitions read as false:",
+      sorted(dnf(m.delta_of("q0", "data"))))
 
 # A colored profile assigns each child a set of (color, state) pairs.  It
 # satisfies delta(q, a) when some clause is covered with the right colors.

@@ -4,7 +4,7 @@ sequents, with extraction of schemes generating accepting run-trees."""
 
 from .automata import (Apt, Atom, Clause, EPSILON, FALSE, Formula, Profile,
                        TRUE, FAnd, FOr, atoms_of, color_set, conj, disj, dnf,
-                       format_color, format_formula, satisfies, sorted_dnf)
+                       format_color, satisfies)
 from .formats import AnnotatedHors
 from .game import (ADAM, AdamNode, ColorNode, EVE, EveNode, GameNode,
                    ParityGame, Solution, accepted_states, build_game,
@@ -19,5 +19,5 @@ from .syntax import (App, Arrow, BOTTOM, GROUND, Ground, Hors,
                      IllFormedScheme, NonTerminal, Rule, SimpleType, Term,
                      Terminal, TreePrefix, UnresolvedWithinBudget, Var, apply,
                      arrow, check_wellformed, format_sort, format_term,
-                     format_tree, order, unfold)
+                     format_tree, unfold)
 from .typecheck import Analysis, Derivation, TypeEnv, rule_typings

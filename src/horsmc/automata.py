@@ -72,19 +72,6 @@ def disj(*fs: Formula) -> Formula:
     return _flat(FOr, fs)
 
 
-def format_formula(f: Formula, _in_and: bool = False) -> str:
-    """`/\\` binds tighter than `\\/`; a disjunction inside a conjunction is
-    parenthesised."""
-    if isinstance(f, Atom):
-        return f"({f.direction},{f.state})"
-    if not f.parts:
-        return "true" if isinstance(f, FAnd) else "false"
-    if isinstance(f, FAnd):
-        return " /\\ ".join(format_formula(p, True) for p in f.parts)
-    s = " \\/ ".join(format_formula(p) for p in f.parts)
-    return f"({s})" if _in_and else s
-
-
 def atoms_of(f: Formula) -> frozenset[tuple[int, str]]:
     atoms, work = set(), [f]
     while work:
@@ -174,11 +161,6 @@ def dnf(f: Formula) -> frozenset[Clause]:
                 clauses = _reduce(a | b for a in clauses for b in done[part])
             done[g] = clauses
     return done[f]
-
-
-def sorted_dnf(f: Formula) -> list[list[tuple[int, str]]]:
-    """Deterministically ordered clause list (for output and iteration)."""
-    return sorted((sorted(c) for c in dnf(f)), key=lambda c: (len(c), c))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import NoReturn
 
 from .automata import (Apt, Atom, EPSILON, FALSE, Formula, Profile, TRUE,
-                       conj, disj, format_color, format_formula)
+                       conj, disj, format_color)
 from .itypes import (ArrowType, ColoredSet, IType, StateType, colored_set,
                      format_itype)
 from .syntax import (Arrow, GROUND, Hors, NonTerminal, Rule, SimpleType, Term,
@@ -391,18 +391,6 @@ def parse_apt(text: str, terminals: dict[str, int]) -> Apt:
         omega.setdefault(q, 0)
     return Apt(states=tuple(states), terminals=dict(terminals), delta=delta,
                omega=omega, initial=initial)
-
-
-def print_apt(m: Apt) -> str:
-    lines = ["states: " + " ".join(m.states),
-             f"initial: {m.initial}",
-             "colors:"]
-    for q in m.states:
-        lines.append(f"  {q} -> {m.omega[q]}")
-    lines.append("delta:")
-    for (q, a), f in m.delta.items():
-        lines.append(f"  {q} {a} -> {format_formula(f)}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,6 @@ class ColoredSet(Interned):
     def __iter__(self):
         return iter(self.pairs)
 
-    def __len__(self):
-        return len(self.pairs)
-
     def __contains__(self, pair):
         return pair in self.pairs
 

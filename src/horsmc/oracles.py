@@ -12,6 +12,8 @@ against; no module on the command-line path imports this one.
 - `solve_brute`: enumerates memoryless strategy pairs; checks `zielonka`.
 - `eval_formula` checks `dnf`; `run_search`, a finite run over a tree
   prefix, checks verdicts depth by depth.
+- `format_formula` and `print_apt`: automaton text that `formats` reads
+  back, for round-trip tests of its parser.
 - `Lam`, `Fix` and `LambdaY`: the lambda-Y terms, which no rule body holds;
   `ly_sort` and `format_ly` walk them.
 - `to_lambda_y`, `from_lambda_y` and `bohm_tree`: the lambda-Y presentation
@@ -42,6 +44,7 @@ from .typecheck import (DApp, DAx, DDelta, Derivation, TypeEnv,
 __all__ = ["Lam", "Fix", "LambdaY", "ly_sort", "format_ly",
            "DLam", "Deriver", "derive", "check_derivation", "residual_env",
            "denotation", "BRUTE_NODE_LIMIT", "solve_brute", "eval_formula",
+           "format_formula", "print_apt",
            "run_search", "nonterminals_of", "subst_var", "subst_nonterminal",
            "is_prefix_of", "to_lambda_y", "from_lambda_y", "bohm_tree",
            "box_color"]
@@ -420,7 +423,34 @@ def solve_brute(g: ParityGame) -> Solution:
 
 
 # ---------------------------------------------------------------------------
-# Formula evaluation and finite-prefix run search (references for `automata`)
+# Formula text and evaluation, and finite-prefix run search (references
+# for `formats` and `automata`)
+
+def format_formula(f: Formula, _in_and: bool = False) -> str:
+    """`/\\` binds tighter than `\\/`; a disjunction inside a conjunction is
+    parenthesised.  `formats._parse_formula` reads the text back."""
+    if isinstance(f, Atom):
+        return f"({f.direction},{f.state})"
+    if not f.parts:
+        return "true" if isinstance(f, FAnd) else "false"
+    if isinstance(f, FAnd):
+        return " /\\ ".join(format_formula(p, True) for p in f.parts)
+    s = " \\/ ".join(format_formula(p) for p in f.parts)
+    return f"({s})" if _in_and else s
+
+
+def print_apt(m: Apt) -> str:
+    """An automaton file that `formats.parse_apt` reads back as `m`."""
+    lines = ["states: " + " ".join(m.states),
+             f"initial: {m.initial}",
+             "colors:"]
+    for q in m.states:
+        lines.append(f"  {q} -> {m.omega[q]}")
+    lines.append("delta:")
+    for (q, a), f in m.delta.items():
+        lines.append(f"  {q} {a} -> {format_formula(f)}")
+    return "\n".join(lines) + "\n"
+
 
 def eval_formula(f: Formula, truth: frozenset[tuple[int, str]]) -> bool:
     """Evaluate under a set of atoms taken to be true."""

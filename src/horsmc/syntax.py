@@ -80,12 +80,6 @@ def arrow(*sorts: SimpleType) -> SimpleType:
     return result
 
 
-def order(sort: SimpleType) -> int:
-    if isinstance(sort, Ground):
-        return 0
-    return max(order(sort.domain) + 1, order(sort.codomain))
-
-
 def ground_sort(arity: int) -> SimpleType:
     """o -> ... -> o with `arity` arrows: the sort of an arity-n terminal."""
     s: SimpleType = GROUND
@@ -357,38 +351,16 @@ class TreePrefix:
     """Finite ordered tree over the ranked alphabet, with unresolved leaves.
 
     `label` is a terminal symbol, or None for the unresolved marker.  A tree
-    is not changed once built.  Its hash is made at construction from the
-    label and the children's hashes, equality walks both trees on an
-    explicit stack, and the repr is `format_tree`'s text, so none of them
-    recurses.
+    is not changed once built.  Trees compare by identity; `format_tree`
+    gives their text.
     """
 
-    __slots__ = ("label", "children", "_hash")
+    __slots__ = ("label", "children")
 
     def __init__(self, label: str | None,
                  children: tuple[TreePrefix, ...] = ()):
         self.label = label
         self.children = children
-        self._hash = hash((label, *[c._hash for c in children]))
-
-    def __repr__(self):
-        return f"<TreePrefix {format_tree(self)}>"
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if not isinstance(other, TreePrefix):
-            return NotImplemented
-        work = [(self, other)]
-        while work:
-            a, b = work.pop()
-            if a is not b:
-                if (a._hash != b._hash or a.label != b.label
-                        or len(a.children) != len(b.children)):
-                    return False
-                work.extend(zip(a.children, b.children))
-        return True
 
     @property
     def is_bottom(self) -> bool:

@@ -109,6 +109,11 @@ MUTANTS = [
             "tests/test_game.py::TestZielonka::test_ladders_are_pinned",
             "tests/test_game.py::TestZielonka::"
             "test_larger_games_with_many_priorities")),
+    Mutant("escape-seeds-unsorted", "game.py",
+           "escape, active = attract(active, 1 - player, sorted(lost),",
+           "escape, active = attract(active, 1 - player, list(lost),",
+           ("tests/test_game.py::TestZielonka::"
+            "test_escape_seeds_are_scanned_in_node_order",)),
     Mutant("numbering-keeps-repeated-successors", "game.py",
            "else tuple(dict.fromkeys(ws)) for ws in succ]",
            "else ws for ws in succ]",
@@ -189,6 +194,12 @@ MUTANTS = [
             "test_head_directed_sets_match_powerset_on_order0_schemes",
             "tests/test_game.py::TestBuildGame::"
             "test_select_output_is_pinned")),
+    # Each tied definition substituted into the next nonterminal only.
+    Mutant("to-lambda-y-next-only", "oracles.py",
+           "for later in names[i + 1:]:",
+           "for later in names[i + 1:i + 2]:",
+           ("tests/test_syntax.py::"
+            "test_lambda_y_translations_on_order0_schemes",)),
     Mutant("substitution-without-rename", "oracles.py",
            "if t.binder in value.free and name in t.body.free:",
            "if False:",

@@ -4,12 +4,12 @@ import random
 
 from horsmc import (Arrow, Atom, FALSE, FAnd, FOr, GROUND, TRUE, Terminal,
                     check_wellformed, conj, disj, extract_scheme,
-                    format_formula, unfold)
+                    format_tree, unfold)
 from horsmc.formats import (ParseError, parse_annotated, parse_apt,
                             parse_hors, parse_itype, parse_sort,
-                            print_annotated, print_apt, print_hors,
-                            print_tree)
+                            print_annotated, print_hors, print_tree)
 from horsmc.itypes import format_itype
+from horsmc.oracles import format_formula, print_apt
 from conftest import loop_scheme, order2_unary, solve_cached
 
 EX1_HORS = """\
@@ -367,7 +367,8 @@ class TestAnnotatedFormat:
         _, sol = solve_cached(ex1, ex1_apt, "q0")
         w = extract_scheme(ex1, ex1_apt, sol, "q0")
         again = parse_annotated(print_annotated(w))
-        assert unfold(again.hors, 4) == unfold(w.hors, 4)
+        assert format_tree(unfold(again.hors, 4)) == \
+            format_tree(unfold(w.hors, 4))
 
 
 def test_tree_printing(ex1):

@@ -344,6 +344,18 @@ class TestZielonka:
         assert sol.strategy_eve == {0: 0, 1: 1, 2: 1, 3: 0, 4: 3, 5: 5,
                                     6: 6, 7: 7}
 
+    def test_escape_seeds_are_scanned_in_node_order(self):
+        # Adam's top priority 5 at 1 and 2 attracts nothing; Eve wins the
+        # rest, listed as 3 then 0, and escapes to it from 1, whose
+        # successors 0 and 3 are both seeds.  Scanned in node order, the
+        # seeds give 1 the move to 0.
+        g = ParityGame(tuple(range(4)), {0: EVE, 1: EVE, 2: EVE, 3: ADAM},
+                       {0: 2, 1: 5, 2: 5, 3: 4},
+                       {0: (0, 1, 2), 1: (0, 1, 3), 2: (2,), 3: (0,)})
+        sol = zielonka(g)
+        assert sol.win_eve == {0, 1, 3} and sol.win_adam == {2}
+        assert sol.strategy_eve == {0: 0, 1: 0} and sol.strategy_adam == {}
+
     def test_opponent_joins_at_its_greatest_seed(self):
         # Adam attracts 6 to his top priority at 4 and 5 and loses the
         # six other nodes to Eve.  Read from {4, 5, 6}, his 4 joins Eve's

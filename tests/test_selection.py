@@ -1,6 +1,8 @@
 import hashlib
+from unittest import mock
 
 import pytest
+from hypothesis import given, reject, settings
 
 from horsmc import (ADAM, AdamNode, AnnotatedHors, Apt, ArrowType, Atom, EVE,
                     EveNode, GROUND, Hors, NonTerminal, ParityGame, Rule,
@@ -8,14 +10,16 @@ from horsmc import (ADAM, AdamNode, AnnotatedHors, Apt, ArrowType, Atom, EVE,
                     accepted_states, apply, build_game, check_wellformed,
                     colored_set, conj, extract_scheme, format_report,
                     format_tree, unfold, verify_runtree, zielonka)
-from horsmc import selection
-from horsmc.formats import terminal_symbol
+from horsmc import SizeGuardExceeded, game, selection
+from horsmc.formats import parse_annotated, print_annotated, terminal_symbol
 from horsmc.selection import (LosingStart, ReconstructionError,
                               RunReport, annotated_sort)
 from horsmc.syntax import Arrow, arrow
 from horsmc.typecheck import DDelta
 from conftest import (const_scheme, grow_apt, grow_scheme, loop_apt,
-                      loop_scheme, order2_unary, solve_cached)
+                      loop_scheme, order0_apt, order0_instances,
+                      order0_scheme, order1_instances, order1_scheme,
+                      order2_unary, solve_cached)
 
 Q0, Q1 = StateType("q0"), StateType("q1")
 
@@ -418,3 +422,41 @@ class TestCoercion:
         builder = CoercionBuilder(set())
         builder.coerce(Var("g"), have, want)
         assert len(builder.rules) == 2  # outer adapter plus inner adapter
+
+
+# Drawn instances whose game passes this many nodes are drawn again.
+ROUND_TRIP_NODE_CAP = 3000
+
+
+def assert_witnesses_round_trip(h: Hors, m: Apt) -> None:
+    """For every accepted state, the witness that `select` would write,
+    printed and read back, verifies at depth 8.  A witness whose run reaches
+    a head that does not rewrite within the step budget is drawn again."""
+    with mock.patch.object(game, "DEFAULT_NODE_LIMIT", ROUND_TRIP_NODE_CAP):
+        try:
+            g = build_game(h, m)
+        except SizeGuardExceeded:
+            reject()
+    sol = zielonka(g)
+    for q in m.states:
+        if EveNode(h.start, StateType(q)) in sol.win_eve:
+            text = print_annotated(extract_scheme(h, m, sol, q))
+            try:
+                report = verify_runtree(parse_annotated(text), h, m, q, 8)
+            except UnresolvedWithinBudget:
+                reject()
+            assert report.passed, (q, text, format_report(report))
+
+
+@settings(max_examples=100, deadline=None)
+@given(order0_instances())
+def test_printed_witnesses_verify_on_order0_schemes(instance):
+    rules, omega, delta = instance
+    assert_witnesses_round_trip(order0_scheme(rules), order0_apt(omega, delta))
+
+
+@settings(max_examples=100, deadline=None)
+@given(order1_instances())
+def test_printed_witnesses_verify_on_order1_schemes(instance):
+    rules, omega, delta = instance
+    assert_witnesses_round_trip(order1_scheme(rules), order0_apt(omega, delta))
