@@ -10,16 +10,18 @@ the winning condition on colors.
 
 A node is one tuple that holds its hash, computed once when the node is
 made, and its fields (`_Node`): making it is one allocation, and hashing
-it reads the stored value.  `build_game` numbers the nodes as it reaches
-them and records the game over those numbers (`Numbering`) beside its
-node-keyed mappings.  An Eve node's moves come from `rule_typings`, which
+it reads the stored value.  `build_game` records the game once, in
+positions (`Numbering`): it numbers the nodes as it reaches them and
+records each node's successors, owner and priority as it appends it.  A
+`ParityGame` derives its node-keyed mappings from the numbering when they
+are first read.  An Eve node's moves come from `rule_typings`, which
 turns each distinct result of the footprint search into moves once per
 analysis.  Each Eve node is expanded once and its maps are distinct, so its
 Adam nodes are new: they are appended in one step, without a lookup.  An
 Adam node's moves depend on its assumption map alone, and the maps are one
 object per distinct map (`typecheck.Analysis`), so the Adam nodes of one
-map share one tuple of color nodes.  Every edge leads to the node object
-held in `nodes`, so the game holds one object per node.  Every algorithm
+map share one tuple of moves.  Every edge leads to the node object held in
+`nodes`, so the game holds one object per node.  Every algorithm
 here walks the numbering: `zielonka` solves the game (attractor recursion
 under a priority ceiling, escape attractors begun from the smaller side,
 memoryless strategies for both players) on an explicit stack, so Python's
@@ -30,7 +32,8 @@ alone, sharing nothing with `zielonka`; `to_dot` prints from positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, islice
 from operator import itemgetter, not_
 from typing import NamedTuple
@@ -124,19 +127,38 @@ class Numbering(NamedTuple):
     prio: list[int]
 
 
-@dataclass
 class ParityGame:
-    """Max-parity game; dead ends lose for their owner.  `build_game` also
-    records the game's `numbering`; a game built from its mappings alone
-    records one when first asked (`numbered`), and is not changed after."""
+    """Max-parity game; dead ends lose for their owner.  `build_game`
+    records it once, in positions (`numbering`), and the node-keyed `owner`,
+    `priority` and `edges` are derived from those when first read.  A game
+    built from its mappings alone records its numbering when first asked
+    (`numbered`).  A game is not changed after it is built."""
 
-    nodes: tuple
-    owner: dict
-    priority: dict
-    edges: dict
-    initial: object | None = None
-    numbering: Numbering | None = field(default=None, repr=False,
-                                        compare=False)
+    def __init__(self, nodes: tuple, owner: dict | None = None,
+                 priority: dict | None = None, edges: dict | None = None,
+                 initial=None, numbering: Numbering | None = None):
+        self.nodes, self.initial, self.numbering = nodes, initial, numbering
+        # A mapping given here is kept, in place of its derivation below.
+        for name, value in (("owner", owner), ("priority", priority),
+                            ("edges", edges)):
+            if value is not None:
+                setattr(self, name, value)
+
+    @cached_property
+    def owner(self) -> dict:
+        return dict(zip(self.nodes, self.numbering.owner))
+
+    @cached_property
+    def priority(self) -> dict:
+        return dict(zip(self.nodes, self.numbering.prio))
+
+    @cached_property
+    def edges(self) -> dict:
+        """Each node's successor nodes, one tuple per tuple of positions in
+        the numbering, so the Adam nodes of one map share their moves."""
+        nodes, succ = self.nodes, self.numbering.succ
+        moves = {id(ws): tuple(map(nodes.__getitem__, ws)) for ws in succ}
+        return {v: moves[id(ws)] for v, ws in zip(nodes, succ)}
 
     def successors(self, v):
         return self.edges.get(v, ())
@@ -193,20 +215,19 @@ def build_game(h: Hors, m: Apt, states=None) -> ParityGame:
     seeds = [EveNode(h.start, StateType(q)) for q in states]
 
     nodes: list[GameNode] = []
-    edges: dict = {}
     index: dict = {}  # node -> its position in `nodes`
-    succ: list[tuple[int, ...]] = []
+    succ, owner, prio = numbering = Numbering([], [], [])
     analysis = Analysis(h, m)  # shared by all Eve nodes, dropped on return
     # An Adam node's moves depend on its map alone, so each map's color
-    # nodes, and their positions, are made once.
-    moves: dict[AssumptionMap, tuple[tuple, tuple]] = {}
+    # nodes are pushed, and their tuple of positions made, once.
+    moves: dict[AssumptionMap, tuple[int, ...]] = {}
 
     def refuse(v: GameNode, i: int):
         raise SizeGuardExceeded(
             f"game nodes (refused {type(v).__name__} {v.nonterminal} : "
             f"{format_itype(v.ty)})", i + 1, DEFAULT_NODE_LIMIT)
 
-    def push(v: GameNode) -> int:
+    def push(v: EveNode | ColorNode) -> int:
         i = index.get(v)
         if i is not None:
             return i
@@ -215,12 +236,9 @@ def build_game(h: Hors, m: Apt, states=None) -> ParityGame:
             refuse(v, i)
         index[v] = i
         nodes.append(v)
+        owner.append(EVE)
+        prio.append(node_priority(v))
         return i
-
-    def push_all(succs) -> tuple[tuple, tuple]:
-        """The game's own nodes equal to `succs`, and their positions."""
-        ws = tuple([push(w) for w in succs])
-        return tuple([nodes[i] for i in ws]), ws
 
     for s in seeds:
         push(s)
@@ -228,33 +246,30 @@ def build_game(h: Hors, m: Apt, states=None) -> ParityGame:
     # in the order they are numbered, and succ[k] belongs to nodes[k].
     for v in nodes:
         if isinstance(v, AdamNode):
-            known = moves.get(v.assumption)
-            if known is None:
-                known = moves[v.assumption] = push_all(
-                    [ColorNode(c, name, ty) for name, u in v.assumption
-                     for c, ty in u.pairs])
-            succs, ws = known
+            ws = moves.get(v.assumption)
+            if ws is None:
+                ws = moves[v.assumption] = tuple([
+                    push(ColorNode(c, name, ty)) for name, u in v.assumption
+                    for c, ty in u.pairs])
         elif isinstance(v, EveNode):
             # Each Eve node is expanded once and its maps are distinct, so
             # its Adam nodes are new: they are appended without a lookup.
-            succs = tuple([AdamNode(v.nonterminal, v.ty, delta, d)
-                           for delta, d in rule_typings(
-                               analysis, v.nonterminal, v.ty)])
+            succs = [AdamNode(v.nonterminal, v.ty, delta, d)
+                     for delta, d in rule_typings(analysis, v.nonterminal,
+                                                  v.ty)]
             i = len(nodes)
             if i + len(succs) > DEFAULT_NODE_LIMIT:
                 refuse(succs[DEFAULT_NODE_LIMIT - i], DEFAULT_NODE_LIMIT)
             nodes.extend(succs)
+            owner.extend([ADAM] * len(succs))
+            prio.extend([1] * len(succs))  # node_priority of an Adam node
             ws = tuple(range(i, len(nodes)))
         else:
-            succs, ws = push_all([EveNode(v.nonterminal, v.ty)])
-        edges[v] = succs
+            ws = (push(EveNode(v.nonterminal, v.ty)),)
         succ.append(ws)
 
-    owner = [ADAM if isinstance(v, AdamNode) else EVE for v in nodes]
-    prio = [node_priority(v) for v in nodes]
-    return ParityGame(tuple(nodes), dict(zip(nodes, owner)),
-                      dict(zip(nodes, prio)), edges,
-                      seeds[0] if seeds else None, Numbering(succ, owner, prio))
+    return ParityGame(tuple(nodes), initial=seeds[0] if seeds else None,
+                      numbering=numbering)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,17 @@ ALLOWED = {
         "prints a formula's atoms as the automaton file writes them, in "
         "assertion messages (test_printed_formulas_read_back); pinned by "
         "test_reprs_are_pinned",
+    "game.ParityGame.edges":
+        "derived from the numbering when first read; successors reads "
+        "through it, horsbench/tracing.py counts game.edges by it and the "
+        "tests compare games by it",
+    "game.ParityGame.owner":
+        "derived from the numbering when first read; horsbench/certify.py "
+        "and oracles.solve_brute read owners by it",
+    "game.ParityGame.priority":
+        "derived from the numbering when first read; horsbench/certify.py, "
+        "calibrate.py and tracing.py (game.priorities), oracles.solve_brute "
+        "and demo 03 read priorities by it",
     "game.ParityGame.successors":
         "horsbench/calibrate.py and certify.py read a node's moves by it",
     "game._Node.__getnewargs__":

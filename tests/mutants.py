@@ -76,8 +76,23 @@ MUTANTS = [
            ("tests/test_automata.py::TestValidate::"
             "test_negative_color_rejected",)),
     Mutant("fresh-color-tuples-per-adam-node", "game.py",
-           "known = moves.get(v.assumption)",
-           "known = None",
+           "ws = moves.get(v.assumption)",
+           "ws = None",
+           ("tests/test_game.py::TestNumbering::"
+            "test_adam_nodes_of_one_map_share_their_moves",
+            "tests/test_game.py::TestNumbering::"
+            "test_order2_unary_moves_are_made_once_per_map")),
+    Mutant("color-node-recorded-unshifted", "game.py",
+           "prio.append(node_priority(v))",
+           "prio.append(v.color if isinstance(v, ColorNode) else 1)",
+           ("tests/test_game.py::TestNumbering::"
+            "test_owner_and_priority_are_recorded_per_node",
+            "tests/test_game.py::TestBuildGame::"
+            "test_order2_unary_game_is_pinned")),
+    Mutant("derived-edges-one-tuple-per-node", "game.py",
+           "return {v: moves[id(ws)] for v, ws in zip(nodes, succ)}",
+           "return {v: tuple(map(nodes.__getitem__, ws))\n"
+           "                for v, ws in zip(nodes, succ)}",
            ("tests/test_game.py::TestNumbering::"
             "test_adam_nodes_of_one_map_share_their_moves",
             "tests/test_game.py::TestNumbering::"
@@ -324,19 +339,25 @@ MUTANTS = [
 def run_tests(src: Path, ids, timeout: float | None = None
               ) -> tuple[int | None, str]:
     """pytest's exit code and last line on `ids`, with `src` as the import
-    path of `horsmc`; None and a note when the run is stopped after
-    `timeout` seconds."""
-    try:
-        r = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
-             "no:cacheprovider", "-o", f"pythonpath={src}", *ids],
-            cwd=ROOT, env={**os.environ, "PYTHONPATH": str(src),
-                           # A mutant of the same size as its snippet must
-                           # not reuse bytecode cached for the other text.
-                           "PYTHONDONTWRITEBYTECODE": "1"},
-            capture_output=True, text=True, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        return None, f"stopped after {timeout:.0f} s"
+    path of `horsmc` and no stored hypothesis examples; None and a note
+    when the run is stopped after `timeout` seconds."""
+    # Each run starts from an empty example database of its own, so a drawn
+    # test finds a mutant by drawing, never by replaying what an earlier run
+    # (of this runner, or of pytest in the checkout) stored.
+    with tempfile.TemporaryDirectory(dir=src.parent) as examples:
+        try:
+            r = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+                 "no:cacheprovider", "-o", f"pythonpath={src}", *ids],
+                cwd=ROOT, env={**os.environ, "PYTHONPATH": str(src),
+                               # A mutant of the same size as its snippet
+                               # must not reuse bytecode cached for the
+                               # other text.
+                               "PYTHONDONTWRITEBYTECODE": "1",
+                               "HYPOTHESIS_STORAGE_DIRECTORY": examples},
+                capture_output=True, text=True, timeout=timeout)
+        except subprocess.TimeoutExpired:
+            return None, f"stopped after {timeout:.0f} s"
     lines = (r.stdout + r.stderr).strip().splitlines()
     return r.returncode, lines[-1] if lines else ""
 

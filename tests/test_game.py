@@ -184,6 +184,21 @@ class TestNumbering:
             assert plain.numbering is None and g.numbering is not None
             assert g.numbering == plain.numbered(), q
 
+    def test_owner_and_priority_are_recorded_per_node(self, fixture_games):
+        for h, m, q in fixture_games:
+            g, _ = solve_cached(h, m, q)
+            assert g.numbering.owner == [
+                ADAM if isinstance(v, AdamNode) else EVE for v in g.nodes], q
+            assert g.numbering.prio == list(map(game.node_priority,
+                                                g.nodes)), q
+
+    def test_mappings_are_derived_when_first_read(self, ex1, ex1_apt):
+        g = build_game(ex1, ex1_apt)
+        mappings = {"owner", "priority", "edges"}
+        assert not mappings & vars(g).keys()
+        assert g.successors(g.initial) and g.owner and g.priority
+        assert mappings <= vars(g).keys()
+
     def test_repeated_successors_are_numbered_once(self):
         g = ParityGame(("a", "b"), {"a": EVE, "b": ADAM}, {"a": 1, "b": 2},
                        {"a": ("b", "a", "b"), "b": ("b",)})
