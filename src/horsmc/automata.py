@@ -9,7 +9,6 @@ between colored profiles and transition formulas.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 from .syntax import Interned
@@ -89,23 +88,23 @@ class Antichain:
     Sets offered in turn, each added unless `has_subset_of` it, leave their
     inclusion-minimal ones, each with the value of its first offer.  A set
     contains an offered set exactly when it contains a stored one, since a
-    dropped set contains the set that dropped it.
+    dropped set contains the set that dropped it.  Each stored non-empty set
+    is filed under its element with the shortest bucket, and a query reads
+    only the buckets of its own elements: any stored subset is in one.
     """
 
     def __init__(self):
         self.sets: dict[frozenset, object] = {}
         self.sizes: set[int] = set()  # the sizes of the stored sets
+        self.filed: dict[object, list[frozenset]] = {}  # element -> bucket
 
     def has_subset_of(self, s: frozenset) -> bool:
-        """Whether some stored set is a subset of (or equals) `s`: by a scan,
-        or, when `s` has fewer subsets (2**len) than there are stored sets,
-        by hashing its subsets of the stored sizes."""
-        if 2 ** len(s) > len(self.sets):
-            return any(k <= s for k in self.sets)
-        items = tuple(s)
-        return any(frozenset(sub) in self.sets
-                   for r in self.sizes if r <= len(items)
-                   for sub in itertools.combinations(items, r))
+        """Whether some stored set is a subset of (or equals) `s`."""
+        for x in s:
+            for k in self.filed.get(x, ()):
+                if k <= s:
+                    return True
+        return 0 in self.sizes  # the empty set, filed nowhere
 
     def add(self, s: frozenset, value=None) -> None:
         """Store `s`, which contains no stored set, with `value`, and drop
@@ -113,9 +112,17 @@ class Antichain:
         if any(r > len(s) for r in self.sizes):
             for k in [k for k in self.sets if s < k]:
                 del self.sets[k]
+            for bucket in self.filed.values():
+                bucket[:] = [k for k in bucket if k in self.sets]
             self.sizes = {len(k) for k in self.sets}
         self.sets[s] = value
         self.sizes.add(len(s))
+        for x in s:
+            if x not in self.filed:
+                self.filed[x] = [s]
+                return
+        if s:
+            min(map(self.filed.__getitem__, s), key=len).append(s)
 
 
 Clause = frozenset[tuple[int, str]]

@@ -52,10 +52,27 @@ MUTANTS = [
             "tests/test_typecheck.py::"
             "test_minimal_matches_quadratic_reference")),
     Mutant("antichain-scan-strict-subset", "automata.py",
-           "return any(k <= s for k in self.sets)",
-           "return any(k < s for k in self.sets)",
+           "if k <= s:",
+           "if k < s:",
            ("tests/test_automata.py::TestAntichain::"
             "test_subset_query_by_scan_and_by_hashing",
+            "tests/test_typecheck.py::"
+            "test_minimal_matches_quadratic_reference")),
+    # Leaving dropped sets in their buckets is no mutant: a dropped set
+    # contains a stored one, so every query still gets the same answer.
+    Mutant("antichain-ignores-stored-empty-set", "automata.py",
+           "return 0 in self.sizes",
+           "return False",
+           ("tests/test_automata.py::TestAntichain::"
+            "test_queries_match_a_brute_force_model",
+            "tests/test_automata.py::TestDnf::"
+            "test_soundness_completeness_over_assignments")),
+    Mutant("antichain-reads-one-bucket", "automata.py",
+           "for x in s:\n            for k in self.filed.get(x, ()):",
+           "for x in list(s)[:1]:\n"
+           "            for k in self.filed.get(x, ()):",
+           ("tests/test_automata.py::TestAntichain::"
+            "test_queries_match_a_brute_force_model",
             "tests/test_typecheck.py::"
             "test_minimal_matches_quadratic_reference")),
     Mutant("neutral-color-at-priority-2", "game.py",
@@ -215,6 +232,32 @@ MUTANTS = [
            "for later in names[i + 1:i + 2]:",
            ("tests/test_syntax.py::"
             "test_lambda_y_translations_on_order0_schemes",)),
+    # The definitions are tied, but none is substituted back into the
+    # nonterminals declared before it, the start symbol among them.
+    Mutant("to-lambda-y-no-back-substitution", "oracles.py",
+           "for i in range(len(names) - 2, -1, -1):",
+           "for i in range(0):",
+           ("tests/test_syntax.py::TestToLambdaY::"
+            "test_boehm_tree_agrees_with_unfold",
+            "tests/test_syntax.py::"
+            "test_lambda_y_translations_on_order0_schemes")),
+    Mutant("nonterminal-substitution-stops-at-lam", "oracles.py",
+           "return Lam(t.binder, t.binder_sort, "
+           "subst_nonterminal(t.body, name, value))",
+           "return t",
+           ("tests/test_syntax.py::TestToLambdaY::"
+            "test_boehm_tree_agrees_with_unfold",
+            "tests/test_syntax.py::"
+            "test_lambda_y_translations_on_order0_schemes")),
+    Mutant("beta-reduces-the-last-argument", "oracles.py",
+           "reduced = subst_var(head.body, head.binder, args[0])\n"
+           "                term = apply(reduced, *args[1:])",
+           "reduced = subst_var(head.body, head.binder, args[-1])\n"
+           "                term = apply(reduced, *args[:-1])",
+           ("tests/test_syntax.py::TestToLambdaY::"
+            "test_boehm_tree_agrees_with_unfold",
+            "tests/test_syntax.py::"
+            "test_lambda_y_translations_on_order1_schemes")),
     Mutant("substitution-without-rename", "oracles.py",
            "if t.binder in value.free and name in t.body.free:",
            "if False:",

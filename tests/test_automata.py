@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from horsmc import (Apt, Atom, BOTTOM, EPSILON, FALSE, FAnd, FOr, TRUE,
                     TreePrefix, color_set, conj, disj, dnf, format_color,
@@ -90,8 +91,8 @@ class TestAntichain:
 
     @pytest.mark.parametrize("stored", [1, 40])
     def test_subset_query_by_scan_and_by_hashing(self, stored):
-        # One stored set makes a 3-element query scan (2**3 > 1); forty make
-        # it hash its subsets.
+        # One stored set, or forty that share "x": either way a query reads
+        # only the sets filed under its own elements.
         found = Antichain()
         for i in range(stored):
             found.add(frozenset({"x", i}))
@@ -100,6 +101,40 @@ class TestAntichain:
         assert found.has_subset_of(frozenset({"x", 0}))
         assert not found.has_subset_of(frozenset({"x", "y", "z"}))
         assert not found.has_subset_of(frozenset({0}))
+
+    # Each step offers a set (added unless it contains a stored one, as the
+    # footprint search does) or only queries it.
+    steps = st.lists(st.tuples(st.booleans(),
+                               st.frozensets(st.integers(0, 5))),
+                     max_size=30)
+
+    @given(steps)
+    # A stored empty set, and queries after it.
+    @example([(True, frozenset({1})), (True, frozenset()),
+              (False, frozenset({1, 2})), (True, frozenset({3}))])
+    # {0, 1} is filed under 1, whose bucket is shorter than 0's, so the
+    # query {0, 1} finds it in the bucket of its second element.
+    @example([(True, frozenset({0, 5})), (True, frozenset({0, 1})),
+              (False, frozenset({0, 1}))])
+    # One add drops three supersets filed under different elements.
+    @example([(True, frozenset({0, 1})), (True, frozenset({0, 2, 3})),
+              (True, frozenset({0, 4})), (True, frozenset({1, 2})),
+              (True, frozenset({0})), (False, frozenset({0, 5}))])
+    def test_queries_match_a_brute_force_model(self, steps):
+        found, model = Antichain(), {}
+        subsets = [frozenset(c) for n in range(7)
+                   for c in itertools.combinations(range(6), n)]
+        for i, (offer, s) in enumerate(steps):
+            has = any(k <= s for k in model)
+            assert found.has_subset_of(s) == has
+            if offer and not has:
+                found.add(s, i)
+                model = {k: v for k, v in model.items() if not s < k}
+                model[s] = i
+            assert found.sets == model
+            assert found.sizes == {len(k) for k in model}
+            for q in subsets:
+                assert found.has_subset_of(q) == any(k <= q for k in model)
 
 
 class TestSatisfies:

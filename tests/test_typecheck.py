@@ -371,12 +371,12 @@ PAIRS = [R[0] | R[1], R[2] | R[3], R[4] | R[5], R[6] | R[7]]
 
 
 @given(st.lists(requirement_sets, max_size=40))
-# Enough small kept sets that a query hashes its subsets: a hit (three
-# singletons inside) and a miss (two halves of different kept pairs).
+# Many small kept sets: a hit (three singletons inside) and a miss (two
+# halves of different kept pairs).
 @example(R + [R[0] | R[1] | R[2], R[0] | R[1] | R[2]])
 @example(PAIRS + [R[0] | R[2], R[1] | R[3] | R[5]])
 @example([R[0], frozenset(), R[0], frozenset()])
-# A repeat that the query finds by scanning, and a set that drops two.
+# A repeat of a kept set, and a set that drops two.
 @example([R[0] | R[1] | R[2], R[0] | R[1] | R[2]])
 @example([R[0] | R[1], R[0] | R[2], R[0]])
 def test_minimal_matches_quadratic_reference(sets):
