@@ -9,7 +9,7 @@ between colored profiles and transition formulas.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import Interned
 
@@ -173,12 +173,11 @@ def dnf(f: Formula) -> frozenset[Clause]:
 # ---------------------------------------------------------------------------
 # The automaton
 
-@dataclass
-class Apt:
+class Apt(NamedTuple):
     """Alternating parity tree automaton over the scheme's ranked alphabet.
 
-    `delta` may be sparse: missing entries are read as false.  Treated as
-    immutable after construction.
+    `delta` may be sparse: missing entries are read as false.  Immutable by
+    construction, so nothing can be cached on an automaton.
     """
 
     states: tuple[str, ...]

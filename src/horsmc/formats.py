@@ -20,8 +20,7 @@ past its last character.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from .automata import (Apt, Atom, EPSILON, FALSE, Formula, Profile, TRUE,
                        conj, disj, format_color)
@@ -396,8 +395,7 @@ def parse_apt(text: str, terminals: dict[str, int]) -> Apt:
 # ---------------------------------------------------------------------------
 # Annotated schemes
 
-@dataclass
-class AnnotatedHors:
+class AnnotatedHors(NamedTuple):
     """A scheme over the annotated alphabet, plus decoding tables.
 
     `terminal_info` maps an annotated symbol to (original symbol, profile,

@@ -32,7 +32,6 @@ alone, sharing nothing with `zielonka`; `to_dot` prints from positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, islice
 from operator import itemgetter, not_
@@ -180,8 +179,7 @@ class ParityGame:
         return self.numbering
 
 
-@dataclass
-class Solution:
+class Solution(NamedTuple):
     win_eve: frozenset
     win_adam: frozenset
     strategy_eve: dict

@@ -7,6 +7,9 @@ against; no module on the command-line path imports this one.
   implementation in the test suite); it checks `rule_typings`.
 - `check_derivation` (`residual_env`, `DLam`): replays every rule instance
   of a derivation from the root environment.
+- `winning_sequents`: the nested fixpoint over sequents that the paper's
+  finitary semantics gives, over `Deriver`; it checks `build_game` +
+  `zielonka` at every order.
 - `denotation`: the full finite typing relation computed bottom-up, the
   brute-force counterpart of `derive`.
 - `solve_brute`: enumerates memoryless strategy pairs; checks `zielonka`.
@@ -25,14 +28,14 @@ against; no module on the command-line path imports this one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .automata import (Apt, Atom, Color, EPSILON, FAnd, Formula, color_set,
                        dnf)
 from .game import ADAM, EVE, ParityGame, Solution
 from .itypes import (ArrowType, ColoredSet, IType, SizeGuardExceeded,
                      colored_set, enumerate_colored_sets, enumerate_types,
-                     is_terminal_type, subtype)
+                     is_terminal_type, split_chain, subtype)
 from .syntax import (App, Arrow, DEFAULT_STEP_BUDGET, GROUND, Ground, Hors,
                      Interned, NonTerminal, Rule, SimpleType, SortError, Term,
                      Terminal, TreePrefix, UnresolvedWithinBudget, Var, BOTTOM,
@@ -43,6 +46,7 @@ from .typecheck import (DApp, DAx, DDelta, Derivation, TypeEnv,
 
 __all__ = ["Lam", "Fix", "LambdaY", "ly_sort", "format_ly",
            "DLam", "Deriver", "derive", "check_derivation", "residual_env",
+           "winning_sequents",
            "denotation", "BRUTE_NODE_LIMIT", "solve_brute", "eval_formula",
            "format_formula", "print_apt",
            "run_search", "nonterminals_of", "subst_var", "subst_nonterminal",
@@ -105,8 +109,7 @@ def residual_env(env: TypeEnv, c: Color, cols) -> TypeEnv:
     return {x: residual_set(u, c, cols) for x, u in env.items()}
 
 
-@dataclass(frozen=True)
-class DLam:
+class DLam(NamedTuple):
     term: Lam
     target: IType
     body: "Derivation"
@@ -170,6 +173,17 @@ class Deriver:
         self.cols = color_set(m)
         self._memo: dict = {}
         self._sorts: dict = {}
+        self._residuals: dict = {}  # (colored set, color) -> its residual
+
+    def residual_env(self, env: TypeEnv, c: Color) -> TypeEnv:
+        """`residual_env(env, c, cols)`, each (set, color) residuated once."""
+        out = {}
+        for x, u in env.items():
+            r = self._residuals.get((u, c))
+            if r is None:
+                r = self._residuals[u, c] = residual_set(u, c, self.cols)
+            out[x] = r
+        return out
 
     def sort_of(self, t: LambdaY) -> SimpleType:
         s = self._sorts.get(t)
@@ -222,7 +236,7 @@ class Deriver:
         sigma = self.sort_of(t.argument)
         pairs: list[tuple[Color, IType, Derivation]] = []
         for c in self.cols:
-            env_c = residual_env(env, c, self.cols)
+            env_c = self.residual_env(env, c)
             for beta in enumerate_types(sigma, self.m):
                 sub = self._derive(env_c, t.argument, beta)
                 if sub is not None:
@@ -240,6 +254,64 @@ def derive(env: TypeEnv, t: LambdaY, target: IType, m: Apt,
            sort_env: dict[str, SimpleType]) -> Derivation | None:
     """Backward proof search; None when the sequent is not provable."""
     return Deriver(m, sort_env).derive(env, t, target)
+
+
+# ---------------------------------------------------------------------------
+# The scheme's interpretation as a nested fixpoint over sequents
+
+def winning_sequents(h: Hors, m: Apt) -> set[tuple[str, IType]]:
+    """The sequents (N, theta), theta a type of N's sort, that Eve wins:
+    W = sigma_d X_d ... sigma_1 X_1 . F, with no footprint search, game or
+    solver.
+
+    F(X_1 ... X_d) holds (N, theta) when `Deriver` derives N's body at
+    theta's result state, the binders taking theta's argument sets and
+    each nonterminal N' the set {(c, theta') : (N', theta') in X_{c+2}}.
+    Eve may take that largest environment, because derivability is
+    monotone under weakening.  A color c has the priority c + 2 of
+    `game.node_priority`, so the neutral color has 1; sigma_p is nu for
+    even p and mu for odd p.  F reads only the priorities of the colors,
+    so only those are bound; the fixpoints are iterated naively, from the
+    whole set for nu and from the empty set for mu."""
+    require_wellformed(h)
+    cols = color_set(m)
+    priority = {c: c + 2 for c in cols}
+    levels = sorted(set(priority.values()))
+    sequents = {(n, theta) for n, sort in h.nonterminals.items()
+                for theta in enumerate_types(sort, m)}
+    derivers = {n: Deriver(m, {**h.nonterminals, **dict(rule.binders)})
+                for n, rule in h.rules.items()}
+
+    def step(x: dict[int, set]) -> set:
+        pairs: dict[str, list] = {n: [] for n in h.nonterminals}
+        for c in cols:
+            for n, theta in x[priority[c]]:
+                pairs[n].append((c, theta))
+        env = {n: colored_set(ps) for n, ps in pairs.items()}
+        won = set()
+        for n, theta in sequents:
+            rule = h.rules[n]
+            sets, result = split_chain(theta)
+            binders = {b: u for (b, _), u in zip(rule.binders, sets)}
+            if derivers[n].derive({**env, **binders}, rule.body,
+                                  result) is not None:
+                won.add((n, theta))
+        return won
+
+    def solve(i: int, x: dict[int, set]) -> set:
+        """The fixpoint sigma X_p at levels[i], the outer ones fixed in x."""
+        if i < 0:
+            return step(x)
+        p = levels[i]
+        current = set(sequents) if p % 2 == 0 else set()
+        while True:
+            x[p] = current
+            inner = solve(i - 1, x)
+            if inner == current:
+                return current
+            current = inner
+
+    return solve(len(levels) - 1, {})
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ run tree to a finite depth against the original tree and the automaton.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .automata import Apt, Color, EPSILON, Profile, format_color, satisfies
 from .formats import AnnotatedHors, nonterminal_symbol, terminal_symbol
@@ -25,12 +25,11 @@ from .syntax import (App, DEFAULT_STEP_BUDGET, GROUND, Hors, NonTerminal,
 from .typecheck import DAx, DApp, DDelta, Derivation
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     depth: int
-    projection_mismatches: list = field(default_factory=list)
-    transition_violations: list = field(default_factory=list)
-    branch_max_colors: list = field(default_factory=list)
+    projection_mismatches: list
+    transition_violations: list
+    branch_max_colors: list
 
     @property
     def passed(self) -> bool:
@@ -255,7 +254,7 @@ def verify_runtree(g: AnnotatedHors, h: Hors, m: Apt, q: str,
     once (`_label_facts`); what reads the node is checked per position.
     """
     require_wellformed(g.hors)
-    report = RunReport(depth=depth)
+    report = RunReport(depth, [], [], [])
 
     # A node's link is (parent's link, position in the run, direction in the
     # original), or None at the root; paths are rebuilt only when reported.

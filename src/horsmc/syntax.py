@@ -8,7 +8,7 @@ lambda-Y terms, with abstractions and fixpoints, are built in `oracles`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 # ---------------------------------------------------------------------------
@@ -254,17 +254,15 @@ def infer_sort(t: Term, var_sorts: dict[str, SimpleType],
 # ---------------------------------------------------------------------------
 # Recursion schemes
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     binders: tuple[tuple[str, SimpleType], ...]
     body: Term
 
 
-@dataclass
-class Hors:
+class Hors(NamedTuple):
     """A higher-order recursion scheme: one rule per nonterminal.
 
-    Values are treated as immutable after construction.
+    Immutable by construction, so nothing can be cached on a scheme.
     """
 
     terminals: dict[str, int]

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .automata import Antichain, Apt, Color, EPSILON, color_set, dnf
 from .itypes import (ArrowType, ColoredSet, IType, SizeGuardExceeded,
@@ -60,21 +60,18 @@ def residual_set(u: ColoredSet, c: Color, cols) -> ColoredSet:
 # ---------------------------------------------------------------------------
 # Derivations
 
-@dataclass(frozen=True)
-class DAx:
+class DAx(NamedTuple):
     term: Term
     target: IType
     used: IType  # the neutral-colored entry the axiom consumed
 
 
-@dataclass(frozen=True)
-class DDelta:
+class DDelta(NamedTuple):
     term: Term
     target: IType
 
 
-@dataclass(frozen=True)
-class DApp:
+class DApp(NamedTuple):
     term: Term
     target: IType
     chosen: ColoredSet

@@ -370,6 +370,74 @@ MUTANTS = [
             "test_report_is_pinned[order2_unary]",
             "tests/test_selection.py::TestVerifyWork::"
             "test_report_is_pinned[grow]")),
+    # One list in all three fields, as a shared default would give.
+    Mutant("run-report-lists-shared", "selection.py",
+           "report = RunReport(depth, [], [], [])",
+           "report = RunReport(depth, *[[]] * 3)",
+           ("tests/test_selection.py::TestVerifyWork::"
+            "test_report_is_pinned[ex1]",)),
+    Mutant("top-seed-moves-to-greatest-successor", "game.py",
+           "strategy[v] = min(w for w in succ[v] if active[w])",
+           "strategy[v] = max(w for w in succ[v] if active[w])",
+           ("tests/test_game.py::TestBuildGame::test_solutions_are_pinned",)),
+    Mutant("strategy-check-without-region-test", "game.py",
+           "if ws[0] not in succ[i] or not inside[ws[0]]:",
+           "if ws[0] not in succ[i]:",
+           ("tests/test_game.py::TestStrategyChecks::"
+            "test_claims_are_checked",)),
+    Mutant("strategy-check-without-edge-test", "game.py",
+           "if ws[0] not in succ[i] or not inside[ws[0]]:",
+           "if ws[0] is None or not inside[ws[0]]:",
+           ("tests/test_game.py::TestStrategyChecks::"
+            "test_claims_are_checked",)),
+    Mutant("strategy-check-skips-search-below-even-top", "game.py",
+           "parts.append([w for w in comp if prio[w] != top])",
+           "pass",
+           ("tests/test_game.py::TestStrategyChecks::"
+            "test_losing_cycle_inside_a_winning_component",)),
+    Mutant("clause-sets-reversed", "typecheck.py",
+           "key=lambda pick: (len(pick), pick))",
+           "key=lambda pick: (len(pick), pick), reverse=True)",
+           ("tests/test_typecheck.py::"
+            "test_head_directed_sets_match_powerset_on_order0_schemes",)),
+    # Reads position n + k + 1 - j for j; the two agree below arity 3.
+    Mutant("clause-cover-reads-the-wrong-later-position", "typecheck.py",
+           "in later[j - k - 1]",
+           "in later[k - j]",
+           ("tests/test_oracle.py::test_sequent_game_matches_product_game",)),
+    Mutant("first-clause-set-only", "typecheck.py",
+           "return [tuple(options[i] for i in pick) for pick in picks]",
+           "return [tuple(options[i] for i in pick) for pick in picks[:1]]",
+           ("tests/test_oracle.py::test_sequent_game_matches_product_game",
+            "tests/test_oracle.py::"
+            "test_fixpoint_matches_zielonka_on_order0_schemes")),
+    Mutant("dot-children-walked-right-to-left", "formats.py",
+           "work.extend((child, me) for child in reversed(node.children))",
+           "work.extend((child, me) for child in node.children)",
+           ("tests/test_cli.py::TestUnfold::"
+            "test_dot_numbers_children_left_to_right",)),
+    Mutant("dot-edge-line-before-its-subtree", "formats.py",
+           'work.append(f"  {parent} -> {me};")',
+           'lines.append(f"  {parent} -> {me};")',
+           ("tests/test_cli.py::TestUnfold::"
+            "test_deep_prefix_is_its_closed_form",
+            "tests/test_cli.py::TestUnfold::"
+            "test_dot_numbers_children_left_to_right")),
+    Mutant("fixpoint-nu-mu-flipped", "oracles.py",
+           "current = set(sequents) if p % 2 == 0 else set()",
+           "current = set(sequents) if p % 2 else set()",
+           ("tests/test_oracle.py::"
+            "test_fixpoint_matches_zielonka_on_fixture_pairs",
+            "tests/test_oracle.py::"
+            "test_fixpoint_matches_zielonka_on_order0_schemes")),
+    # The neutral color and color 0 both read as priority 1.
+    Mutant("fixpoint-color-shift-dropped", "oracles.py",
+           "priority = {c: c + 2 for c in cols}",
+           "priority = {c: max(c, 0) + 1 for c in cols}",
+           ("tests/test_oracle.py::"
+            "test_fixpoint_matches_zielonka_on_fixture_pairs",
+            "tests/test_oracle.py::"
+            "test_fixpoint_matches_zielonka_on_order0_schemes")),
     Mutant("witness-divergence-at-the-original-path", "selection.py",
            "raise UnresolvedWithinBudget(path_of(link, part),",
            "raise UnresolvedWithinBudget(path_of(link, 2),",

@@ -250,6 +250,18 @@ class TestUnfold:
         code, out, _ = run(["unfold", scheme, "-d", "2", "--dot"], capsys)
         assert code == 0 and out.startswith("digraph tree {")
 
+    def test_dot_numbers_children_left_to_right(self, files, capsys):
+        # preorder numbers, first child first; each edge after its subtree
+        _, scheme, _ = files
+        code, out, _ = run(["unfold", scheme, "-d", "2", "--dot"], capsys)
+        assert code == 0
+        assert out.splitlines()[2:] == [
+            '  n0 [label="if", shape=box];', '  n1 [label="Nil", shape=box];',
+            "  n0 -> n1;", '  n2 [label="if", shape=box];',
+            '  n3 [label="_|_", shape=plaintext];', "  n2 -> n3;",
+            '  n4 [label="_|_", shape=plaintext];', "  n2 -> n4;",
+            "  n0 -> n2;", "}"]
+
     def test_budget_exhaustion_exit_three(self, tmp_path, capsys):
         scheme = tmp_path / "spin.hors"
         scheme.write_text("terminals:\n  c : 0\nnonterminals:\n  S : o\n"
@@ -842,6 +854,29 @@ class TestImportPath:
              "print('horsmc.oracles' in sys.modules)"],
             capture_output=True, text=True, env=cli_env(0))
         assert (r.returncode, r.stdout) == (0, "False\n"), r.stderr
+
+    def test_cli_does_not_load_dataclasses(self):
+        # Records are NamedTuples: `dataclasses` would bring `inspect` and
+        # an `exec` per record into every command's start-up.
+        def loaded(code: str) -> str:
+            r = subprocess.run(
+                [sys.executable, "-c",
+                 f"{code}; print('dataclasses' in sys.modules)"],
+                capture_output=True, text=True, env=cli_env(0))
+            assert r.returncode == 0, r.stderr
+            return r.stdout
+        assert loaded("import sys, horsmc.cli") == loaded("import sys")
+
+    def test_no_module_imports_dataclasses(self):
+        # `oracles` included, which the CLI does not load.
+        import ast
+        for path in Path(cli.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = ([a.name for a in node.names]
+                         if isinstance(node, ast.Import) else
+                         [node.module] if isinstance(node, ast.ImportFrom)
+                         else [])
+                assert "dataclasses" not in names, path.name
 
     def test_no_cache_decorators_on_the_production_path(self):
         # Memo tables belong to an analysis; `dnf` is a pure function of an

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import gc
 import itertools
 import operator
@@ -161,22 +160,20 @@ class TestDerive:
     def test_checker_rejects_tampering(self, ex1_apt):
         env = {"x": colored_set([(EPSILON, Q0)])}
         d = derive(env, Var("x"), Q0, ex1_apt, {"x": GROUND})
-        from dataclasses import replace
         assert check_derivation(d, ex1_apt, env)
-        assert not check_derivation(replace(d, used=Q1), ex1_apt, env)
+        assert not check_derivation(d._replace(used=Q1), ex1_apt, env)
         # the consumed entry is not in this environment
         bad_env = {"x": colored_set([(0, Q0)])}
         assert not check_derivation(d, ex1_apt, bad_env)
 
     def test_lambda_body_sits_in_the_extended_environment(self, ex1_apt):
-        from dataclasses import replace
         from horsmc.oracles import Lam
         lam = Lam("x", GROUND, Var("x"))
         d = derive({}, lam, ArrowType(colored_set([(EPSILON, Q0)]), Q0),
                    ex1_apt, {})
         assert d is not None and check_derivation(d, ex1_apt, {})
         # the binder's set no longer holds the entry the body's axiom used
-        bad = replace(d, target=ArrowType(colored_set([(0, Q0)]), Q0))
+        bad = d._replace(target=ArrowType(colored_set([(0, Q0)]), Q0))
         assert not check_derivation(bad, ex1_apt, {})
 
 
@@ -558,8 +555,7 @@ def test_shared_memo_matches_fresh_over_two_state_colors(ex1, ex1_apt):
     # The other fixture games of order 1 or more have one state color, at
     # which a terminal-headed subterm reads its binders.  Here it reads them
     # at two, and a view holding only one of them shares wrong footprints.
-    cases = [(ex1, dataclasses.replace(ex1_apt, omega={"q0": 2, "q1": 1}),
-              130),
+    cases = [(ex1, ex1_apt._replace(omega={"q0": 2, "q1": 1}), 130),
              (grow_scheme(), grow_two_color_apt(), 18)]
     for seed, (h, m, eves) in enumerate(cases):
         assert assert_shared_memo_matches_fresh(h, m, build_game(h, m),
@@ -667,9 +663,13 @@ def test_equal_maps_are_one_object(fixture_games):
 def test_build_game_adds_no_attribute(ex1, ex1_apt):
     for h, m in [(ex1, ex1_apt), (order2_unary_scheme(), order2_unary_apt(0)),
                  (grow_scheme(), grow_apt())]:
-        before = (set(vars(h)), set(vars(m)))
+        before = (h._asdict(), m._asdict())
         build_game(h, m)
-        assert (set(vars(h)), set(vars(m))) == before
+        assert (h._asdict(), m._asdict()) == before
+        # A scheme or an automaton has no room for a hidden attribute.
+        for record in (h, m):
+            with pytest.raises(AttributeError):
+                record.memo = {}
 
 
 # ---------------------------------------------------------------------------
@@ -677,10 +677,10 @@ def test_build_game_adds_no_attribute(ex1, ex1_apt):
 
 def test_build_and_extract_leave_the_automaton_unchanged(ex1, ex1_apt):
     for h, m, q in [(ex1, ex1_apt, "q0"), (*order2_unary(), "q")]:
-        before = copy.deepcopy(vars(m))
+        before = copy.deepcopy(m._asdict())
         sol = zielonka(build_game(h, m))
         extract_scheme(h, m, sol, q)
-        assert vars(m) == before
+        assert m._asdict() == before
 
 
 def test_each_type_space_is_enumerated_once_per_game(monkeypatch, ex1,
