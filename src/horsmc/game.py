@@ -25,9 +25,11 @@ map share one tuple of moves.  Every edge leads to the node object held in
 here walks the numbering: `zielonka` solves the game (attractor recursion
 under a priority ceiling, escape attractors begun from the smaller side,
 memoryless strategies for both players) on an explicit stack, so Python's
-recursion limit bounds no game; `check_eve_strategy` and
-`check_adam_strategy` check either player's strategy by graph traversal
-alone, sharing nothing with `zielonka`; `to_dot` prints from positions.
+recursion limit bounds no game, and records its `Solution` in positions,
+from which the node-keyed regions and strategies are derived when first
+read; `check_eve_strategy` and `check_adam_strategy` check either player's
+strategy by graph traversal alone, sharing nothing with `zielonka`;
+`to_dot` prints from positions.
 """
 
 from __future__ import annotations
@@ -179,11 +181,41 @@ class ParityGame:
         return self.numbering
 
 
-class Solution(NamedTuple):
-    win_eve: frozenset
-    win_adam: frozenset
-    strategy_eve: dict
-    strategy_adam: dict
+class Solution:
+    """Both players' winning regions and memoryless winning strategies.
+    `zielonka` records a solution in the game's positions (`recorded`), and
+    each node-keyed field is derived from them when first read; a verdict
+    reads one region.  `Solution(win_eve, win_adam, strategy_eve,
+    strategy_adam)` builds one from the fields."""
+
+    def __init__(self, win_eve, win_adam, strategy_eve, strategy_adam):
+        self.win_eve, self.win_adam = win_eve, win_adam
+        self.strategy_eve, self.strategy_adam = strategy_eve, strategy_adam
+
+    @classmethod
+    def recorded(cls, nodes: tuple, owner: list[int],
+                 regions: list[list[int]], strategy: list[int]) -> Solution:
+        """Each player's region, indexed by player, and each node's move, as
+        positions in `nodes`."""
+        sol = cls.__new__(cls)
+        sol._positions = nodes, owner, regions, strategy
+        return sol
+
+    def __getattr__(self, name):
+        # Only a field not yet set comes here; once derived, it is set.
+        if name in ("win_eve", "win_adam"):
+            nodes, _, regions, _ = self._positions
+            value = frozenset(map(nodes.__getitem__,
+                                  regions[name == "win_adam"]))
+        elif name in ("strategy_eve", "strategy_adam"):
+            nodes, owner, regions, strategy = self._positions
+            x = int(name == "strategy_adam")
+            value = {nodes[v]: nodes[strategy[v]] for v in regions[x]
+                     if owner[v] == x}
+        else:
+            raise AttributeError(name)
+        setattr(self, name, value)
+        return value
 
 
 DEFAULT_NODE_LIMIT = 200_000
@@ -416,14 +448,8 @@ def zielonka(g: ParityGame) -> Solution:
             stack.append(solve(*sub))
             won = None
 
-    regions = []
-    moves = []
-    for x in (0, 1):
-        region = dead_won[x] + won[x]
-        regions.append(frozenset(map(nodes.__getitem__, region)))
-        moves.append({nodes[v]: nodes[strategy[v]] for v in region
-                      if owner[v] == x})
-    return Solution(*regions, *moves)
+    return Solution.recorded(nodes, owner, [dead_won[0] + won[0],
+                                            dead_won[1] + won[1]], strategy)
 
 
 # ---------------------------------------------------------------------------

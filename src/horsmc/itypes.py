@@ -8,7 +8,9 @@ Types and colored sets are interned, as sorts, terms and formulas are, so
 identity is equality.  This is how types are represented, not a memo of an
 analysis (`typecheck.Analysis`), and types cross analyses: a parsed
 witness's, and the `EveNode(h.start, StateType(q))` a caller looks up in a
-game, are the objects the game's construction made.
+game, are the objects the game's construction made.  Each carries its
+order key, `key`: one byte string whose bytewise order is the canonical
+order, so sorting by it compares in C at any depth.
 """
 
 from __future__ import annotations
@@ -19,7 +21,21 @@ from .syntax import Arrow, Ground, Interned, SimpleType, format_sort
 
 # ---------------------------------------------------------------------------
 # Types and colored sets.  Instances are interned (`syntax.Interned`), and
-# each computes its order key, `key`, once, when it is made.
+# each computes its order key, `key`, once, when it is made.  A key is the
+# concatenation of codes none of which is a prefix of another, so keys
+# compare bytewise as the tuples of their parts would: a state by its name
+# in code-point order, a name before its extensions; an arrow by argument
+# set, then result; a colored set by its pairs in order, each by color,
+# then type, a set before the sets that extend it.
+
+def natural_code(n: int) -> bytes:
+    """`n` >= 0 in big-endian after its length in bytes, so that codes
+    compare bytewise as their numbers do; a length past 254 is coded in
+    turn, after a 0xff byte."""
+    size = (n.bit_length() + 7) >> 3
+    head = bytes((size,)) if size < 255 else b"\xff" + natural_code(size)
+    return head + n.to_bytes(size, "big")
+
 
 class StateType(Interned):
     """Ground intersection type: one automaton state."""
@@ -28,7 +44,9 @@ class StateType(Interned):
     __slots__ = fields + ("key",)
 
     def _facts(self):
-        self.key = (0, self.state)
+        # A NUL in the name becomes 00 01, and the name ends with 00 00.
+        name = self.state.encode("utf-8", "surrogatepass")
+        self.key = b"\x00" + name.replace(b"\x00", b"\x00\x01") + b"\x00\x00"
 
 
 class ArrowType(Interned):
@@ -36,7 +54,7 @@ class ArrowType(Interned):
     __slots__ = fields + ("key",)
 
     def _facts(self):
-        self.key = (1, self.argument.key, self.result.key)
+        self.key = b"\x01" + self.argument.key + self.result.key
 
 
 IType = StateType | ArrowType
@@ -49,7 +67,9 @@ class ColoredSet(Interned):
     __slots__ = fields + ("key",)
 
     def _facts(self):
-        self.key = tuple(map(pair_key, self.pairs))
+        # Colors are at least EPSILON = -1.
+        self.key = b"".join([b"\x01" + natural_code(c + 1) + t.key
+                             for c, t in self.pairs]) + b"\x00"
 
     def __iter__(self):
         return iter(self.pairs)

@@ -19,8 +19,10 @@ class Interned:
     instance returns that instance, so equality is identity and hashing
     takes constant time at any depth.  A subclass names its fields, in
     constructor order, in `fields`, and lists them in `__slots__` with the
-    values that `_facts` derives once when a value is made.  Each subclass
-    has its own table; values are not changed once made."""
+    values that `_facts` derives once when a value is made, such as the
+    order key of a type (`itypes`): a byte string whose bytewise order is
+    the canonical order.  Each subclass has its own table; values are not
+    changed once made."""
 
     __slots__ = ()
     fields: tuple[str, ...] = ()

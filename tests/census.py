@@ -53,6 +53,10 @@ ALLOWED = {
         "and demo 03 read priorities by it",
     "game.ParityGame.successors":
         "horsbench/calibrate.py and certify.py read a node's moves by it",
+    "game.Solution.__init__":
+        "builds a solution from node-keyed maps; oracles.solve_brute and "
+        "the tests build solutions so, while zielonka records its own in "
+        "positions",
     "game._Node.__getnewargs__":
         "pickling a game node; without it unpickling raises AttributeError",
     "game._Node.__init_subclass__":

@@ -146,6 +146,16 @@ MUTANTS = [
            "escape, active = attract(active, 1 - player, list(lost),",
            ("tests/test_game.py::TestZielonka::"
             "test_escape_seeds_are_scanned_in_node_order",)),
+    Mutant("escape-seeds-reversed", "game.py",
+           "escape, active = attract(active, 1 - player, sorted(lost),",
+           "escape, active = attract(active, 1 - player, "
+           "sorted(lost, reverse=True),",
+           ("tests/test_game.py::TestZielonka::"
+            "test_escape_seeds_are_scanned_in_node_order",)),
+    Mutant("solution-eve-strategy-by-adam-owner", "game.py",
+           "if owner[v] == x}",
+           "if owner[v] == ADAM}",
+           ("tests/test_game.py::TestBuildGame::test_solutions_are_pinned",)),
     Mutant("numbering-keeps-repeated-successors", "game.py",
            "else tuple(dict.fromkeys(ws)) for ws in succ]",
            "else ws for ws in succ]",
@@ -157,6 +167,11 @@ MUTANTS = [
            "*[Var(v) for v in reversed(fvs)])",
            ("tests/test_syntax.py::TestFromLambdaY::"
             "test_lifted_abstraction_takes_its_free_variables_in_order",)),
+    Mutant("unfold-raise-path-off-by-one", "syntax.py",
+           "path = tuple(len(node[3]) + 1 for node in stack)",
+           "path = tuple(len(node[3]) for node in stack)",
+           ("tests/test_syntax.py::TestUnfold::"
+            "test_first_unresolved_head_is_depth_first",)),
     Mutant("unfold-without-sharing", "syntax.py",
            "tree = shared.get(key)",
            "tree = None",
@@ -437,13 +452,26 @@ MUTANTS = [
            ("tests/test_oracle.py::"
             "test_fixpoint_matches_zielonka_on_fixture_pairs",
             "tests/test_oracle.py::"
-            "test_fixpoint_matches_zielonka_on_order0_schemes")),
+            "test_fixpoint_matches_zielonka_on_order0_schemes",
+            "tests/test_oracle.py::"
+            "test_fixpoint_matches_zielonka_on_order1_schemes")),
     Mutant("witness-divergence-at-the-original-path", "selection.py",
            "raise UnresolvedWithinBudget(path_of(link, part),",
            "raise UnresolvedWithinBudget(path_of(link, 2),",
            ("tests/test_cli.py::TestBrokenWitness::"
             "test_report_on_divergent_witnesses"
             "[divergence-named-at-the-run-path]",)),
+    # Each code in a type's key must be prefix-free.
+    Mutant("state-code-unterminated", "itypes.py",
+           'name.replace(b"\\x00", b"\\x00\\x01") + b"\\x00\\x00"',
+           'name.replace(b"\\x00", b"\\x00\\x01")',
+           ("tests/test_itypes.py::TestOrderKey::"
+            "test_bytes_order_is_the_nested_tuple_order",)),
+    Mutant("color-code-without-length", "itypes.py",
+           'return head + n.to_bytes(size, "big")',
+           'return n.to_bytes(size, "big")',
+           ("tests/test_itypes.py::TestOrderKey::"
+            "test_bytes_order_is_the_nested_tuple_order",)),
 ]
 
 

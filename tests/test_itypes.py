@@ -2,13 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from horsmc import (Arrow, ArrowType, EPSILON, GROUND, SizeGuardExceeded,
                     StateType, colored_set, count_types,
                     enumerate_colored_sets, enumerate_types,
                     is_terminal_type, subtype, subtype_set)
 from horsmc import itypes
-from horsmc.itypes import EMPTY_SET, profile_of, split_chain
+from horsmc.itypes import EMPTY_SET, natural_code, profile_of, split_chain
 from horsmc.oracles import box_color
 from conftest import loop_apt
 
@@ -63,6 +64,75 @@ class TestEnumerate:
         assert str(e.value) == ("type space at sort (((o -> o) -> o) -> o) "
                                 "-> o: more candidates than the limit "
                                 "1048576")
+
+
+def tuple_key(x):
+    """The order key that `key` encodes, written out as nested tuples: a
+    state by its name, an arrow by argument set, then result, a colored set
+    by its sorted (color, type) pairs."""
+    if isinstance(x, StateType):
+        return (0, x.state)
+    if isinstance(x, ArrowType):
+        return (1, tuple_key(x.argument), tuple_key(x.result))
+    return tuple(sorted((c, tuple_key(t)) for c, t in x.pairs))
+
+
+# Names share prefixes (q, q0) and hold a NUL, a 0x01, non-ASCII
+# characters and a lone surrogate.
+NAMES = st.lists(st.sampled_from(["q", "0", "\x00", "\x01", "\xe9",
+                                  "\U0001F600", "\ud800"]),
+                 max_size=3).map("".join)
+COLORS = st.one_of(st.integers(EPSILON, 2), st.integers(EPSILON, 2 ** 70))
+# Arrows nest two deep in argument and in result position.
+KEY_SORTS = [GROUND, OO, Arrow(OO, GROUND), Arrow(GROUND, OO),
+             Arrow(Arrow(OO, GROUND), GROUND)]
+
+
+def types_of(sort):
+    if sort is GROUND:
+        return NAMES.map(StateType)
+    return st.builds(ArrowType, sets_of(sort.domain), types_of(sort.codomain))
+
+
+def sets_of(sort):
+    return st.lists(st.tuples(COLORS, types_of(sort)),
+                    max_size=2).map(colored_set)
+
+
+@st.composite
+def same_sort_pairs(draw):
+    """Two types, or two colored sets, of one sort."""
+    sort = draw(st.sampled_from(KEY_SORTS))
+    values = draw(st.sampled_from([types_of, sets_of]))(sort)
+    return draw(values), draw(values)
+
+
+class TestOrderKey:
+    @settings(max_examples=400, deadline=None)
+    @given(same_sort_pairs())
+    # a state, then a later pair, against an extension of its name
+    @example((colored_set([(0, StateType("q")), (1, StateType("x"))]),
+              colored_set([(0, StateType("q\x00"))])))
+    @example((ArrowType(EMPTY_SET, StateType("q")),
+              ArrowType(EMPTY_SET, StateType("q0"))))
+    # colors whose codes differ in length
+    @example((colored_set([(255, Q0)]), colored_set([(1, Q0)])))
+    def test_bytes_order_is_the_nested_tuple_order(self, pair):
+        a, b = pair
+        assert isinstance(a.key, bytes)
+        assert (a.key < b.key) == (tuple_key(a) < tuple_key(b))
+        assert (a.key == b.key) == (a is b)
+
+    def test_lengths_past_one_byte_keep_their_order(self):
+        # byte lengths 254, 255 and 256 of c + 1, each side of the cut
+        ns = [0, 1, 255, 256, 256 ** 254 - 1, 256 ** 254, 256 ** 255 - 1,
+              256 ** 255, 256 ** 256 - 1, 256 ** 256, 256 ** 300]
+        codes = list(map(natural_code, ns))
+        assert sorted(codes) == codes and len(set(codes)) == len(codes)
+        assert not any(x.startswith(y) for x in codes for y in codes
+                       if x is not y)
+        assert colored_set([(256 ** 300, Q0)]).key > colored_set(
+            [(2, Q0)]).key
 
 
 class TestSubtype:

@@ -190,6 +190,14 @@ def test_fixpoint_matches_zielonka_on_order0_schemes(instance):
 
 @settings(max_examples=100, deadline=None)
 @given(order1_instances())
+# F1 recurs forever in whichever state it starts, under colors 0 and 1:
+# q0 accepts and q1 rejects, so the verdict turns on each color's parity.
+@example(({"S": ((), ("n", "F1", (("t", "c", ()),))),
+           "F1": (("x",), ("t", "a", (("n", "F1", (("x",),)), ("x",))))},
+          {"q0": 0, "q1": 1},
+          {("q0", "a"): [((1, "q0"),)], ("q1", "a"): [((1, "q1"),)],
+           ("q0", "b"): [], ("q1", "b"): [], ("q0", "c"): [()],
+           ("q1", "c"): [()]}))
 def test_fixpoint_matches_zielonka_on_order1_schemes(instance):
     rules, omega, delta = instance
     h, m = order1_scheme(rules), order0_apt(omega, delta)
